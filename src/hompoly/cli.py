@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 from . import reductions, topo
@@ -30,6 +31,8 @@ TARGETS = {
     "k4": Graph.complete(4),
     "c6": Graph.cycle(6),
     "k33": Graph.complete_bipartite(3, 3),
+    "c8": Graph.cycle(8),
+    "k6": Graph.complete(6),
 }
 
 
@@ -89,8 +92,8 @@ def _run_lemma(lemma: str, args) -> reductions.ReductionReport:
     if lemma == "cycles-even":
         return reductions.reduce_cycles(h or Graph.single_edge(), args.n or 4)
     if lemma == "tree-matching":
-        target = TARGETS[args.target]
-        return reductions.reduce_trees(h or Graph.single_edge(), target)
+        return reductions.reduce_trees(h or Graph.single_edge(),
+                                       TARGETS[args.target], args.budget)
     if lemma == "outerplanar-star":
         return reductions.reduce_outerplanar(h or Graph.complete(3), args.n or 6)
     if lemma == "planar-permutation":
@@ -104,14 +107,13 @@ def _run_lemma(lemma: str, args) -> reductions.ReductionReport:
 
 
 def _genus_block_report() -> reductions.ReductionReport:
-    import time
-    t0 = time.time()
+    t0 = time.perf_counter()
     certs = reductions.block_certificates()
     ok = (not certs["planar"] and certs["minor"] is not None
           and certs["min_genus"] == 1)
     zero = Polynomial.zero()
     return reductions.ReductionReport(
-        "genus-block", {}, zero, zero, ok, wall_time=time.time() - t0,
+        "genus-block", {}, zero, zero, ok, wall_time=time.perf_counter() - t0,
         details={"planar": certs["planar"], "min_genus": certs["min_genus"],
                  "minor_kind": certs["minor"]["kind"] if certs["minor"] else None,
                  "rotation": certs["rotation"],
@@ -196,8 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--target", choices=sorted(TARGETS), default="k4")
     p.add_argument("--h-file", default=None, help="graph JSON for H")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int,
+                   default=reductions.DEFAULT_TREE_NODE_BUDGET,
+                   help="search-node budget of the tree-matching lemma "
+                        "(default %(default)s); other lemmas ignore it")
     p.add_argument("--parallelism", type=int, default=1)
     p.add_argument("--timings", action="store_true",
                    help="include wall times in the report file")

@@ -228,18 +228,6 @@ def graph_key(g: Graph) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def uhc_oracle_id(n: int) -> str:
-    return f"uhc:{n}"
-
-
-def clique_oracle_id(n: int) -> str:
-    return f"clique:{n}"
-
-
-def matching_oracle_id(g: Graph) -> str:
-    return f"matching:{graph_key(g)}"
-
-
 def hom_poly_oracle_id(h: Graph, n: int, cls: GraphClass,
                        model: VariableModel = VariableModel.EDGE_ONLY) -> str:
     return f"F:{cls}:{model.value}:n{n}:h{graph_key(h)}"

@@ -277,7 +277,7 @@ def is_homomorphic(g: Graph, h: Graph, budget: int = DEFAULT_HOM_BUDGET) -> bool
     budget guards against blowup.
     """
     if h.n == 0:
-        return all(True for _ in ()) if g.n == 0 else g.n == 0
+        return g.n == 0
     active = sorted((v for v in range(g.n) if g.degree(v) > 0),
                     key=lambda v: -g.degree(v))
     if not active:

@@ -21,8 +21,8 @@ from .errors import BudgetExceededError, PipelineIntegrityError
 from .gadgets import (amalgam_chain, buddy_transform, end_edges,
                       genus_block, planar_gadget, star_gadget,
                       subdivide_and_buddy_planar, fold_block_to_edge_certificate)
-from .genfun import (VariableModel, WeightedGraph, generating_function, hom_poly,
-                     hom_poly_oracle_id, oracle_matching, oracle_uhc, graph_key)
+from .genfun import (hom_poly, hom_poly_oracle_id, oracle_matching, oracle_uhc,
+                     graph_key)
 from .graphs import (CYCLE, CLIQUE, OUTERPLANAR, PLANAR, TREE, Graph,
                      GraphClass, all_edges, canonical_edge, genus_class,
                      hom_to_single_edge, is_homomorphic, recognize)
@@ -217,12 +217,14 @@ def _edge_vars_at(v: int, others) -> list:
     return [edge_var(v, w) for w in others if w != v]
 
 
-def _restricted_circuit_filters(p: Polynomial, oracle_id: str, filters):
+def _restricted_circuit_filters(p: Polynomial, oracle_id: str, filters,
+                                direct: Polynomial, details: dict) -> int:
     """Re-run homogeneous-component filters through interpolation circuits.
 
     Binds the polynomial to an oracle gate and nests one interpolation per
     (vars, k) filter, with each interpolation degree taken from the bound
-    polynomial; returns (evaluated polynomial, sizes per nesting level).
+    polynomial.  The evaluated circuit must equal the direct route's result;
+    records the sizes per nesting level and returns the final size.
     """
     ovars = tuple(sorted(p.variables()))
     c = circ.oracle_call_circuit(oracle_id, ovars)
@@ -231,8 +233,11 @@ def _restricted_circuit_filters(p: Polynomial, oracle_id: str, filters):
         delta = max(k, p.degree_in(vars))
         c = circ.interpolate_homc(c, vars, k, delta)
         sizes.append(circ.size(c))
-    value = circ.eval_symbolic(c, {oracle_id: p})
-    return value, sizes
+    if circ.eval_symbolic(c, {oracle_id: p}) != direct:
+        raise PipelineIntegrityError("circuit route disagrees with direct route")
+    details["circuit_sizes"] = sizes
+    details["circuit_agrees"] = True
+    return sizes[-1]
 
 
 # -- cycles -------------------------------------------------------------------------
@@ -241,7 +246,7 @@ def reduce_cycles(h: Graph, n: int, with_circuit: bool = True) -> ReductionRepor
     """Slice the cycle polynomial at the even length and, for odd n, contract
     one enforced edge of the one-larger host; compare with the Hamiltonian
     cycle oracle."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     params = {"n": n, "h": h.to_json_obj()}
     cls = classify(h, CYCLE)
     if cls.kind != "VNPComplete":
@@ -286,18 +291,19 @@ def reduce_cycles(h: Graph, n: int, with_circuit: bool = True) -> ReductionRepor
         details["circuit_agrees"] = True
 
     return ReductionReport("cycles-even", params, produced, expected,
-                           produced == expected, csize, time.time() - t0, details)
+                           produced == expected, csize, time.perf_counter() - t0,
+                           details)
 
 
 def contraction_transfer_check(n: int) -> ReductionReport:
     """contract_enforced_edge on the (n+1)-vertex Hamiltonian polynomial must
     reproduce the n-vertex one, with the factor-two integrality assertion."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     produced = contract_enforced_edge(oracle_uhc(n + 1), (0, n))
     expected = oracle_uhc(n)
     return ReductionReport("cycles-even", {"n": n, "phase": "transfer"},
                            produced, expected, produced == expected,
-                           wall_time=time.time() - t0)
+                           wall_time=time.perf_counter() - t0)
 
 
 # -- cliques ------------------------------------------------------------------------
@@ -331,7 +337,8 @@ def reduce_cliques_vac0(h: Graph, n: int) -> Polynomial:
 
 def tree_gadget_edges(target: Graph) -> tuple[list, int]:
     """Gadget for a matching target: originals, one vertex per target edge,
-    and a root s joined to every edge vertex.  Returns (edges, n_vertices)."""
+    and a root s joined to every edge vertex.  Returns (edges in canonical
+    order, n_vertices)."""
     tn = target.n
     tedges = sorted(target.edges)
     s = tn + len(tedges)
@@ -339,14 +346,93 @@ def tree_gadget_edges(target: Graph) -> tuple[list, int]:
     for k, (u, v) in enumerate(tedges):
         ev = tn + k
         out += [(u, ev), (v, ev), (ev, s)]
-    return [canonical_edge(*e) for e in out], tn + len(tedges) + 1
+    return sorted(canonical_edge(*e) for e in out), tn + len(tedges) + 1
 
 
-def reduce_trees(h: Graph, target: Graph, subset_budget: int = 12_000_000,
-                 with_circuit: bool | None = None) -> ReductionReport:
+DEFAULT_TREE_NODE_BUDGET = 2_000_000
+
+
+def gadget_tree_poly(target: Graph, node_budget: int = DEFAULT_TREE_NODE_BUDGET
+                     ) -> tuple[Polynomial, int]:
+    """Size-restricted tree polynomial of the matching gadget of an even
+    target, in the edge-and-vertex model, and the number of search nodes.
+
+    A depth-first search decides the gadget edges in canonical order.  A
+    branch is dropped when an edge would close a cycle, when more than tn/2
+    edge vertices are covered, when the forest passes 3tn/2 edges, or when too
+    few edges remain to reach 3tn/2 - 1.  A leaf forest is kept when it is one
+    tree (covered vertices = edges + 1) with 3tn/2 - 1 or 3tn/2 edges: every
+    tree spanning the tn originals and tn/2 edge vertices, with or without the
+    root, is among them.  Raises BudgetExceededError past node_budget nodes.
+    """
+    gedges, nvert = tree_gadget_edges(target)
+    half = target.n // 2
+    top = 3 * half
+    root = nvert - 1
+    parent = list(range(nvert))
+    deg = [0] * nvert
+    chosen: list = []
+    terms: dict = {}
+    nodes = 0
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def visit(i: int, evs: int, covered: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceededError(
+                f"tree search exceeds the node budget {node_budget}")
+        k = len(chosen)
+        if k == top or i == len(gedges):
+            if k >= top - 1 and covered == k + 1:
+                mono = [(edge_var(*e), 1) for e in chosen]
+                mono += [(vertex_var(v), 1) for v in range(nvert) if deg[v]]
+                terms[tuple(mono)] = 1
+            return
+        if k + len(gedges) - i < top - 1:
+            return
+        a, b = gedges[i]
+        ev = a if b == root else b  # every gadget edge has one edge vertex
+        grown = evs + (deg[ev] == 0)
+        ra, rb = find(a), find(b)
+        if ra != rb and grown <= half:
+            parent[ra] = rb
+            chosen.append((a, b))
+            cov = covered + (deg[a] == 0) + (deg[b] == 0)
+            deg[a] += 1
+            deg[b] += 1
+            visit(i + 1, grown, cov)
+            deg[a] -= 1
+            deg[b] -= 1
+            chosen.pop()
+            parent[ra] = ra
+        visit(i + 1, evs, covered)
+
+    visit(0, 0, 0)
+    return Polynomial(terms), nodes
+
+
+def reduce_trees(h: Graph, target: Graph,
+                 node_budget: int = DEFAULT_TREE_NODE_BUDGET,
+                 with_circuit: bool = True) -> ReductionReport:
     """Recover the perfect matchings of the target from the tree polynomial
-    of the matching gadget in the edge-and-vertex model."""
-    t0 = time.time()
+    of the matching gadget in the edge-and-vertex model.
+
+    For an even target, gadget_tree_poly gives the trees of 3tn/2 - 1 or
+    3tn/2 edges.  Slicing them at degree tn/2 in the edge-vertex variables,
+    tn in the original-vertex variables and one in the root's variable keeps
+    one tree per perfect matching: each chosen edge vertex with its full
+    star.  Setting every variable but the root edges to one and renaming each
+    root edge to its target edge gives the matching polynomial.  The three
+    slices are re-run through nested interpolation circuits, which must agree.
+    An odd target has no perfect matching: the result is zero, with nothing
+    to search and the circuit check reported as skipped.
+    """
+    t0 = time.perf_counter()
     params = {"target": target.to_json_obj(), "h": h.to_json_obj()}
     if target.loops:
         raise ValueError("matching target must be loopless")
@@ -359,113 +445,51 @@ def reduce_trees(h: Graph, target: Graph, subset_budget: int = 12_000_000,
     tn = target.n
     tedges = sorted(target.edges)
     gedges, nvert = tree_gadget_edges(target)
+    s = nvert - 1
     details: dict = {"gadget_vertices": nvert, "gadget_edges": len(gedges)}
 
-    # every tree is bipartite, hence homomorphic to any H with an edge; the
-    # per-subset homomorphism filter is vacuously true and checked on the
-    # survivors below
-    ev_vars = [vertex_var(tn + k) for k in range(len(tedges))]
-    orig_vars = [vertex_var(v) for v in range(tn)]
-
-    small = len(gedges) <= 12
-    if with_circuit is None:
-        with_circuit = small
-    if small:
-        host = Graph.make(nvert, gedges)
-        wg = WeightedGraph.make(host)
-        P = generating_function(wg, TREE, VariableModel.EDGE_AND_VERTEX,
-                                budget=len(gedges))
-        sliced = P.homogeneous_component(ev_vars, tn // 2) if tn % 2 == 0 \
-            else Polynomial.zero()
-        if tn % 2 == 0:
-            sliced = sliced.homogeneous_component(orig_vars, tn)
-        details["tree_subsets"] = len(P)
+    csize = None
+    if tn % 2:
+        sliced = Polynomial.zero()
+        if with_circuit:
+            details["circuit"] = "skipped: odd target has no perfect matching"
     else:
-        # size-restricted enumeration: a surviving tree spans the selected
-        # tn/2 edge vertices, all tn originals and possibly s, so it has
-        # 3*tn/2 - 1 or 3*tn/2 edges; the degree filters are applied in-loop
-        if tn % 2:
-            sliced = Polynomial.zero()
-        else:
-            sliced = _tree_survivors_restricted(target, gedges, nvert, subset_budget)
-        details["enumeration"] = "size-restricted"
+        P, details["dfs_nodes"] = gadget_tree_poly(target, node_budget)
+        details["tree_terms"] = len(P)
+        # the root slice only bites on a two-vertex target, whose path u-e-v
+        # spans both originals without the root
+        filters = [([vertex_var(tn + k) for k in range(len(tedges))], tn // 2),
+                   ([vertex_var(v) for v in range(tn)], tn),
+                   ([vertex_var(s)], 1)]
+        sliced = P
+        for vars, k in filters:
+            sliced = sliced.homogeneous_component(vars, k)
+        if with_circuit:
+            csize = _restricted_circuit_filters(
+                P, f"trees:{graph_key(target)}", filters, sliced, details)
 
+    # every tree is bipartite, hence homomorphic to any H with an edge; the
+    # class polynomial's homomorphism filter is checked on the survivors
     survivors = [m for m, _ in sliced.terms()]
     details["survivors"] = len(survivors)
     for m in survivors:
         es = [(v[1], v[2]) for v, _ in m if v[0] == 'e']
-        g = Graph.make(nvert, es)
-        if not is_homomorphic(g, h):
+        if not is_homomorphic(Graph.make(nvert, es), h):
             raise PipelineIntegrityError("survivor not homomorphic to H")
 
     # project onto the root edges and rename them to the target's edge variables
-    s = nvert - 1
     mapping = {}
     for var in sliced.variables():
-        if var[0] == 'v':
+        if var[0] == 'e' and var[2] == s:
+            mapping[var] = edge_var(*tedges[var[1] - tn])
+        else:
             mapping[var] = 1
-        elif var[0] == 'e':
-            _, i, j = var
-            if j == s:
-                mapping[var] = edge_var(*tedges[i - tn])
-            else:
-                mapping[var] = 1
     produced = sliced.substitute(mapping)
     expected = oracle_matching(target)
 
-    csize = None
-    if with_circuit and tn % 2 == 0 and small:
-        oid = f"trees:{graph_key(target)}"
-        value, sizes = _restricted_circuit_filters(
-            P, oid, [(ev_vars, tn // 2), (orig_vars, tn)])
-        if value != sliced:
-            raise PipelineIntegrityError("circuit route disagrees with direct route")
-        csize = sizes[-1]
-        details["circuit_sizes"] = sizes
-        details["circuit_agrees"] = True
-
     return ReductionReport("tree-matching", params, produced, expected,
-                           produced == expected, csize, time.time() - t0, details)
-
-
-def _tree_survivors_restricted(target: Graph, gedges, nvert: int,
-                               subset_budget: int) -> Polynomial:
-    from math import comb
-    tn = target.n
-    m = len(target.edges)
-    sizes = [3 * tn // 2 - 1, 3 * tn // 2]
-    total = sum(comb(len(gedges), s) for s in sizes)
-    if total > subset_budget:
-        raise BudgetExceededError(
-            f"{total} candidate subsets exceed the tree budget {subset_budget}")
-    vertex_bit = [1 << v for v in range(nvert)]
-    edge_masks = [vertex_bit[a] | vertex_bit[b] for a, b in gedges]
-    orig_mask = (1 << tn) - 1
-    ev_mask = ((1 << (tn + m)) - 1) ^ orig_mask
-    terms = {}
-    for size in sizes:
-        for combo in itertools.combinations(range(len(gedges)), size):
-            cover = 0
-            for i in combo:
-                cover |= edge_masks[i]
-            if cover & orig_mask != orig_mask:
-                continue
-            if (cover & ev_mask).bit_count() != tn // 2:
-                continue
-            if cover.bit_count() != size + 1:
-                continue  # a tree has one more vertex than edges
-            es = [gedges[i] for i in combo]
-            g = Graph.make(nvert, es)
-            comps = [c for c in g.components() if len(c) > 1]
-            if len(comps) != 1 or len(comps[0]) != size + 1:
-                continue
-            mono = dict((edge_var(*e), 1) for e in es)
-            for v in range(nvert):
-                if cover >> v & 1:
-                    mono[vertex_var(v)] = 1
-            key = tuple(sorted(mono.items()))
-            terms[key] = terms.get(key, 0) + 1
-    return Polynomial(terms)
+                           produced == expected, csize, time.perf_counter() - t0,
+                           details)
 
 
 # -- outerplanar ---------------------------------------------------------------------
@@ -475,7 +499,7 @@ def reduce_outerplanar(h: Graph, n: int, budget: int | None = None,
     """Star-gadget pipeline: enforce the center star and the total edge
     budget, fix the two designated path endpoints, then glue them to turn
     the surviving outer paths into the Hamiltonian cycles of K_{n-2}."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     params = {"n": n, "h": h.to_json_obj()}
     cls = classify(h, OUTERPLANAR)
     if cls.kind != "VNPComplete" or not h.edges:
@@ -500,12 +524,12 @@ def reduce_outerplanar(h: Graph, n: int, budget: int | None = None,
         # divisions; report it instead of passing silently
         details["calibration_failure"] = str(exc)
         return ReductionReport("outerplanar-star", params, Polynomial.zero(),
-                               expected, False, None, time.time() - t0, details)
+                               expected, False, None, time.perf_counter() - t0, details)
     equal = produced == expected
     if not equal:
         details["calibration_failure"] = details.get("calibration_failure", True)
     return ReductionReport("outerplanar-star", params, produced, expected, equal,
-                           csize, time.time() - t0, details)
+                           csize, time.perf_counter() - t0, details)
 
 
 def _glue_endpoints(p: Polynomial, drop_to_one, a: int, b: int,
@@ -537,14 +561,9 @@ def _outerplanar_direct(h: Graph, n: int, budget, with_circuit):
 
     csize = None
     if with_circuit and p_budget:
-        oid = f"star-budget:n{n}:h{graph_key(h)}"
-        value, sizes = _restricted_circuit_filters(
-            p_budget, oid, [(fa, 1), (fb, 1)])
-        if value != p_pts:
-            raise PipelineIntegrityError("circuit route disagrees with direct route")
-        csize = sizes[-1]
-        details["circuit_sizes"] = sizes
-        details["circuit_agrees"] = True
+        csize = _restricted_circuit_filters(
+            p_budget, f"star-budget:n{n}:h{graph_key(h)}", [(fa, 1), (fb, 1)],
+            p_pts, details)
 
     glued = _glue_endpoints(p_pts, sorted(gadget.enforced), a, b,
                             [v for v in outer if v != b])
@@ -601,14 +620,9 @@ def _outerplanar_buddy(h: Graph, n: int, budget, with_circuit):
 
     csize = None
     if with_circuit and p_budget:
-        oid = f"buddy-budget:n{n}:h{graph_key(h)}"
-        value, sizes = _restricted_circuit_filters(
-            p_budget, oid, [(fa, 1), (fb, 1)])
-        if value != p_pts:
-            raise PipelineIntegrityError("circuit route disagrees with direct route")
-        csize = sizes[-1]
-        details["circuit_sizes"] = sizes
-        details["circuit_agrees"] = True
+        csize = _restricted_circuit_filters(
+            p_budget, f"buddy-budget:n{n}:h{graph_key(h)}", [(fa, 1), (fb, 1)],
+            p_pts, details)
 
     # contract the buddy pairs: pair edges to one, buddies relabeled onto
     # their originals; the lift multiplicity (one per order-respecting
@@ -632,7 +646,7 @@ def reduce_planar(h: Graph, m: int, budget: int | None = None,
     the middle clique (m!/2 of them); for m >= 6 the designated end edges
     and endpoint degrees are enforced and the second/second-to-last vertices
     are glued, recovering the Hamiltonian cycles on m-3 vertices."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     params = {"m": m, "h": h.to_json_obj()}
     cls = classify(h, PLANAR)
     if cls.kind != "VNPComplete" or not h.edges:
@@ -646,7 +660,7 @@ def reduce_planar(h: Graph, m: int, budget: int | None = None,
     except PipelineIntegrityError as exc:
         return ReductionReport(
             "planar-permutation", params, Polynomial.zero(), Polynomial.zero(),
-            False, None, time.time() - t0, {"calibration_failure": str(exc)})
+            False, None, time.perf_counter() - t0, {"calibration_failure": str(exc)})
 
 
 def _planar_body(h, m, budget, with_circuit, params, t0, cls) -> ReductionReport:
@@ -692,15 +706,10 @@ def _planar_body(h, m, budget, with_circuit, params, t0, cls) -> ReductionReport
         details["glue_survivors"] = len(p_glue)
 
         if with_circuit and p_mid:
-            oid = f"planar-budget:m{m}:h{graph_key(h)}"
-            value, sizes = _restricted_circuit_filters(
-                p_mid, oid, [([edge_var(*e_left)], 1), ([edge_var(*e_right)], 1),
-                             (flo, 1), (fro, 1)])
-            if value != p_glue:
-                raise PipelineIntegrityError("circuit route disagrees with direct route")
-            csize = sizes[-1]
-            details["circuit_sizes"] = sizes
-            details["circuit_agrees"] = True
+            csize = _restricted_circuit_filters(
+                p_mid, f"planar-budget:m{m}:h{graph_key(h)}",
+                [([edge_var(*e_left)], 1), ([edge_var(*e_right)], 1),
+                 (flo, 1), (fro, 1)], p_glue, details)
 
         ga, gb = gadget.role("glue-a"), gadget.role("glue-b")
         drop = sorted(gadget.enforced) + [e_left, e_right]
@@ -712,7 +721,7 @@ def _planar_body(h, m, budget, with_circuit, params, t0, cls) -> ReductionReport
         produced, expected = glued, uhc
 
     return ReductionReport("planar-permutation", params, produced, expected, equal,
-                           csize, time.time() - t0, details)
+                           csize, time.perf_counter() - t0, details)
 
 
 def _ham_path_sets(vertices) -> set:
@@ -787,7 +796,7 @@ def reduce_genus(h: Graph, k: int, m: int, with_circuit: bool = True) -> Reducti
     of genus k; genus additivity over one-vertex amalgams then pins the class
     test down to planarity of the apex portion, which reruns the permutation
     lemma and the endpoint glue under the genus-k budget."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     params = {"k": k, "m": m, "h": h.to_json_obj()}
     cls = classify(h, genus_class(k))
     if cls.kind != "VNPComplete" or not h.edges:
@@ -860,13 +869,9 @@ def reduce_genus(h: Graph, k: int, m: int, with_circuit: bool = True) -> Reducti
 
     csize = None
     if with_circuit and p_mid:
-        oid = f"genus-budget:k{k}:m{m}:h{graph_key(h)}"
-        value, sizes = _restricted_circuit_filters(p_mid, oid, [(fa, 1), (fb, 1)])
-        if value != p_pts:
-            raise PipelineIntegrityError("circuit route disagrees with direct route")
-        csize = sizes[-1]
-        details["circuit_sizes"] = sizes
-        details["circuit_agrees"] = True
+        csize = _restricted_circuit_filters(
+            p_mid, f"genus-budget:k{k}:m{m}:h{graph_key(h)}", [(fa, 1), (fb, 1)],
+            p_pts, details)
 
     glued = _glue_endpoints(p_pts, sorted(gadget.enforced), pa, pb,
                             [v for v in mids if v != pb])
@@ -886,4 +891,4 @@ def reduce_genus(h: Graph, k: int, m: int, with_circuit: bool = True) -> Reducti
     if not structural_ok:
         caveat = "embedding or certificate search failed"
     return ReductionReport("genus-chain", params, glued, uhc, equal, csize,
-                           time.time() - t0, details, caveat)
+                           time.perf_counter() - t0, details, caveat)

@@ -2,15 +2,18 @@
 
 import itertools
 
+import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import poly_term_edge_sets
+from conftest import poly_term_edge_sets, to_nx
 from hompoly import (CLIQUE, CYCLE, OUTERPLANAR, PLANAR, TREE, Graph,
                      classify, contract_enforced_edge, deny_edges,
                      enforce_edges, hom_poly, oracle_matching, oracle_uhc,
                      reduce_cliques_vac0, reduce_cycles, reduce_genus,
                      reduce_outerplanar, reduce_planar, reduce_trees)
-from hompoly.errors import PipelineIntegrityError
+from hompoly.errors import BudgetExceededError, PipelineIntegrityError
 from hompoly.graphs import genus_class
 from hompoly.poly import Polynomial, edge_var, monomial
 from hompoly.reductions import (block_certificates, chain_rotation,
@@ -138,20 +141,24 @@ def test_cliques_match_hom_poly_and_bound():
 
 
 def test_tree_pipeline_targets():
-    for target, matchings in ((Graph.cycle(4), 2), (K4, 3), (Graph.path(4), 1)):
+    for target, matchings in ((Graph.cycle(4), 2), (K4, 3), (Graph.path(4), 1),
+                              (Graph.cycle(8), 2), (Graph.complete(6), 15)):
         r = reduce_trees(K2, target)
         assert r.equal
         assert len(r.produced) == matchings
         assert r.produced == oracle_matching(target)
+        assert r.details["circuit_agrees"] and r.circuit_size is not None
 
 
 def test_tree_pipeline_odd_target_is_zero():
     r = reduce_trees(K2, P3)
     assert r.equal and r.produced.is_zero()
+    assert r.details["circuit"] == "skipped: odd target has no perfect matching"
 
 
 def test_tree_pipeline_routes_agree():
-    from hompoly.reductions import _tree_survivors_restricted, tree_gadget_edges
+    # the pruned search against the full tree generating function of the gadget
+    from hompoly.reductions import gadget_tree_poly, tree_gadget_edges
     from hompoly.genfun import generating_function, VariableModel, WeightedGraph
     from hompoly.poly import vertex_var
     for target in (Graph.cycle(4), K4):
@@ -162,9 +169,54 @@ def test_tree_pipeline_routes_agree():
                                 budget=len(gedges))
         ev = [vertex_var(tn + k) for k in range(len(target.edges))]
         ov = [vertex_var(v) for v in range(tn)]
+        evars = [edge_var(*e) for e in gedges]
+        size_restricted = Polynomial.zero()
+        for edges in (3 * tn // 2 - 1, 3 * tn // 2):
+            for evs in range(tn // 2 + 1):
+                size_restricted = size_restricted + P.homogeneous_component(
+                    evars, edges).homogeneous_component(ev, evs)
+        searched, _ = gadget_tree_poly(target)
+        assert searched == size_restricted
         direct = P.homogeneous_component(ev, tn // 2).homogeneous_component(ov, tn)
-        restricted = _tree_survivors_restricted(target, gedges, nvert, 10 ** 7)
-        assert direct == restricted
+        assert searched.homogeneous_component(ev, tn // 2) \
+            .homogeneous_component(ov, tn) == direct
+
+
+def test_gadget_tree_poly_terms_are_trees():
+    # a cycle plus a separate tree also has one more vertex than edges
+    from hompoly.reductions import gadget_tree_poly
+    for target in (Graph.cycle(6), Graph.complete_bipartite(3, 3), Graph.complete(6)):
+        tn, half = target.n, target.n // 2
+        P, _ = gadget_tree_poly(target)
+        assert len(P) > 0
+        for mono, c in P.terms():
+            es = [(v[1], v[2]) for v, _ in mono if v[0] == 'e']
+            covered = {v[1] for v, _ in mono if v[0] == 'v'}
+            assert c == 1 and nx.is_tree(to_nx(0, es))
+            assert covered == {x for e in es for x in e}
+            assert len(es) in (3 * half - 1, 3 * half)
+            assert sum(tn <= v < tn + len(target.edges) for v in covered) <= half
+
+
+@st.composite
+def matching_targets(draw):
+    n = draw(st.sampled_from((2, 4, 6)))
+    pairs = list(itertools.combinations(range(n), 2))
+    return Graph.make(n, draw(st.lists(st.sampled_from(pairs), unique=True)))
+
+
+@given(matching_targets())
+@example(K2)
+@settings(max_examples=30, deadline=None)
+def test_tree_pipeline_recovers_matchings(target):
+    r = reduce_trees(K2, target)
+    assert r.produced == oracle_matching(target)
+    assert r.details["circuit_agrees"]
+
+
+def test_tree_search_budget_fails_loudly():
+    with pytest.raises(BudgetExceededError):
+        reduce_trees(K2, Graph.cycle(6), node_budget=100)
 
 
 def test_outerplanar_pipeline_counts():
