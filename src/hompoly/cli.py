@@ -93,7 +93,7 @@ def _run_lemma(lemma: str, args) -> reductions.ReductionReport:
         return reductions.reduce_cycles(h or Graph.single_edge(), args.n or 4)
     if lemma == "tree-matching":
         return reductions.reduce_trees(h or Graph.single_edge(),
-                                       TARGETS[args.target], args.budget)
+                                       TARGETS[args.target])
     if lemma == "outerplanar-star":
         return reductions.reduce_outerplanar(h or Graph.complete(3), args.n or 6)
     if lemma == "planar-permutation":
@@ -198,10 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--target", choices=sorted(TARGETS), default="k4")
     p.add_argument("--h-file", default=None, help="graph JSON for H")
-    p.add_argument("--budget", type=int,
-                   default=reductions.DEFAULT_TREE_NODE_BUDGET,
-                   help="search-node budget of the tree-matching lemma "
-                        "(default %(default)s); other lemmas ignore it")
     p.add_argument("--parallelism", type=int, default=1)
     p.add_argument("--timings", action="store_true",
                    help="include wall times in the report file")

@@ -361,9 +361,12 @@ def gadget_tree_poly(target: Graph, node_budget: int = DEFAULT_TREE_NODE_BUDGET
     branch is dropped when an edge would close a cycle, when more than tn/2
     edge vertices are covered, when the forest passes 3tn/2 edges, or when too
     few edges remain to reach 3tn/2 - 1.  A leaf forest is kept when it is one
-    tree (covered vertices = edges + 1) with 3tn/2 - 1 or 3tn/2 edges: every
-    tree spanning the tn originals and tn/2 edge vertices, with or without the
-    root, is among them.  Raises BudgetExceededError past node_budget nodes.
+    tree (covered vertices = edges + 1) with 3tn/2 - 1 or 3tn/2 edges.  The
+    trees that reduce_trees keeps, on tn/2 edge vertices, tn originals and the
+    root, have exactly 3tn/2 edges.  The 3tn/2 - 1 edge trees each miss one of
+    those vertices and never survive the slices.  They are kept on purpose:
+    the slices, and the circuit filters that re-run them, have these terms to
+    remove.  Raises BudgetExceededError past node_budget nodes.
     """
     gedges, nvert = tree_gadget_edges(target)
     half = target.n // 2
@@ -426,9 +429,12 @@ def reduce_trees(h: Graph, target: Graph,
     3tn/2 edges.  Slicing them at degree tn/2 in the edge-vertex variables,
     tn in the original-vertex variables and one in the root's variable keeps
     one tree per perfect matching: each chosen edge vertex with its full
-    star.  Setting every variable but the root edges to one and renaming each
-    root edge to its target edge gives the matching polynomial.  The three
-    slices are re-run through nested interpolation circuits, which must agree.
+    star.  The slices remove exactly the 3tn/2 - 1 edge trees; the 3tn/2 edge
+    trees all pass.  Setting every variable but the root edges to one and
+    renaming each root edge to its target edge gives the matching polynomial.
+    The three slices are re-run through nested interpolation circuits, which
+    must agree, so the circuit check tests that its filters remove those
+    smaller trees.
     An odd target has no perfect matching: the result is zero, with nothing
     to search and the circuit check reported as skipped.
     """

@@ -65,12 +65,6 @@ def test_unknown_lemma_rejected(capsys):
     capsys.readouterr()
 
 
-def test_verify_budget_limits_tree_search(capsys):
-    assert main(["verify", "--lemma", "tree-matching", "--target", "k6",
-                 "--budget", "10"]) == 2
-    assert "node budget 10" in capsys.readouterr().err
-
-
 def test_genus_command(tmp_path, capsys):
     p = tmp_path / "k5.json"
     p.write_text(json.dumps(Graph.complete(5).to_json_obj()))

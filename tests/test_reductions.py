@@ -196,6 +196,10 @@ def test_gadget_tree_poly_terms_are_trees():
             assert covered == {x for e in es for x in e}
             assert len(es) in (3 * half - 1, 3 * half)
             assert sum(tn <= v < tn + len(target.edges) for v in covered) <= half
+        # the slices keep exactly the trees of 3tn/2 edges
+        full = sum(1 for mono, _ in P.terms()
+                   if sum(v[0] == 'e' for v, _ in mono) == 3 * half)
+        assert reduce_trees(K2, target, with_circuit=False).details["survivors"] == full
 
 
 @st.composite
