@@ -198,7 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--target", choices=sorted(TARGETS), default="k4")
     p.add_argument("--h-file", default=None, help="graph JSON for H")
-    p.add_argument("--parallelism", type=int, default=1)
+    p.add_argument("--parallelism", type=int, default=1,
+                   help="run lemmas on this many threads; the lemmas are "
+                        "CPU-bound Python, so this does not speed them up")
     p.add_argument("--timings", action="store_true",
                    help="include wall times in the report file")
     p.add_argument("--out", default=None, help="write the JSON report here")

@@ -10,7 +10,9 @@ interpolation circuits with oracle gates, and both routes must agree.
 
 from __future__ import annotations
 
+import copy
 import itertools
+import threading
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -442,6 +444,9 @@ def reduce_trees(h: Graph, target: Graph,
     params = {"target": target.to_json_obj(), "h": h.to_json_obj()}
     if target.loops:
         raise ValueError("matching target must be loopless")
+    if not target.n:
+        # the empty matching would count as 1, but the gadget has no tree
+        raise ValueError("matching target needs a vertex")
     cls = classify(h, TREE)
     if cls.kind != "VNPComplete":
         return _vac0_report("tree-matching", params, cls.witness)
@@ -742,37 +747,53 @@ def _ham_path_sets(vertices) -> set:
 
 # -- genus ---------------------------------------------------------------------------
 
-def block_certificates(genus_budget: int = 100_000) -> dict:
+BLOCK_GENUS_BUDGET = 100_000
+
+_block_cache: dict = {}
+_block_lock = threading.Lock()
+
+
+def _block_certificate() -> dict:
+    """The block certificate, computed once per process and shared; callers
+    must not mutate it.  The lock keeps lemmas run on threads from searching
+    twice."""
+    with _block_lock:
+        if not _block_cache:
+            g = genus_block().graph
+            planar = topo.is_planar(g)
+            witness = topo.find_minor(g, topo.K33)
+            genus, rot = topo.min_genus_rotation(g, budget=BLOCK_GENUS_BUDGET)
+            _block_cache.update({
+                "planar": planar,
+                "minor": None if witness is None else
+                {"kind": "k33", "branch_sets": [sorted(s) for s in witness]},
+                "min_genus": genus,
+                "rotation": topo.rotation_to_json_obj(rot),
+                "search_space": topo.rotation_search_space(g),
+            })
+        return _block_cache
+
+
+def block_certificates() -> dict:
     """Non-planarity witness (a complete-bipartite minor plus the planarity
-    test) and the exhaustive minimum-genus certificate for the 8-vertex
-    block."""
-    gadget = genus_block()
-    g = gadget.graph
-    planar = topo.is_planar(g)
-    witness = topo.find_minor(g, topo.K33)
-    genus, rot = topo.min_genus_rotation(g, budget=genus_budget)
-    return {
-        "planar": planar,
-        "minor": None if witness is None else
-        {"kind": "k33", "branch_sets": [sorted(s) for s in witness]},
-        "min_genus": genus,
-        "rotation": topo.rotation_to_json_obj(rot),
-        "search_space": topo.rotation_search_space(g),
-    }
+    test) and the minimum-genus certificate for the 8-vertex block: the
+    first rotation of least genus, found by min_genus_rotation, which stops
+    at genus one once a validated Kuratowski minor rules out genus zero.
+    Returns a fresh copy of the per-process certificate."""
+    return copy.deepcopy(_block_certificate())
 
 
 def chain_rotation(k: int, subdivide: bool = False) -> dict:
     """Concatenated rotation system for the k-block chain.
 
-    Each block keeps its genus-one rotation and every junction splices the
-    two local rings contiguously, which adds exactly one to the genus per
-    block; for a subdivided chain the rotation is transferred through the
-    subdivision (replace each diagonal endpoint by the midpoint), which
-    preserves faces and hence genus.
+    Each block keeps the genus-one rotation of the block certificate and
+    every junction splices the two local rings contiguously, which adds
+    exactly one to the genus per block; for a subdivided chain the rotation
+    is transferred through the subdivision (replace each diagonal endpoint
+    by the midpoint), which preserves faces and hence genus.
     """
     from .gadgets import BLOCK_DIAGONALS, chain_layout
-    block = genus_block().graph
-    _, rot1 = topo.min_genus_rotation(block, budget=100_000)
+    rot1 = topo.rotation_from_json_obj(_block_certificate()["rotation"])
     edges, vmaps, midpoints, next_id = chain_layout(k, subdivide)
     chain = Graph.make(next_id, edges)
     mid_of = {(b, uv): w for b, uv, w in midpoints}

@@ -6,6 +6,13 @@ induced dart permutation gives the Euler genus via V - E + F = 2 - 2g.
 Planarity itself is delegated to networkx's linear-time test; the rotation
 search and the minor finder below are independent code paths, so the three
 agree-or-fail cross checks in the test suite are meaningful.
+
+The rotation search stops at the first genus-one rotation once a Kuratowski
+subgraph from networkx, read as K5 or K3,3 branch sets, has passed the same
+branch-set validation as the minor finder.  The cross checks stay
+independent: a genus-0 verdict is still a rotation found and traced by the
+search, and a genus >= 1 verdict either comes from the exhaustive search or
+rests on a validated minor, never on networkx's planarity bit alone.
 """
 
 from __future__ import annotations
@@ -132,48 +139,42 @@ def rotation_search_space(g: Graph) -> int:
 
 
 def min_genus(g: Graph, budget: int = DEFAULT_GENUS_BUDGET) -> int:
-    """Exact minimum genus by exhaustive rotation-system search.
+    """Exact minimum genus of a connected graph, by min_genus_rotation."""
+    if not g.edges and g.is_connected():
+        return 0
+    return min_genus_rotation(g, budget=budget)[0]
 
-    Search stops early on genus 0.  Raises BudgetExceededError when the
-    quotiented search space is larger than budget.
+
+def min_genus_rotation(g: Graph, budget: int = DEFAULT_GENUS_BUDGET):
+    """(genus, rotation) pair attaining the minimum genus of a connected graph.
+
+    Rotation systems are tried in a fixed order and the first one reaching
+    the minimum is kept.  The search stops on genus 0, and on genus 1 once
+    kuratowski_witness, looked up the first time genus 1 is reached, proves
+    the graph non-planar; without a validated witness it stays exhaustive.
+    Either way the pair is the one the exhaustive search returns.  Raises
+    BudgetExceededError, before any search, when the quotiented search space
+    is larger than budget.
     """
     if not g.is_connected():
         raise ValueError("min_genus needs a connected graph")
-    if not g.edges:
-        return 0
     choices = _rotation_choices(g)
     space = rotation_search_space(g)
     if space > budget:
         raise BudgetExceededError(f"rotation space {space} exceeds budget {budget}")
     verts = [v for v, _ in choices]
     best = None
-    for combo in itertools.product(*(perms for _, perms in choices)):
-        rot = dict(zip(verts, combo))
-        genus = genus_of_rotation(g, rot)
-        if best is None or genus < best:
-            best = genus
-            if best == 0:
-                break
-    return best
-
-
-def min_genus_rotation(g: Graph, budget: int = DEFAULT_GENUS_BUDGET):
-    """(genus, rotation) pair attaining the minimum, same search as min_genus."""
-    if not g.is_connected():
-        raise ValueError("min_genus needs a connected graph")
-    choices = _rotation_choices(g)
-    if rotation_search_space(g) > budget:
-        raise BudgetExceededError("rotation space exceeds budget")
-    verts = [v for v, _ in choices]
-    best = None
     best_rot = None
+    nonplanar = None
     for combo in itertools.product(*(perms for _, perms in choices)):
         rot = dict(zip(verts, combo))
         genus = genus_of_rotation(g, rot)
         if best is None or genus < best:
             best, best_rot = genus, rot
-            if best == 0:
-                break
+        if best == 1 and nonplanar is None:
+            nonplanar = kuratowski_witness(g) is not None
+        if best == 0 or (best == 1 and nonplanar):
+            break
     return best, best_rot
 
 
@@ -286,6 +287,54 @@ def _validate_branch_sets(g: Graph, target: Graph, sets) -> None:
     for a, b in target.edges:
         if not any(g.has_edge(u, w) for u in sets[a] for w in sets[b]):
             raise AssertionError(f"no edge between branch sets {a} and {b}")
+
+
+def kuratowski_witness(g: Graph):
+    """("k5"|"k33", branch sets) read off networkx's Kuratowski subgraph.
+
+    None for a planar graph, and also when the branch sets fail
+    _validate_branch_sets, so that a faulty witness can only make the genus
+    search exhaustive, never end it early.
+    """
+    planar, sub = nx.check_planarity(_to_nx(g), counterexample=True)
+    if planar:
+        return None
+    witness = _kuratowski_branch_sets(sub)
+    if witness is None:
+        return None
+    kind, sets = witness
+    try:
+        _validate_branch_sets(g, K5 if kind == "k5" else K33, sets)
+    except AssertionError:
+        return None
+    return witness
+
+
+def _kuratowski_branch_sets(sub: nx.Graph):
+    """Contract a subdivided K5 or K3,3 onto its branch vertices.
+
+    The inner vertices of each subdivided path join the branch set of the end
+    the walk started from; K3,3 sets are ordered side by side as in K33.
+    """
+    branch = sorted(v for v in sub if sub.degree(v) >= 3)
+    if len(branch) not in (5, 6):
+        return None
+    owner = {b: b for b in branch}
+    for b in branch:
+        for nb in sub[b]:
+            prev, cur = b, nb
+            while cur not in owner:
+                owner[cur] = b
+                step = [x for x in sub[cur] if x != prev]
+                if len(step) != 1:
+                    return None
+                prev, cur = cur, step[0]
+    sets = {b: {v for v, o in owner.items() if o == b} for b in branch}
+    if len(branch) == 5:
+        return "k5", [sets[b] for b in branch]
+    across = {owner[w] for v in sets[branch[0]] for w in sub[v]} - {branch[0]}
+    side = [b for b in branch if b not in across]
+    return "k33", [sets[b] for b in side + [b for b in branch if b not in side]]
 
 
 def find_k33_or_k5_minor(g: Graph, budget: int = DEFAULT_MINOR_BUDGET):

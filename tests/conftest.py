@@ -10,8 +10,9 @@ from __future__ import annotations
 import itertools
 
 import networkx as nx
+import pytest
 
-from hompoly import Graph
+from hompoly import Graph, reductions, topo
 
 
 def brute_is_homomorphic(g: Graph, h: Graph) -> bool:
@@ -117,3 +118,19 @@ def poly_term_edge_sets(p):
     for m, c in p.terms():
         out.append((frozenset((v[1], v[2]) for v, _ in m if v[0] == 'e'), c))
     return out
+
+
+@pytest.fixture()
+def block_searches(monkeypatch):
+    """Empty the per-process block certificate and count the rotation
+    searches made from then on."""
+    calls = []
+    real = topo.min_genus_rotation
+
+    def counting(g, budget=topo.DEFAULT_GENUS_BUDGET):
+        calls.append(1)
+        return real(g, budget=budget)
+
+    monkeypatch.setattr(topo, "min_genus_rotation", counting)
+    monkeypatch.setattr(reductions, "_block_cache", {})
+    return calls

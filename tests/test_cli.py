@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hompoly import Graph
+from hompoly import Graph, reductions
 from hompoly.cli import main
 
 
@@ -73,14 +73,17 @@ def test_genus_command(tmp_path, capsys):
     assert out["genus"] == 1 and not out["planar"]
 
 
-def test_verify_report_roundtrip_and_determinism(tmp_path, capsys):
+def test_verify_report_roundtrip_and_determinism(tmp_path, capsys, monkeypatch):
     args = ["verify", "--lemma", "cycles-even", "--lemma", "planar-permutation",
-            "--n", "4", "--m", "4"]
+            "--lemma", "genus-block", "--lemma", "genus-chain",
+            "--n", "4", "--m", "4", "--k", "1"]
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
     out3 = tmp_path / "r3.json"
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
+    # the parallel leg computes the shared block certificate on threads
+    monkeypatch.setattr(reductions, "_block_cache", {})
     assert main(args + ["--out", str(out3), "--parallelism", "2"]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()
@@ -104,3 +107,13 @@ def test_verify_exit_one_on_mismatch(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_run_lemma", fake)
     assert main(["verify", "--lemma", "cycles-even"]) == 1
     capsys.readouterr()
+
+
+def test_block_certificate_searched_once_per_process(tmp_path, capsys,
+                                                     block_searches):
+    out = tmp_path / "r.json"
+    assert main(["verify", "--lemma", "genus-block", "--lemma", "genus-chain",
+                 "--k", "2", "--m", "4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert len(block_searches) == 1
+    assert json.loads(out.read_text())["all_equal"] is True

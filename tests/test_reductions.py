@@ -1,6 +1,8 @@
 """Filtering operations, pipelines and the dichotomy classifier."""
 
 import itertools
+import sys
+import threading
 
 import networkx as nx
 import pytest
@@ -223,6 +225,12 @@ def test_tree_search_budget_fails_loudly():
         reduce_trees(K2, Graph.cycle(6), node_budget=100)
 
 
+def test_tree_pipeline_rejects_empty_target():
+    # the empty matching counts as 1, but the gadget of no vertices has no tree
+    with pytest.raises(ValueError):
+        reduce_trees(K2, Graph.empty(0))
+
+
 def test_outerplanar_pipeline_counts():
     r = reduce_outerplanar(K3, 6)
     assert r.equal
@@ -314,6 +322,35 @@ def test_block_certificates_record_search_space():
     assert certs["min_genus"] == 1
     assert certs["minor"]["kind"] == "k33"
     assert certs["search_space"] <= 20736
+
+
+def test_block_certificates_are_copies():
+    first = block_certificates()
+    first["rotation"]["0"].reverse()
+    first["minor"]["branch_sets"].clear()
+    first["min_genus"] = 7
+    second = block_certificates()
+    assert second != first
+    assert second["min_genus"] == 1 and len(second["minor"]["branch_sets"]) == 6
+    assert chain_rotation(1)["genus"] == 1
+
+
+def test_block_certificate_shared_by_threads(block_searches):
+    results = []
+    workers = [threading.Thread(target=lambda: results.append(block_certificates()))
+               for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert len(block_searches) == 1
+    assert len(results) == 6 and all(r == results[0] for r in results)
 
 
 # -- classifier ---------------------------------------------------------------------

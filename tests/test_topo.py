@@ -1,19 +1,22 @@
 """Embeddings: face tracing, genus search, planarity, minor witnesses."""
 
+import functools
+import itertools
 import random
 
 import pytest
 
-from hompoly import Graph
+from hompoly import Graph, topo
 from hompoly.errors import BudgetExceededError
-from hompoly.gadgets import genus_block, planar_gadget
+from hompoly.gadgets import amalgam_chain, genus_block, planar_gadget
 from hompoly.graphs import all_edges
-from hompoly.topo import (K23, K33, contains_subgraph, find_k33_or_k5_minor,
-                          find_minor, genus_of_rotation, is_outerplanar,
-                          is_planar, min_genus, min_genus_rotation,
-                          planar_rotation, rotation_from_json_obj,
-                          rotation_search_space, rotation_to_json_obj,
-                          trace_faces)
+from hompoly.topo import (K5, K23, K33, _rotation_choices,
+                          _validate_branch_sets, contains_subgraph,
+                          find_k33_or_k5_minor, find_minor, genus_of_rotation,
+                          is_outerplanar, is_planar, kuratowski_witness,
+                          min_genus, min_genus_rotation, planar_rotation,
+                          rotation_from_json_obj, rotation_search_space,
+                          rotation_to_json_obj, trace_faces)
 
 CUBE = Graph.make(8, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7),
                       (4, 7), (0, 4), (1, 5), (2, 6), (3, 7)])
@@ -119,12 +122,16 @@ def test_block_bipartite_minor_and_drawn_sets():
     assert not block.has_edge(1, 6) and not block.has_edge(1, 7)
 
 
-def test_three_way_planarity_agreement():
+def _random_graphs():
     rng = random.Random(9)
     for _ in range(40):
         n = rng.randint(4, 6)
         edges = [e for e in all_edges(n) if rng.random() < 0.5][:10]
-        g = Graph.make(n, edges)
+        yield Graph.make(n, edges)
+
+
+def test_three_way_planarity_agreement():
+    for g in _random_graphs():
         comps = [c for c in g.components() if len(c) > 1]
         planar = is_planar(g)
         minor = find_k33_or_k5_minor(g)
@@ -136,3 +143,97 @@ def test_three_way_planarity_agreement():
 def test_rotation_json_roundtrip():
     rot = planar_rotation(Graph.complete(4))
     assert rotation_from_json_obj(rotation_to_json_obj(rot)) == rot
+
+
+# -- certified early stop of the rotation search ------------------------------
+
+
+@functools.cache
+def _exhaustive_min_genus_rotation(g: Graph):
+    """Reference: every rotation system, keeping the first of least genus."""
+    choices = _rotation_choices(g)
+    verts = [v for v, _ in choices]
+    best = best_rot = None
+    for combo in itertools.product(*(perms for _, perms in choices)):
+        rot = dict(zip(verts, combo))
+        genus = genus_of_rotation(g, rot)
+        if best is None or genus < best:
+            best, best_rot = genus, rot
+    return best, best_rot
+
+
+def _relabeled(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph.make(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+SUBDIVIDED_BLOCK = amalgam_chain(1, subdivide=True).graph
+NONPLANAR = ([Graph.complete(5), K33, genus_block().graph, SUBDIVIDED_BLOCK]
+             + [_relabeled(genus_block().graph, seed) for seed in range(1, 6)])
+
+
+def _count_genus_calls(monkeypatch):
+    calls = []
+    real = topo.genus_of_rotation
+
+    def counting(g, rot):
+        calls.append(1)
+        return real(g, rot)
+
+    monkeypatch.setattr(topo, "genus_of_rotation", counting)
+    return calls
+
+
+def test_early_stop_matches_exhaustive_search():
+    graphs = NONPLANAR + [g for g in _random_graphs()
+                          if g.edges and g.is_connected()]
+    for g in graphs:
+        assert min_genus_rotation(g) == _exhaustive_min_genus_rotation(g)
+
+
+def test_early_stop_cuts_the_block_search(monkeypatch):
+    calls = _count_genus_calls(monkeypatch)
+    block = genus_block().graph
+    assert min_genus_rotation(block)[0] == 1
+    assert 0 < len(calls) < rotation_search_space(block)
+
+
+def test_kuratowski_witness_is_validated():
+    for g in NONPLANAR:
+        kind, sets = kuratowski_witness(g)
+        _validate_branch_sets(g, K5 if kind == "k5" else K33, sets)
+    assert kuratowski_witness(Graph.complete(5))[0] == "k5"
+    assert kuratowski_witness(K33)[0] == "k33"
+
+
+def test_kuratowski_witness_none_on_planar_graphs():
+    planar = [Graph.complete(4), CUBE, Graph.cycle(5), Graph.empty(3)]
+    planar += [g for g in _random_graphs() if is_planar(g)]
+    for g in planar:
+        assert kuratowski_witness(g) is None
+
+
+def test_tampered_branch_sets_are_rejected(monkeypatch):
+    block = genus_block().graph
+    kind, sets = kuratowski_witness(block)
+    overlap = [set(s) for s in sets]
+    overlap[1] |= overlap[0]
+    emptied = [set(s) for s in sets]
+    emptied[0] = set()
+    for tampered in (overlap, emptied):
+        with pytest.raises(AssertionError):
+            _validate_branch_sets(block, K33, tampered)
+        monkeypatch.setattr(topo, "_kuratowski_branch_sets",
+                            lambda sub, t=tampered: (kind, t))
+        assert kuratowski_witness(block) is None
+    # without a witness the search stays exhaustive and its result stands
+    calls = _count_genus_calls(monkeypatch)
+    assert min_genus_rotation(block) == _exhaustive_min_genus_rotation(block)
+    assert len(calls) == rotation_search_space(block)
+
+
+def test_min_genus_on_edgeless_graphs():
+    assert min_genus(Graph.empty(1)) == 0
+    with pytest.raises(ValueError):
+        min_genus(Graph.empty(2))
