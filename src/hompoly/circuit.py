@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError
 from .poly import Coeff, Monomial, Polynomial, VarId, var_from_str, var_to_str
 
 # gate encodings:
@@ -146,8 +145,8 @@ def size(c: Circuit) -> int:
                if c.gates[gid][0] in ('add', 'mul', 'oracle'))
 
 
-def eval_symbolic(c: Circuit, oracles: dict[str, Polynomial] | None = None,
-                  max_terms: int | None = None) -> Polynomial:
+def eval_symbolic(c: Circuit,
+                  oracles: dict[str, Polynomial] | None = None) -> Polynomial:
     """Polynomial computed by the circuit; oracle gates are expanded by
     substituting their input polynomials into the bound oracle polynomial."""
     oracles = oracles or {}
@@ -177,9 +176,6 @@ def eval_symbolic(c: Circuit, oracles: dict[str, Polynomial] | None = None,
             decl = c.declared_vars(oid)
             inputs = [values[i] for i in g[2]]
             values[gid] = _expand_oracle(oracles[oid], decl, inputs)
-        if max_terms is not None and len(values[gid]) > max_terms:
-            raise BudgetExceededError(
-                f"gate {gid} produced {len(values[gid])} terms (budget {max_terms})")
     return values[c.output]
 
 
@@ -271,13 +267,10 @@ def extract_homc(oracle_id: str, oracle_vars, vars, k: int, delta: int) -> Circu
     return b.freeze(b.add(*parts))
 
 
-def substitute_vars(c: Circuit, mapping: dict) -> Circuit:
-    """Rebuild the circuit with each Var(v) gate replaced per mapping.
-
-    Map values may be VarIds, numbers, or gate-spec tuples are not needed:
-    relabeling and constant projections cover the reduction pipelines.
-    """
-    b = CircuitBuilder()
+def _rebuild(b: CircuitBuilder, c: Circuit, var_gate) -> int:
+    """Copy c's reachable gates into b in topological order, with each
+    Var(v) gate replaced by the gate id var_gate(v) returns; the id of the
+    copied output."""
     for oid, vs in c.oracle_vars:
         b.declare_oracle(oid, vs)
     new_id: dict[int, int] = {}
@@ -287,22 +280,29 @@ def substitute_vars(c: Circuit, mapping: dict) -> Circuit:
         if kind == 'const':
             new_id[gid] = b.const(g[1])
         elif kind == 'var':
-            v = g[1]
-            if v in mapping:
-                tgt = mapping[v]
-                if isinstance(tgt, tuple):
-                    new_id[gid] = b.var(tgt)
-                else:
-                    new_id[gid] = b.const(tgt)
-            else:
-                new_id[gid] = b.var(v)
+            new_id[gid] = var_gate(g[1])
         elif kind == 'add':
             new_id[gid] = b.add(*(new_id[i] for i in g[1]))
         elif kind == 'mul':
             new_id[gid] = b.mul(*(new_id[i] for i in g[1]))
         else:
             new_id[gid] = b.oracle(g[1], [new_id[i] for i in g[2]])
-    return b.freeze(new_id[c.output])
+    return new_id[c.output]
+
+
+def substitute_vars(c: Circuit, mapping: dict) -> Circuit:
+    """Rebuild the circuit with each Var(v) gate replaced per mapping.
+
+    Map values may be VarIds (relabeling) or numbers (constant projection);
+    together they cover the reduction pipelines.
+    """
+    b = CircuitBuilder()
+
+    def var_gate(v):
+        tgt = mapping.get(v, v)
+        return b.var(tgt) if isinstance(tgt, tuple) else b.const(tgt)
+
+    return b.freeze(_rebuild(b, c, var_gate))
 
 
 def interpolate_homc(c: Circuit, vars, k: int, delta: int) -> Circuit:
@@ -316,51 +316,24 @@ def interpolate_homc(c: Circuit, vars, k: int, delta: int) -> Circuit:
         raise ValueError("need 0 <= k <= delta")
     scaled = frozenset(vars)
     b = CircuitBuilder()
-    for oid, vs in c.oracle_vars:
-        b.declare_oracle(oid, vs)
     weights = lagrange_weights(k, delta)
     parts = []
     for j in range(delta + 1):
         tj = b.const(j)
-        new_id: dict[int, int] = {}
-        for gid in _topo_order(c):
-            g = c.gates[gid]
-            kind = g[0]
-            if kind == 'const':
-                new_id[gid] = b.const(g[1])
-            elif kind == 'var':
-                v = g[1]
-                vd = b.var(v)
-                new_id[gid] = b.mul(vd, tj) if v in scaled else vd
-            elif kind == 'add':
-                new_id[gid] = b.add(*(new_id[i] for i in g[1]))
-            elif kind == 'mul':
-                new_id[gid] = b.mul(*(new_id[i] for i in g[1]))
-            else:
-                new_id[gid] = b.oracle(g[1], [new_id[i] for i in g[2]])
-        parts.append(b.mul(b.const(weights[j]), new_id[c.output]))
+
+        def var_gate(v):
+            return b.mul(b.var(v), tj) if v in scaled else b.var(v)
+
+        copy = _rebuild(b, c, var_gate)
+        parts.append(b.mul(b.const(weights[j]), copy))
     return b.freeze(b.add(*parts))
 
 
 def scale_circuit(c: Circuit, w: Coeff) -> Circuit:
     """Multiply the circuit's output by a constant."""
     b = CircuitBuilder()
-    for oid, vs in c.oracle_vars:
-        b.declare_oracle(oid, vs)
-    new_id: dict[int, int] = {}
-    for gid in _topo_order(c):
-        g = c.gates[gid]
-        kind = g[0]
-        if kind == 'const':
-            new_id[gid] = b.const(g[1])
-        elif kind == 'var':
-            new_id[gid] = b.var(g[1])
-        elif kind in ('add', 'mul'):
-            ctor = b.add if kind == 'add' else b.mul
-            new_id[gid] = ctor(*(new_id[i] for i in g[1]))
-        else:
-            new_id[gid] = b.oracle(g[1], [new_id[i] for i in g[2]])
-    return b.freeze(b.mul(b.const(w), new_id[c.output]))
+    out = _rebuild(b, c, b.var)
+    return b.freeze(b.mul(b.const(w), out))
 
 
 def oracle_call_circuit(oracle_id: str, oracle_vars) -> Circuit:

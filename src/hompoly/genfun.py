@@ -21,9 +21,8 @@ import json
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
-from .graphs import (Graph, GraphClass, canonical_edge, is_homomorphic,
-                     subset_in_class, _clique_edge_sets, _cycle_edge_sets,
-                     _tree_edge_sets, _edge_mask)
+from .graphs import (Graph, GraphClass, canonical_edge, class_edge_subsets,
+                     is_homomorphic)
 from .poly import Coeff, Polynomial, VarId, edge_var, vertex_var
 
 DEFAULT_GF_EDGE_BUDGET = 21
@@ -59,13 +58,6 @@ class WeightedGraph:
             wmap[e] = w
         return cls(graph, tuple(sorted(wmap.items())))
 
-    def weight(self, e) -> object:
-        e = canonical_edge(*e)
-        for ee, w in self.weights:
-            if ee == e:
-                return w
-        raise KeyError(e)
-
     def support_edges(self) -> list:
         """Edges with a nonzero weight, in canonical order."""
         return [e for e, w in self.weights if isinstance(w, tuple) or w]
@@ -93,31 +85,6 @@ def _subset_monomial(wg: WeightedGraph, subset, model: VariableModel):
     return mono, coeff
 
 
-def _class_edge_subsets(g: Graph, cls: GraphClass, budget: int):
-    """Edge subsets of g in the class, ascending by canonical bitmask.
-
-    Over a complete host the cycle, clique and tree classes enumerate their
-    shapes directly; every other case filters the bitmasks of the support's
-    edge set, limited by the edge-count budget.
-    """
-    edges = sorted(g.edges)
-    order = {e: i for i, e in enumerate(edges)}
-    complete = len(edges) == g.n * (g.n - 1) // 2
-    if complete and cls.kind in ("cycle", "clique", "tree"):
-        gen = {"cycle": _cycle_edge_sets, "clique": _clique_edge_sets,
-               "tree": _tree_edge_sets}[cls.kind]
-        return sorted(gen(g.n), key=lambda s: _edge_mask(s, order))
-    if len(edges) > budget:
-        raise BudgetExceededError(
-            f"{len(edges)} candidate edges exceed the enumeration budget {budget}")
-    out = []
-    for mask in range(1, 1 << len(edges)):
-        es = [edges[k] for k in range(len(edges)) if mask >> k & 1]
-        if subset_in_class(g.n, es, cls):
-            out.append(frozenset(es))
-    return out
-
-
 def _assemble(wg: WeightedGraph, subsets, model: VariableModel,
               hom_target: Graph | None) -> Polynomial:
     terms: dict = {}
@@ -142,7 +109,7 @@ def generating_function(wg: WeightedGraph | Graph, cls: GraphClass,
     if isinstance(wg, Graph):
         wg = WeightedGraph.make(wg)
     support = Graph.make(wg.graph.n, wg.support_edges())
-    return _assemble(wg, _class_edge_subsets(support, cls, budget), model, None)
+    return _assemble(wg, class_edge_subsets(support, cls, budget), model, None)
 
 
 def hom_poly(h: Graph, n: int, cls: GraphClass,
@@ -155,14 +122,7 @@ def hom_poly(h: Graph, n: int, cls: GraphClass,
     if wg.graph.n != n:
         raise ValueError("weighted host has the wrong vertex count")
     support = Graph.make(n, wg.support_edges())
-    return _assemble(wg, _class_edge_subsets(support, cls, budget), model, h)
-
-
-def strip_loop_terms(p: Polynomial, n: int) -> Polynomial:
-    """Degree-zero slice in all loop variables; a no-op on class polynomials,
-    which never select loops."""
-    from .poly import loop_var
-    return p.homogeneous_component([loop_var(j) for j in range(n)], 0)
+    return _assemble(wg, class_edge_subsets(support, cls, budget), model, h)
 
 
 # -- independent oracles -------------------------------------------------------

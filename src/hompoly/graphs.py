@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from .errors import BudgetExceededError
 
 DEFAULT_HOM_BUDGET = 2_000_000
-DEFAULT_ENUM_BUDGET = 1 << 21
 
 Edge = tuple
 
@@ -411,53 +410,40 @@ def subset_in_class(n: int, es: list, cls: GraphClass, budget: int = 10 ** 6) ->
             x = parent[x]
         return x
 
-    deg: dict[int, int] = {}
     for a, b in es:
         for x in (a, b):
-            if x not in parent:
-                parent[x] = x
-            deg[x] = deg.get(x, 0) + 1
+            parent.setdefault(x, x)
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-    roots = {find(x) for x in parent}
-    if len(roots) != 1:
+    if len({find(x) for x in parent}) != 1:
         return False
-    v, m = len(parent), len(es)
-    if cls.kind == "cycle":
-        return v >= 3 and m == v and all(d == 2 for d in deg.values())
-    if cls.kind == "clique":
-        return m == v * (v - 1) // 2
-    if cls.kind == "tree":
-        return m == v - 1
     comp = Graph.make(n, es).induced(sorted(parent))
     return _component_shape_ok(comp, cls, budget)
 
 
-def enumerate_subgraphs(n: int, cls: GraphClass, visit,
-                        budget: int = DEFAULT_ENUM_BUDGET) -> None:
-    """Visit each edge subset of K_n in the class, exactly once.
+def class_edge_subsets(g: Graph, cls: GraphClass, budget: int) -> list[frozenset]:
+    """Edge subsets of g in the class, each once, ascending by bitmask over
+    g's edges in canonical order.
 
-    Subsets are visited in ascending-bitmask order over the canonical edge
-    ordering so runs are reproducible.  Cycle, clique and tree classes use
-    direct generators; the remaining classes filter every bitmask and are
-    budget-guarded.
+    Over a complete host the cycle, clique and tree classes generate their
+    shapes directly; every other case filters the bitmasks of g's edges
+    through subset_in_class and raises BudgetExceededError when g has more
+    than budget edges.
     """
-    edges = all_edges(n)
+    edges = sorted(g.edges)
     order = {e: i for i, e in enumerate(edges)}
-    if cls.kind in ("cycle", "clique", "tree"):
+    complete = len(edges) == g.n * (g.n - 1) // 2
+    if complete and cls.kind in ("cycle", "clique", "tree"):
         gen = {"cycle": _cycle_edge_sets, "clique": _clique_edge_sets,
                "tree": _tree_edge_sets}[cls.kind]
-        subsets = gen(n)
-        if len(subsets) > budget:
-            raise BudgetExceededError(f"{len(subsets)} subsets exceed budget {budget}")
-        for es in sorted(subsets, key=lambda s: _edge_mask(s, order)):
-            visit(tuple(sorted(es)))
-        return
-    total = 1 << len(edges)
-    if total > budget:
-        raise BudgetExceededError(f"2^{len(edges)} masks exceed budget {budget}")
-    for mask in range(1, total):
+        return sorted(gen(g.n), key=lambda s: _edge_mask(s, order))
+    if len(edges) > budget:
+        raise BudgetExceededError(
+            f"{len(edges)} candidate edges exceed the enumeration budget {budget}")
+    out = []
+    for mask in range(1, 1 << len(edges)):
         es = [edges[k] for k in range(len(edges)) if mask >> k & 1]
-        if subset_in_class(n, es, cls):
-            visit(tuple(es))
+        if subset_in_class(g.n, es, cls):
+            out.append(frozenset(es))
+    return out

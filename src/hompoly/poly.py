@@ -283,20 +283,6 @@ class Polynomial:
                if sum(e for v, e in m if v in vs) == k}
         return Polynomial(out)
 
-    def evaluate(self, assignment: Mapping[VarId, Coeff], default: Coeff | None = None) -> Coeff:
-        total: Coeff = 0
-        for m, c in self._terms.items():
-            val: Coeff = c
-            for v, e in m:
-                if v in assignment:
-                    val *= assignment[v] ** e
-                elif default is not None:
-                    val *= default ** e
-                else:
-                    raise KeyError(f"no value for variable {v}")
-            total += val
-        return _norm_coeff(total)
-
     # -- canonical output --------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:

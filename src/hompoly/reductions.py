@@ -667,14 +667,14 @@ def reduce_planar(h: Graph, m: int, budget: int | None = None,
         raise ValueError("planar pipeline supports 3 <= m <= 6")
 
     try:
-        return _planar_body(h, m, budget, with_circuit, params, t0, cls)
+        return _planar_body(h, m, budget, with_circuit, params, t0)
     except PipelineIntegrityError as exc:
         return ReductionReport(
             "planar-permutation", params, Polynomial.zero(), Polynomial.zero(),
             False, None, time.perf_counter() - t0, {"calibration_failure": str(exc)})
 
 
-def _planar_body(h, m, budget, with_circuit, params, t0, cls) -> ReductionReport:
+def _planar_body(h, m, budget, with_circuit, params, t0) -> ReductionReport:
     gadget = planar_gadget(m, budget)
     nvert = gadget.graph.n
     pick = gadget.budget - len(gadget.enforced)
@@ -761,12 +761,12 @@ def _block_certificate() -> dict:
         if not _block_cache:
             g = genus_block().graph
             planar = topo.is_planar(g)
-            witness = topo.find_minor(g, topo.K33)
+            witness = topo.kuratowski_witness(g)
             genus, rot = topo.min_genus_rotation(g, budget=BLOCK_GENUS_BUDGET)
             _block_cache.update({
                 "planar": planar,
                 "minor": None if witness is None else
-                {"kind": "k33", "branch_sets": [sorted(s) for s in witness]},
+                {"kind": witness[0], "branch_sets": [sorted(s) for s in witness[1]]},
                 "min_genus": genus,
                 "rotation": topo.rotation_to_json_obj(rot),
                 "search_space": topo.rotation_search_space(g),
@@ -775,8 +775,9 @@ def _block_certificate() -> dict:
 
 
 def block_certificates() -> dict:
-    """Non-planarity witness (a complete-bipartite minor plus the planarity
-    test) and the minimum-genus certificate for the 8-vertex block: the
+    """Non-planarity witness (the validated Kuratowski minor of
+    topo.kuratowski_witness, a K3,3 for this block, plus the planarity test)
+    and the minimum-genus certificate for the 8-vertex block: the
     first rotation of least genus, found by min_genus_rotation, which stops
     at genus one once a validated Kuratowski minor rules out genus zero.
     Returns a fresh copy of the per-process certificate."""

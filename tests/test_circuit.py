@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hompoly.circuit import (Circuit, CircuitBuilder, eval_symbolic, extract_homc,
                              interpolate_homc, lagrange_weights, oracle_call_circuit,
@@ -164,3 +166,61 @@ def test_nested_oracle_inputs_allowed():
     g = Polynomial.from_monomial(monomial({a: 2}))  # g(a) = a^2
     xp = Polynomial.variable(x)
     assert eval_symbolic(c, {"g": g}) == xp * xp * xp * xp
+
+
+CVARS = [aux_var("a"), aux_var("b"), aux_var("c")]
+ORACLE_ARG = aux_var("p")
+ORACLE = Polynomial.from_monomial(monomial({ORACLE_ARG: 2})) \
+    + Polynomial.variable(ORACLE_ARG) + Polynomial.constant(-1)  # g(p) = p^2 + p - 1
+
+
+@st.composite
+def small_circuits(draw, max_degree=4):
+    """Random circuits over CVARS with add, mul and oracle gates (oracle g
+    bound to ORACLE), with total degree at most max_degree."""
+    b = CircuitBuilder()
+    b.declare_oracle("g", (ORACLE_ARG,))
+    gates = [(b.var(v), 1) for v in CVARS]
+    gates += [(b.const(draw(st.integers(-3, 3))), 0) for _ in range(2)]
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["add", "mul", "oracle"]))
+        (i, di), (j, dj) = draw(st.lists(st.sampled_from(gates), min_size=2,
+                                         max_size=2))
+        if kind == "oracle" and 2 * di <= max_degree:
+            gates.append((b.oracle("g", [i]), 2 * di))
+        elif kind == "mul" and di + dj <= max_degree:
+            gates.append((b.mul(i, j), di + dj))
+        else:
+            gates.append((b.add(i, j), max(di, dj)))
+    return b.freeze(gates[-1][0])
+
+
+def evaluate(c):
+    return eval_symbolic(c, {"g": ORACLE})
+
+
+VAR_TARGETS = st.one_of(st.none(), st.integers(-2, 2),
+                        st.sampled_from(CVARS + [aux_var("d")]))
+
+
+@given(small_circuits(), st.fixed_dictionaries({v: VAR_TARGETS for v in CVARS}))
+@settings(max_examples=60, deadline=None)
+def test_substitute_vars_agrees_with_polynomial_substitute(c, draws):
+    mapping = {v: t for v, t in draws.items() if t is not None}
+    assert evaluate(substitute_vars(c, mapping)) == evaluate(c).substitute(mapping)
+
+
+@given(small_circuits(), st.fractions(-3, 3, max_denominator=4))
+@settings(max_examples=60, deadline=None)
+def test_scale_circuit_agrees_with_scale(c, w):
+    assert evaluate(scale_circuit(c, w)) == evaluate(c).scale(w)
+
+
+@given(small_circuits(), st.sets(st.sampled_from(CVARS), min_size=1),
+       st.integers(0, 5), st.integers(0, 1))
+@settings(max_examples=60, deadline=None)
+def test_interpolate_homc_agrees_with_homogeneous_component(c, vs, k, slack):
+    p = evaluate(c)
+    delta = max(p.degree_in(vs), k) + slack
+    direct = p.homogeneous_component(vs, k)
+    assert evaluate(interpolate_homc(c, vs, k, delta)) == direct

@@ -10,7 +10,6 @@ from hompoly import (CYCLE, CLIQUE, TREE, Graph, VariableModel, WeightedGraph,
                      generating_function, hom_poly, oracle_clique,
                      oracle_matching, oracle_uhc)
 from hompoly.errors import BudgetExceededError
-from hompoly.genfun import strip_loop_terms
 from hompoly.graphs import all_edges
 from hompoly.poly import Polynomial, edge_var, monomial, vertex_var
 
@@ -112,11 +111,6 @@ def test_hamiltonian_slice_equals_oracle():
         F = hom_poly(LOOP, n, CYCLE)
         evars = [edge_var(i, j) for i, j in all_edges(n)]
         assert F.homogeneous_component(evars, n) == oracle_uhc(n)
-
-
-def test_strip_loop_terms_is_identity_on_class_polynomials():
-    p = hom_poly(LOOP, 4, CYCLE)
-    assert strip_loop_terms(p, 4) == p
 
 
 def test_gf_budget_guard():

@@ -6,7 +6,9 @@ import random
 import pytest
 
 from conftest import brute_class_subsets, brute_is_homomorphic
-from hompoly import Graph, enumerate_subgraphs, hom_to_single_edge, is_homomorphic, recognize
+from hompoly import (Graph, class_edge_subsets, hom_to_single_edge, is_homomorphic,
+                     recognize)
+from hompoly.genfun import DEFAULT_GF_EDGE_BUDGET
 from hompoly.graphs import (CLIQUE, CYCLE, OUTERPLANAR, PLANAR, TREE,
                             all_edges, genus_class, subset_in_class)
 
@@ -94,9 +96,7 @@ def test_recognize_rejects_extra_components():
 
 
 def collect(n, cls):
-    seen = []
-    enumerate_subgraphs(n, cls, seen.append)
-    return seen
+    return class_edge_subsets(Graph.complete(n), cls, DEFAULT_GF_EDGE_BUDGET)
 
 
 def test_enumeration_counts():
@@ -134,6 +134,29 @@ def test_enumeration_matches_recognizer_and_brute(kind, genus_k):
         for s in got:
             assert recognize(Graph.make(n, s), cls)
             assert subset_in_class(n, list(s), cls)
+
+
+@pytest.mark.parametrize("cls", [CYCLE, CLIQUE, TREE])
+def test_bitmask_path_matches_shape_generators(cls):
+    # K5 minus one edge is not complete, so its subsets come from the
+    # bitmask filter; they must be the K5 shapes that avoid the edge
+    missing = (1, 3)
+    host = Graph.make(5, [e for e in all_edges(5) if e != missing])
+    got = class_edge_subsets(host, cls, DEFAULT_GF_EDGE_BUDGET)
+    assert got == [s for s in collect(5, cls) if missing not in s]
+
+
+def test_subset_in_class_equals_recognize_on_random_edge_lists():
+    rng = random.Random(20261018)
+    classes = [CYCLE, CLIQUE, TREE, OUTERPLANAR, PLANAR, genus_class(0)]
+    for n in range(2, 8):
+        for _ in range(500):
+            density = rng.random()
+            es = [e for e in all_edges(n) if rng.random() < density]
+            rng.shuffle(es)
+            g = Graph.make(n, es)
+            for cls in classes:
+                assert subset_in_class(n, es, cls) == recognize(g, cls), (n, es, cls)
 
 
 def test_contract_edge():

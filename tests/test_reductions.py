@@ -15,7 +15,9 @@ from hompoly import (CLIQUE, CYCLE, OUTERPLANAR, PLANAR, TREE, Graph,
                      enforce_edges, hom_poly, oracle_matching, oracle_uhc,
                      reduce_cliques_vac0, reduce_cycles, reduce_genus,
                      reduce_outerplanar, reduce_planar, reduce_trees)
+from hompoly import topo
 from hompoly.errors import BudgetExceededError, PipelineIntegrityError
+from hompoly.gadgets import genus_block
 from hompoly.graphs import genus_class
 from hompoly.poly import Polynomial, edge_var, monomial
 from hompoly.reductions import (block_certificates, chain_rotation,
@@ -322,6 +324,8 @@ def test_block_certificates_record_search_space():
     assert certs["min_genus"] == 1
     assert certs["minor"]["kind"] == "k33"
     assert certs["search_space"] <= 20736
+    sets = [set(s) for s in certs["minor"]["branch_sets"]]
+    topo._validate_branch_sets(genus_block().graph, topo.K33, sets)
 
 
 def test_block_certificates_are_copies():
