@@ -14,12 +14,13 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 from . import reductions, topo
 from .errors import BudgetExceededError, PipelineIntegrityError
 from .genfun import VariableModel, hom_poly, parse_model
 from .graphs import Graph, parse_class
-from .poly import Polynomial
+from .poly import Polynomial, var_to_str
 
 BUDGET_ENV = "HOMPOLY_BUDGET"
 
@@ -43,6 +44,31 @@ def _load_graph(path: str) -> Graph:
 
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _dump_poly(p: Polynomial) -> str:
+    """The text of _dump(p.to_json_obj()), byte for byte.
+
+    Each distinct [var, exp] entry and each distinct coefficient is
+    formatted once; the terms are then joined from those pieces.
+    """
+    entries: dict = {}
+    coeffs: dict = {}
+    terms = []
+    for m, c in p.sorted_terms():
+        ctext = coeffs.get(c)
+        if ctext is None:
+            ctext = coeffs[c] = json.dumps(str(Fraction(c)))
+        parts = []
+        for v, e in m:
+            etext = entries.get((v, e))
+            if etext is None:
+                name = json.dumps(var_to_str(v))
+                etext = entries[v, e] = f"      [\n        {name},\n        {e}\n      ]"
+            parts.append(etext)
+        vtext = "[\n" + ",\n".join(parts) + "\n    ]" if parts else "[]"
+        terms.append(f'  {{\n    "coeff": {ctext},\n    "vars": {vtext}\n  }}')
+    return "[\n" + ",\n".join(terms) + "\n]" if terms else "[]"
 
 
 def _budget(args) -> int | None:
@@ -69,7 +95,7 @@ def cmd_poly(args) -> int:
     if budget is not None:
         kwargs["budget"] = budget
     p = hom_poly(h, args.n, cls, model, **kwargs)
-    print(_dump(p.to_json_obj()))
+    print(_dump_poly(p))
     return 0
 
 

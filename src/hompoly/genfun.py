@@ -63,9 +63,9 @@ class WeightedGraph:
         return [e for e, w in self.weights if isinstance(w, tuple) or w]
 
 
-def _subset_monomial(wg: WeightedGraph, subset, model: VariableModel):
-    """(monomial-dict, coefficient) for one selected edge subset."""
-    wmap = dict(wg.weights)
+def _subset_monomial(wmap: dict, subset, model: VariableModel):
+    """(monomial-dict, coefficient) for one selected edge subset, with wmap
+    the edge -> weight map of the host."""
     coeff: Coeff = 1
     mono: dict[VarId, int] = {}
     touched: set[int] = set()
@@ -87,13 +87,16 @@ def _subset_monomial(wg: WeightedGraph, subset, model: VariableModel):
 
 def _assemble(wg: WeightedGraph, subsets, model: VariableModel,
               hom_target: Graph | None) -> Polynomial:
+    # the subsets come canonical from class_edge_subsets, so the graphs
+    # handed to the homomorphism test skip Graph.make's validation
     terms: dict = {}
     n = wg.graph.n
+    wmap = dict(wg.weights)
     for es in subsets:
         if hom_target is not None:
-            if not is_homomorphic(Graph.make(n, es), hom_target):
+            if not is_homomorphic(Graph(n, es), hom_target):
                 continue
-        mc = _subset_monomial(wg, sorted(es), model)
+        mc = _subset_monomial(wmap, sorted(es), model)
         if mc is None:
             continue
         mono, coeff = mc

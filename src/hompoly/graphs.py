@@ -8,6 +8,7 @@ for gadget bookkeeping.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 
@@ -268,29 +269,58 @@ def recognize(g: Graph, cls: GraphClass, budget: int = 10 ** 6) -> bool:
 
 # -- homomorphism search ------------------------------------------------------
 
-def is_homomorphic(g: Graph, h: Graph, budget: int = DEFAULT_HOM_BUDGET) -> bool:
-    """Backtracking test for a map f with {f(u),f(v)} an edge or loop of h.
+def _two_colourable(adj: list[list[int]]) -> bool:
+    """Whether the loopless graph with adjacency lists adj is bipartite."""
+    color = [-1] * len(adj)
+    for s in range(len(adj)):
+        if color[s] >= 0:
+            continue
+        color[s] = 0
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if color[w] < 0:
+                    color[w] = 1 - color[v]
+                    stack.append(w)
+                elif color[w] == color[v]:
+                    return False
+    return True
 
-    Isolated vertices of g are unconstrained and skipped.  Vertices are
-    assigned in degree-descending order with adjacency pruning; the node
-    budget guards against blowup.
+
+def is_homomorphic(g: Graph, h: Graph, budget: int = DEFAULT_HOM_BUDGET) -> bool:
+    """Whether some map f sends every edge of g to an edge or loop of h and
+    every loop of g to a loop of h.
+
+    Certificates decide first: a looped vertex of h takes all of g; a loop
+    of g needs one in h; a 2-colourable g maps onto any edge of h, and a g
+    that is not 2-colourable maps into no loopless bipartite h (Hell and
+    Nesetril 1990).  Only the remaining cases run the backtracking search:
+    isolated vertices of g are skipped, the others are assigned in
+    degree-descending order with adjacency pruning, and the node budget
+    guards against blowup.
     """
     if h.n == 0:
         return g.n == 0
-    active = sorted((v for v in range(g.n) if g.degree(v) > 0),
-                    key=lambda v: -g.degree(v))
-    if not active:
+    if h.loops:
         return True
-    if not h.edges and not h.loops:
+    if g.loops:
+        return False
+    if not g.edges:
+        return True
+    if not h.edges:
+        return False
+    gadj = g.adjacency()
+    if _two_colourable(gadj):
+        return True
+    if _two_colourable(h.adjacency()):
         return False
 
+    active = sorted((v for v in range(g.n) if gadj[v]), key=lambda v: -len(gadj[v]))
     hadj = [[False] * h.n for _ in range(h.n)]
     for a, b in h.edges:
         hadj[a][b] = hadj[b][a] = True
-    for v in h.loops:
-        hadj[v][v] = True
 
-    gadj = g.adjacency()
     pos = {v: i for i, v in enumerate(active)}
     assignment = [-1] * len(active)
     nodes = 0
@@ -300,7 +330,7 @@ def is_homomorphic(g: Graph, h: Graph, budget: int = DEFAULT_HOM_BUDGET) -> bool
         if i == len(active):
             return True
         v = active[i]
-        earlier = [u for u in gadj[v] if u in pos and pos[u] < i]
+        earlier = [u for u in gadj[v] if pos[u] < i]
         for img in range(h.n):
             nodes += 1
             if nodes > budget:
@@ -320,22 +350,7 @@ def hom_to_single_edge(g: Graph) -> bool:
     edge exactly when it is bipartite."""
     if g.loops:
         raise ValueError("hom_to_single_edge needs a loopless graph")
-    adj = g.adjacency()
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if color[w] < 0:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
+    return _two_colourable(g.adjacency())
 
 
 # -- class-restricted subgraph enumeration ------------------------------------
@@ -379,7 +394,6 @@ def _tree_edge_sets(n: int) -> list[frozenset]:
                     es.append(canonical_edge(leaf, x))
                     deg[x] -= 1
                     if deg[x] == 1:
-                        import bisect
                         bisect.insort(avail, x)
                 es.append(canonical_edge(avail[0], avail[1]))
                 out.append(frozenset(es))

@@ -39,11 +39,29 @@ def _to_nx(g: Graph) -> nx.Graph:
 
 
 def is_planar(g: Graph) -> bool:
+    """Edge counts decide first: K3,3 has 9 edges, so fewer are planar, and a
+    planar graph on n >= 3 vertices has at most 3n - 6 edges.  The rest go to
+    networkx's planarity test."""
+    m = len(g.edges)
+    if m <= 8:
+        return True
+    if g.n >= 3 and m > 3 * g.n - 6:
+        return False
     return nx.check_planarity(_to_nx(g), counterexample=False)[0]
 
 
 def is_outerplanar(g: Graph) -> bool:
-    """Outerplanar iff the graph plus a universal apex vertex is planar."""
+    """Outerplanar iff the graph plus a universal apex vertex is planar.
+
+    Edge counts decide first: K4 and K2,3 have 6 edges, so fewer are
+    outerplanar, and an outerplanar graph on n >= 2 vertices has at most
+    2n - 3 edges.
+    """
+    m = len(g.edges)
+    if m <= 5:
+        return True
+    if g.n >= 2 and m > 2 * g.n - 3:
+        return False
     h = _to_nx(g)
     apex = g.n
     for v in range(g.n):

@@ -16,15 +16,17 @@ from hompoly import Graph, reductions, topo
 
 
 def brute_is_homomorphic(g: Graph, h: Graph) -> bool:
-    """Try all |V(h)|^|V(g)| maps."""
+    """Try all |V(h)|^|V(g)| maps; edges of g need an edge or loop of h,
+    loops of g need a loop of h."""
     if g.n == 0:
         return True
     if h.n == 0:
         return False
     hadj = {(a, b) for a, b in h.edges} | {(b, a) for a, b in h.edges}
     hadj |= {(v, v) for v in h.loops}
+    gadj = list(g.edges) + [(v, v) for v in g.loops]
     for img in itertools.product(range(h.n), repeat=g.n):
-        if all((img[u], img[v]) in hadj for u, v in g.edges):
+        if all((img[u], img[v]) in hadj for u, v in gadj):
             return True
     return False
 
@@ -40,6 +42,10 @@ def nx_one_nontrivial_component(n: int, edges) -> bool:
     g = to_nx(n, edges)
     comps = [c for c in nx.connected_components(g) if len(c) > 1]
     return len(comps) == 1
+
+
+def nx_planar(n: int, edges) -> bool:
+    return nx.check_planarity(to_nx(n, edges), counterexample=False)[0]
 
 
 def nx_outerplanar(n: int, edges) -> bool:

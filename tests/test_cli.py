@@ -1,11 +1,18 @@
 """Command-line interface: formats, exit codes, report determinism."""
 
 import json
+import pathlib
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hompoly import Graph, reductions
-from hompoly.cli import main
+from hompoly.cli import _dump_poly, main
+from hompoly.poly import Polynomial, edge_var, loop_var, monomial, vertex_var
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 @pytest.fixture()
@@ -49,6 +56,47 @@ def test_poly_edge_vertex_model(graph_files, capsys):
     terms = json.loads(capsys.readouterr().out)
     assert terms == [{"coeff": "1",
                       "vars": [["e:0:1", 1], ["v:0", 1], ["v:1", 1]]}]
+
+
+POLY_VARS = ([edge_var(i, j) for i in range(4) for j in range(i + 1, 4)]
+             + [vertex_var(v) for v in range(4)] + [loop_var(v) for v in range(2)])
+COEFFS = st.one_of(st.integers(-5, 5),
+                   st.fractions(-3, 3, max_denominator=6).filter(bool))
+
+
+@st.composite
+def polynomials(draw):
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        pairs = draw(st.lists(st.tuples(st.sampled_from(POLY_VARS),
+                                        st.integers(1, 3)), max_size=4))
+        terms[monomial(pairs)] = draw(COEFFS)
+    return Polynomial(terms)
+
+
+@given(polynomials())
+@example(Polynomial.zero())
+@example(Polynomial.constant(-7))
+@example(Polynomial.constant(Fraction(-3, 4)))
+@example(Polynomial({((edge_var(0, 1), 3), (vertex_var(2), 2)): Fraction(5, 2),
+                     ((loop_var(1), 1),): -1, (): 4}))
+@settings(max_examples=150, deadline=None)
+def test_poly_writer_matches_json_dumps(p):
+    assert _dump_poly(p) == json.dumps(p.to_json_obj(), indent=2, sort_keys=True)
+
+
+# the golden files were written by `hompoly poly` while it still printed
+# through json.dumps
+@pytest.mark.parametrize("golden,h,argv", [
+    ("poly-c5-cycle-n4-edge.json", Graph.cycle(5), ["cycle", "--n", "4"]),
+    ("poly-k2-tree-n3-edge-vertex.json", Graph.single_edge(),
+     ["tree", "--n", "3", "--model", "edge-vertex"]),
+])
+def test_poly_golden_output(golden, h, argv, tmp_path, capsys):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(h.to_json_obj()))
+    assert main(["poly", str(path)] + argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
 def test_bad_input_exits_2(graph_files, tmp_path, capsys):

@@ -33,16 +33,44 @@ def test_everything_maps_to_a_looped_vertex():
         assert is_homomorphic(g, loop)
 
 
+def test_loops_of_g_need_looped_images():
+    looped_edge = Graph.make(2, [(0, 1)], loops=[0])
+    assert not is_homomorphic(looped_edge, K2)
+    assert not is_homomorphic(Graph.looped_vertex(), K2)
+    assert not is_homomorphic(Graph.make(3, loops=[2]), Graph.complete(3))
+    assert is_homomorphic(looped_edge, looped_edge)
+    assert is_homomorphic(Graph.make(2, [(0, 1)], loops=[0, 1]), Graph.looped_vertex())
+    assert is_homomorphic(Graph.make(4, [(0, 1), (2, 3)], loops=[1, 3]),
+                          Graph.make(2, [(0, 1)], loops=[1]))
+    for g in (looped_edge, Graph.looped_vertex()):
+        assert not brute_is_homomorphic(g, K2)
+
+
 def test_hom_matches_brute_force_on_samples():
     rng = random.Random(7)
     hs = [K2, Graph.complete(3), Graph.looped_vertex(), Graph.path(3),
-          Graph.make(2, [(0, 1)], loops=[0])]
-    for _ in range(40):
+          Graph.make(2, [(0, 1)], loops=[0]), Graph.cycle(5), Graph.empty(2)]
+    for i in range(80):
         n = rng.randint(1, 5)
         edges = [e for e in all_edges(n) if rng.random() < 0.5]
-        g = Graph.make(n, edges)
+        # every other sample carries loops, so a loop of g is tested against
+        # looped and loopless targets alike
+        loops = [v for v in range(n) if rng.random() < 0.3] if i % 2 else []
+        g = Graph.make(n, edges, loops)
         for h in hs:
             assert is_homomorphic(g, h) == brute_is_homomorphic(g, h)
+
+
+def test_hom_search_runs_only_when_no_certificate_decides():
+    # an odd cycle into a loopless non-bipartite target needs the search;
+    # C5 maps to K3 but K3 does not map to C5
+    assert is_homomorphic(Graph.cycle(5), Graph.complete(3))
+    assert not is_homomorphic(Graph.complete(3), Graph.cycle(5))
+    assert is_homomorphic(Graph.cycle(7), Graph.cycle(5))
+    assert not is_homomorphic(Graph.complete(4), Graph.complete(3))
+    # bipartite g maps to any edge, also beyond the search budget
+    assert is_homomorphic(Graph.complete_bipartite(3, 4), Graph.complete(5), budget=0)
+    assert not is_homomorphic(Graph.cycle(5), Graph.path(3), budget=0)
 
 
 def test_hom_is_reflexive_and_composes():
@@ -63,19 +91,19 @@ def test_hom_to_single_edge_is_bipartiteness():
     assert not hom_to_single_edge(Graph.cycle(5))
     ladder = Graph.make(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)])
     assert hom_to_single_edge(ladder)  # height-one grid folds onto an edge
-    # exhaustive agreement with the search on every graph with <= 4 vertices,
-    # sampled agreement up to 8
+    # exhaustive agreement with the brute-force oracle on every graph with
+    # <= 4 vertices, sampled agreement up to 8
     for n in range(1, 5):
         edges = all_edges(n)
         for mask in range(1 << len(edges)):
             es = [edges[i] for i in range(len(edges)) if mask >> i & 1]
             g = Graph.make(n, es)
-            assert hom_to_single_edge(g) == is_homomorphic(g, K2)
+            assert hom_to_single_edge(g) == brute_is_homomorphic(g, K2)
     rng = random.Random(3)
     for _ in range(150):
         n = rng.randint(5, 8)
         g = Graph.make(n, [e for e in all_edges(n) if rng.random() < 0.4])
-        assert hom_to_single_edge(g) == is_homomorphic(g, K2)
+        assert hom_to_single_edge(g) == brute_is_homomorphic(g, K2)
 
 
 def test_recognize_examples():

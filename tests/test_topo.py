@@ -4,8 +4,10 @@ import functools
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
+from conftest import nx_outerplanar, nx_planar
 from hompoly import Graph, topo
 from hompoly.errors import BudgetExceededError
 from hompoly.gadgets import amalgam_chain, genus_block, planar_gadget
@@ -138,6 +140,52 @@ def test_three_way_planarity_agreement():
         assert planar == (minor is None)
         if len(comps) == 1 and g.is_connected():
             assert planar == (min_genus(g) == 0)
+
+
+def _check_counting_certificates(g):
+    edges = sorted(g.edges)
+    assert is_planar(g) == nx_planar(g.n, edges), edges
+    assert is_outerplanar(g) == nx_outerplanar(g.n, edges), edges
+
+
+def test_counting_certificates_agree_with_networkx_on_small_graphs():
+    # the atlas holds every graph on at most 7 vertices up to isomorphism, and
+    # both tests and both edge-count certificates are isomorphism invariant
+    atlas = nx.graph_atlas_g()
+    assert len(atlas) == 1253
+    for h in atlas:
+        _check_counting_certificates(Graph.make(h.number_of_nodes(), h.edges()))
+
+
+def test_counting_certificates_agree_with_networkx_on_random_graphs():
+    rng = random.Random(1412)
+    for _ in range(600):
+        n = rng.randint(2, 9)
+        p = rng.choice((0.2, 0.35, 0.5, 0.7, 0.9))
+        _check_counting_certificates(
+            Graph.make(n, [e for e in all_edges(n) if rng.random() < p]))
+
+
+def test_counting_certificates_skip_networkx(monkeypatch):
+    calls = []
+    real = nx.check_planarity
+
+    def counting(g, counterexample=False):
+        calls.append(g.number_of_nodes())
+        return real(g, counterexample=counterexample)
+
+    monkeypatch.setattr(topo.nx, "check_planarity", counting)
+    # at most 8 edges, or more than 3V - 6 edges: no networkx call
+    assert is_planar(Graph.cycle(8)) and is_planar(Graph.complete_bipartite(2, 4))
+    assert not is_planar(Graph.complete(5)) and not is_planar(Graph.complete(6))
+    # at most 5 edges, or more than 2V - 3 edges: no networkx call
+    assert is_outerplanar(Graph.path(6)) and is_outerplanar(Graph.cycle(5))
+    assert not is_outerplanar(Graph.complete(4))
+    assert calls == []
+    # K3,3 has 9 <= 3V - 6 edges and K2,3 has 6 <= 2V - 3: networkx decides
+    assert not is_planar(Graph.complete_bipartite(3, 3))
+    assert not is_outerplanar(Graph.complete_bipartite(2, 3))
+    assert calls == [6, 6]
 
 
 def test_rotation_json_roundtrip():
