@@ -98,12 +98,15 @@ def contract_enforced_edge(p: Polynomial, e) -> Polynomial:
 
 
 def relabel_edges_poly(p: Polynomial, vmap: dict) -> Polynomial:
-    """Apply a vertex relabeling to every edge variable of p."""
+    """Apply a vertex relabeling to every edge variable of p; an edge whose
+    ends it merges means the terms were not the ones the gluing expects."""
     mapping = {}
     for var in p.variables():
         if var[0] == 'e':
-            _, i, j = var
-            mapping[var] = edge_var(vmap.get(i, i), vmap.get(j, j))
+            i, j = vmap.get(var[1], var[1]), vmap.get(var[2], var[2])
+            if i == j:
+                raise PipelineIntegrityError(f"relabeling merges the ends of {var}")
+            mapping[var] = edge_var(i, j)
     return p.substitute(mapping)
 
 
@@ -181,6 +184,16 @@ def _vac0_report(lemma_id: str, params: dict, reason: str) -> ReductionReport:
     zero = Polynomial.zero()
     return ReductionReport(lemma_id, params, zero, zero, True,
                            details={"skipped": reason})
+
+
+def _calibration_failure(lemma_id: str, params: dict, expected: Polynomial,
+                         details: dict, exc: PipelineIntegrityError,
+                         t0: float) -> ReductionReport:
+    """A mis-calibrated budget breaks the structural checks or the exact
+    divisions of a gadget pipeline; report it instead of passing silently."""
+    details["calibration_failure"] = str(exc)
+    return ReductionReport(lemma_id, params, Polynomial.zero(), expected, False,
+                           None, time.perf_counter() - t0, details)
 
 
 # -- enforced enumeration shared by the gadget pipelines -----------------------------
@@ -531,11 +544,8 @@ def reduce_outerplanar(h: Graph, n: int, budget: int | None = None,
             produced, csize, det = _outerplanar_buddy(h, n, budget, with_circuit)
         details.update(det)
     except PipelineIntegrityError as exc:
-        # a mis-calibrated budget breaks the structural checks or the exact
-        # divisions; report it instead of passing silently
-        details["calibration_failure"] = str(exc)
-        return ReductionReport("outerplanar-star", params, Polynomial.zero(),
-                               expected, False, None, time.perf_counter() - t0, details)
+        return _calibration_failure("outerplanar-star", params, expected, details,
+                                    exc, t0)
     equal = produced == expected
     if not equal:
         details["calibration_failure"] = details.get("calibration_failure", True)
@@ -669,9 +679,8 @@ def reduce_planar(h: Graph, m: int, budget: int | None = None,
     try:
         return _planar_body(h, m, budget, with_circuit, params, t0)
     except PipelineIntegrityError as exc:
-        return ReductionReport(
-            "planar-permutation", params, Polynomial.zero(), Polynomial.zero(),
-            False, None, time.perf_counter() - t0, {"calibration_failure": str(exc)})
+        return _calibration_failure("planar-permutation", params, Polynomial.zero(),
+                                    {}, exc, t0)
 
 
 def _planar_body(h, m, budget, with_circuit, params, t0) -> ReductionReport:

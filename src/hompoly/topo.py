@@ -3,7 +3,14 @@
 Only orientable embeddings are modeled.  A rotation system assigns each
 vertex a cyclic order of its neighbors; tracing the face orbits of the
 induced dart permutation gives the Euler genus via V - E + F = 2 - 2g.
-Planarity itself is delegated to networkx's linear-time test; the rotation
+
+Class membership is decided by exact certificates first.  is_outerplanar
+never calls networkx: edge counts, then a peel of vertices of degree <= 2
+(Mitchell 1979).  is_planar uses edge counts, deletes vertices of degree
+<= 1 and reduces a graph with one or two dominating vertices to that peel or
+to a path-and-cycle test (Chartrand and Harary 1967); only a graph none of
+these decides goes to networkx's linear-time test.  networkx also supplies
+planar_rotation's embedding and kuratowski_witness's subgraph.  The rotation
 search and the minor finder below are independent code paths, so the three
 agree-or-fail cross checks in the test suite are meaningful.
 
@@ -18,12 +25,11 @@ rests on a validated minor, never on networkx's planarity bit alone.
 from __future__ import annotations
 
 import itertools
-from math import factorial
 
 import networkx as nx
 
 from .errors import BudgetExceededError
-from .graphs import Graph, canonical_edge
+from .graphs import Graph
 
 DEFAULT_GENUS_BUDGET = 1_000_000
 DEFAULT_MINOR_BUDGET = 2_000_000
@@ -38,35 +44,168 @@ def _to_nx(g: Graph) -> nx.Graph:
     return out
 
 
+def _adjacency_sets(g: Graph) -> list[set]:
+    adj = [set() for _ in range(g.n)]
+    for a, b in g.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
+def _delete_vertex(adj: list[set], alive: set, v: int) -> set:
+    """Remove v from the graph held by adj and alive; return its neighbors."""
+    alive.discard(v)
+    nbrs = adj[v]
+    adj[v] = set()
+    for u in nbrs:
+        adj[u].discard(v)
+    return nbrs
+
+
+def _joined_without_edge(adj: list[set], u: int, w: int) -> bool:
+    """Whether a u-w path avoids the edge uw, i.e. uw is not a bridge."""
+    seen = {u}
+    stack = [x for x in adj[u] if x != w]
+    seen.update(stack)
+    while stack:
+        x = stack.pop()
+        if w in adj[x]:
+            return True
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return False
+
+
+def _peel_outerplanar(adj: list[set], alive: set) -> bool:
+    """Decide outerplanarity of the graph held by adj and alive (consumed).
+
+    Peels vertices of degree <= 2; see is_outerplanar for the rules.
+    """
+    marked = set()  # edges that must lie on the outer face
+    stack = [v for v in alive if len(adj[v]) <= 2]
+    while stack:
+        v = stack.pop()
+        if v not in alive or len(adj[v]) > 2:
+            continue
+        nbrs = _delete_vertex(adj, alive, v)
+        if len(nbrs) == 2:
+            u, w = sorted(nbrs)
+            if w not in adj[u]:
+                adj[u].add(w)
+                adj[w].add(u)
+            elif (u, w) in marked and _joined_without_edge(adj, u, w):
+                return False
+            marked.add((u, w))
+        stack.extend(u for u in nbrs if len(adj[u]) <= 2)
+    return not alive
+
+
+def _is_path_forest_or_cycle(adj: list[set], alive: set) -> bool:
+    """Maximum degree <= 2, and either no cycle or a single spanning cycle."""
+    if any(len(adj[v]) > 2 for v in alive):
+        return False
+    edges = sum(len(adj[v]) for v in alive) // 2
+    components = 0
+    seen: set = set()
+    for s in alive:
+        if s in seen:
+            continue
+        components += 1
+        seen.add(s)
+        stack = [s]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return edges == len(alive) - components or (components == 1 and edges == len(alive))
+
+
 def is_planar(g: Graph) -> bool:
-    """Edge counts decide first: K3,3 has 9 edges, so fewer are planar, and a
-    planar graph on n >= 3 vertices has at most 3n - 6 edges.  The rest go to
-    networkx's planarity test."""
+    """Planarity, by exact certificates first and networkx for the rest.
+
+    - Edge counts: a non-planar graph contains a subdivided K5 (10 edges) or
+      K3,3 (9 edges) (Kuratowski 1930), so at most 8 edges is planar; Euler's
+      formula bounds a planar graph on n >= 3 vertices by 3n - 6 edges.
+    - Vertices of degree <= 1 are deleted: they can always be put back.
+    - (P1) If c is adjacent to every other vertex, G is planar iff G - c is
+      outerplanar (Chartrand and Harary 1967): an outerplanar drawing takes
+      c in its outer face, and deleting c from a plane G leaves every vertex
+      on the face c was in.  The peel of is_outerplanar decides G - c.
+    - (P2) If a and b are non-adjacent and each is adjacent to every other
+      vertex, G is planar iff H = G - a - b has maximum degree <= 2 and is a
+      linear forest or a single cycle.  Such an H is drawn along a circle
+      with a inside and b outside.  Conversely, a vertex x of H with three
+      neighbors y1, y2, y3 gives a K3,3 on {x, a, b} and {y1, y2, y3}.  A
+      cycle C of H has a and b on opposite sides: a and C form a wheel, and
+      a vertex on a's side lies in one of its triangles, which meets only
+      two vertices of C.  So any other vertex of H, being adjacent to both a
+      and b, would have to cross C.
+
+    Only a graph none of these decides goes to networkx's linear-time test.
+    """
     m = len(g.edges)
     if m <= 8:
         return True
     if g.n >= 3 and m > 3 * g.n - 6:
         return False
+    adj = _adjacency_sets(g)
+    alive = set(range(g.n))
+    stack = [v for v in alive if len(adj[v]) <= 1]
+    while stack:
+        v = stack.pop()
+        if v in alive and len(adj[v]) <= 1:
+            stack.extend(_delete_vertex(adj, alive, v))
+    k = len(alive)
+    dominating = [v for v in alive if len(adj[v]) == k - 1]
+    if dominating:
+        _delete_vertex(adj, alive, dominating[0])
+        return _peel_outerplanar(adj, alive)
+    # a vertex of degree k - 2 misses exactly one other vertex
+    pairs = [(a, (alive - adj[a] - {a}).pop()) for a in alive if len(adj[a]) == k - 2]
+    for a, b in pairs:
+        if len(adj[b]) == k - 2:
+            _delete_vertex(adj, alive, a)
+            _delete_vertex(adj, alive, b)
+            return _is_path_forest_or_cycle(adj, alive)
     return nx.check_planarity(_to_nx(g), counterexample=False)[0]
 
 
 def is_outerplanar(g: Graph) -> bool:
-    """Outerplanar iff the graph plus a universal apex vertex is planar.
+    """Outerplanarity, decided exactly without networkx.
 
     Edge counts decide first: K4 and K2,3 have 6 edges, so fewer are
     outerplanar, and an outerplanar graph on n >= 2 vertices has at most
     2n - 3 edges.
+
+    The rest is a peel of vertices of degree <= 2 (Mitchell 1979, "Linear
+    algorithms to recognize outerplanar and maximal outerplanar graphs").
+    It carries a set of marked edges that must lie on the outer face, and
+    keeps the answer "G has an outerplanar drawing with every marked edge on
+    the outer face", which for no marks is outerplanarity:
+    - a vertex of degree <= 1 is deleted; it can be put back in the outer
+      face;
+    - a vertex v of degree 2 with neighbors u, w lies on the outer face, and
+      so do both its edges.  It is deleted, and uw is added if absent and
+      marked: the path u v w is drawn along uw, or, when uw is present, the
+      triangle u v w is a face (no vertex can lie inside it), which merges
+      with the outer face once v is gone;
+    - if uw is present and already marked, the outer face must lie on both
+      sides of uw once v is gone, so the answer is False unless uw is a
+      bridge of G - v (an edge with one face on both sides is a bridge);
+    - every outerplanar graph has a vertex of degree <= 2, so a non-empty
+      graph without one is not outerplanar.
+    Marking matters: suppressing the degree-2 vertices of K2,3 without it
+    leaves the outerplanar diamond.
     """
     m = len(g.edges)
     if m <= 5:
         return True
     if g.n >= 2 and m > 2 * g.n - 3:
         return False
-    h = _to_nx(g)
-    apex = g.n
-    for v in range(g.n):
-        h.add_edge(apex, v)
-    return nx.check_planarity(h, counterexample=False)[0]
+    return _peel_outerplanar(_adjacency_sets(g), set(range(g.n)))
 
 
 def planar_rotation(g: Graph) -> RotationSystem:
@@ -200,8 +339,6 @@ def min_genus_rotation(g: Graph, budget: int = DEFAULT_GENUS_BUDGET):
 
 K5 = Graph.complete(5)
 K33 = Graph.complete_bipartite(3, 3)
-K4 = Graph.complete(4)
-K23 = Graph.complete_bipartite(2, 3)
 
 
 def contains_subgraph(g_adj: dict, h: Graph):
@@ -353,17 +490,6 @@ def _kuratowski_branch_sets(sub: nx.Graph):
     across = {owner[w] for v in sets[branch[0]] for w in sub[v]} - {branch[0]}
     side = [b for b in branch if b not in across]
     return "k33", [sets[b] for b in side + [b for b in branch if b not in side]]
-
-
-def find_k33_or_k5_minor(g: Graph, budget: int = DEFAULT_MINOR_BUDGET):
-    """Kuratowski-style witness: ("k5"|"k33", branch sets) or None."""
-    w = find_minor(g, K5, budget=budget)
-    if w is not None:
-        return ("k5", w)
-    w = find_minor(g, K33, budget=budget)
-    if w is not None:
-        return ("k33", w)
-    return None
 
 
 # -- JSON ----------------------------------------------------------------------

@@ -86,6 +86,18 @@ def nx_in_class(n: int, edges, kind: str, genus_k: int | None = None) -> bool:
     raise ValueError(kind)
 
 
+def find_k33_or_k5_minor(g: Graph, budget: int = topo.DEFAULT_MINOR_BUDGET):
+    """Kuratowski-style witness from the library's minor finder, independent
+    of networkx: ("k5"|"k33", branch sets) or None."""
+    w = topo.find_minor(g, topo.K5, budget=budget)
+    if w is not None:
+        return ("k5", w)
+    w = topo.find_minor(g, topo.K33, budget=budget)
+    if w is not None:
+        return ("k33", w)
+    return None
+
+
 def brute_class_subsets(n: int, kind: str, genus_k: int | None = None):
     """All class edge subsets of K_n by raw bitmask filtering."""
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -124,6 +136,22 @@ def poly_term_edge_sets(p):
     for m, c in p.terms():
         out.append((frozenset((v[1], v[2]) for v, _ in m if v[0] == 'e'), c))
     return out
+
+
+@pytest.fixture()
+def planarity_calls(monkeypatch):
+    """Count networkx planarity tests from then on, by graph order.
+
+    topo.nx is the networkx module, so the oracles above are counted too."""
+    calls = []
+    real = nx.check_planarity
+
+    def counting(g, counterexample=False):
+        calls.append(g.number_of_nodes())
+        return real(g, counterexample=counterexample)
+
+    monkeypatch.setattr(topo.nx, "check_planarity", counting)
+    return calls
 
 
 @pytest.fixture()

@@ -280,10 +280,28 @@ def test_planar_glue_phase():
     assert r.produced == oracle_uhc(3)
 
 
+def test_planar_budget_calibration():
+    # one middle edge too few leaves survivors with the glue pair joined
+    # by an edge; gluing them is reported, not raised
+    for off in (16, 18):
+        r = reduce_planar(K3, 6, budget=off)
+        assert not r.equal
+        assert r.details.get("calibration_failure")
+
+
 def test_planar_bipartite_variant():
     r = reduce_planar(K2, 4)
     assert r.equal
     assert r.details["bipartite_variant"]
+
+
+def test_gadget_pipelines_make_no_networkx_call(planarity_calls):
+    # every class check of the star, buddy and apex gadgets, survivor
+    # checks included, is settled by a certificate in topo
+    assert reduce_outerplanar(K3, 6).details["branch"] == "triangle"
+    assert reduce_outerplanar(K2, 5).details["branch"] == "buddy"
+    assert reduce_planar(K3, 6).equal and reduce_planar(K2, 4).equal
+    assert planarity_calls == []
 
 
 def test_genus_pipeline():

@@ -7,14 +7,14 @@ import random
 import networkx as nx
 import pytest
 
-from conftest import nx_outerplanar, nx_planar
+from conftest import find_k33_or_k5_minor, nx_outerplanar, nx_planar
 from hompoly import Graph, topo
 from hompoly.errors import BudgetExceededError
-from hompoly.gadgets import amalgam_chain, genus_block, planar_gadget
+from hompoly.gadgets import (amalgam_chain, buddy_transform, genus_block,
+                             planar_gadget, star_gadget)
 from hompoly.graphs import all_edges
-from hompoly.topo import (K5, K23, K33, _rotation_choices,
-                          _validate_branch_sets, contains_subgraph,
-                          find_k33_or_k5_minor, find_minor, genus_of_rotation,
+from hompoly.topo import (K5, K33, _rotation_choices, _validate_branch_sets,
+                          contains_subgraph, find_minor, genus_of_rotation,
                           is_outerplanar, is_planar, kuratowski_witness,
                           min_genus, min_genus_rotation, planar_rotation,
                           rotation_from_json_obj, rotation_search_space,
@@ -22,6 +22,7 @@ from hompoly.topo import (K5, K23, K33, _rotation_choices,
 
 CUBE = Graph.make(8, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7),
                       (4, 7), (0, 4), (1, 5), (2, 6), (3, 7)])
+K23 = Graph.complete_bipartite(2, 3)
 
 
 def test_planarity_classics():
@@ -166,26 +167,115 @@ def test_counting_certificates_agree_with_networkx_on_random_graphs():
             Graph.make(n, [e for e in all_edges(n) if rng.random() < p]))
 
 
-def test_counting_certificates_skip_networkx(monkeypatch):
-    calls = []
-    real = nx.check_planarity
-
-    def counting(g, counterexample=False):
-        calls.append(g.number_of_nodes())
-        return real(g, counterexample=counterexample)
-
-    monkeypatch.setattr(topo.nx, "check_planarity", counting)
+def test_counting_certificates_skip_networkx(planarity_calls):
     # at most 8 edges, or more than 3V - 6 edges: no networkx call
     assert is_planar(Graph.cycle(8)) and is_planar(Graph.complete_bipartite(2, 4))
     assert not is_planar(Graph.complete(5)) and not is_planar(Graph.complete(6))
-    # at most 5 edges, or more than 2V - 3 edges: no networkx call
-    assert is_outerplanar(Graph.path(6)) and is_outerplanar(Graph.cycle(5))
-    assert not is_outerplanar(Graph.complete(4))
-    assert calls == []
-    # K3,3 has 9 <= 3V - 6 edges and K2,3 has 6 <= 2V - 3: networkx decides
-    assert not is_planar(Graph.complete_bipartite(3, 3))
-    assert not is_outerplanar(Graph.complete_bipartite(2, 3))
-    assert calls == [6, 6]
+    assert planarity_calls == []
+    # outerplanarity never reaches networkx
+    for h in nx.graph_atlas_g():
+        is_outerplanar(Graph.make(h.number_of_nodes(), h.edges()))
+    assert planarity_calls == []
+    # K3,3 has 9 <= 3V - 6 edges, minimum degree 3 and no vertex adjacent to
+    # all others: networkx decides
+    assert not is_planar(K33)
+    assert planarity_calls == [6]
+
+
+# -- the degree-2 peel and the dominating-vertex rules ------------------------
+
+DIAMOND = Graph.make(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])  # base 1-2
+
+
+def _peel(g):
+    """The peel alone, without the edge counts in front of it."""
+    return topo._peel_outerplanar(topo._adjacency_sets(g), set(range(g.n)))
+
+
+def _join(g, apexes):
+    """g plus the given number of pairwise non-adjacent vertices, each
+    adjacent to every vertex of g."""
+    return Graph.make(g.n + apexes, list(g.edges) +
+                      [(v, g.n + i) for i in range(apexes) for v in range(g.n)])
+
+
+def test_peel_marks_the_edge_left_by_a_degree_two_vertex(monkeypatch):
+    bridge_checks = []
+    real = topo._joined_without_edge
+
+    def spy(adj, u, w):
+        bridge_checks.append(real(adj, u, w))
+        return bridge_checks[-1]
+
+    monkeypatch.setattr(topo, "_joined_without_edge", spy)
+    # the second degree-2 vertex of K2,3 lands on the marked base, which is
+    # no bridge; suppressing them without the mark would leave the
+    # outerplanar diamond
+    assert not _peel(K23) and bridge_checks == [True]
+    assert not is_outerplanar(K23)
+    # C4 with a pendant edge at two opposite corners: once the degree-2
+    # vertex 5 goes, 2 4 3 is a triangle on the marked base 2-3, which is a
+    # bridge of G - 4
+    bridge_checks.clear()
+    assert _peel(Graph.make(6, [(0, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5)]))
+    assert bridge_checks == [False]
+    assert _peel(Graph.cycle(4)) and _peel(DIAMOND)
+    # no vertex of degree <= 2 left
+    assert not _peel(Graph.complete(4))
+
+
+def test_dominating_vertex_reduces_planarity_to_outerplanarity(planarity_calls):
+    for k in range(5, 11):
+        assert is_planar(_join(Graph.cycle(k), 1))  # wheels
+        assert is_planar(_join(Graph.path(k), 1))   # fans
+    assert is_planar(_join(Graph.complete_bipartite(1, 3), 1))
+    # a pendant vertex is deleted first, which leaves the hub dominating
+    assert is_planar(Graph.make(8, sorted(_join(Graph.cycle(6), 1).edges) + [(0, 7)]))
+    # cones over two graphs that are not outerplanar: K2,3 and a K4 with
+    # one edge subdivided
+    assert not is_planar(_join(K23, 1))
+    subdivided_k4 = Graph.make(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+                                   (2, 4), (3, 4)])
+    assert not is_planar(_join(subdivided_k4, 1))
+    assert planarity_calls == []
+
+
+def test_two_dominating_apexes_reduce_planarity_to_paths_and_cycles(planarity_calls):
+    # bipyramids over C4 (the octahedron) and C5, and over a linear forest
+    assert is_planar(_join(Graph.cycle(4), 2)) and is_planar(_join(Graph.cycle(5), 2))
+    assert is_planar(_join(Graph.make(5, [(0, 1), (1, 2), (3, 4)]), 2))
+    # a bipyramid plus one vertex adjacent to both apexes
+    for k in (4, 5):
+        assert not is_planar(_join(Graph.make(k + 1, Graph.cycle(k).edges), 2))
+    # two cycles between the apexes
+    two_triangles = Graph.make(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert not is_planar(_join(two_triangles, 2))
+    # a vertex of degree 3 between the apexes: K3,3
+    assert not is_planar(_join(Graph.make(5, [(0, 1), (0, 2), (0, 3)]), 2))
+    assert planarity_calls == []
+
+
+def test_dominating_vertex_rules_agree_with_networkx_on_random_graphs():
+    rng = random.Random(1967)
+    for _ in range(1500):
+        n = rng.randint(1, 10)
+        p = rng.choice((0.2, 0.35, 0.5, 0.7))
+        edges = [e for e in all_edges(n) if rng.random() < p]
+        apexes = rng.choice((1, 2))
+        edges += [(v, n + i) for i in range(apexes) for v in range(n)]
+        if apexes == 2 and rng.random() < 0.5:
+            edges.append((n, n + 1))
+        _check_counting_certificates(
+            _relabeled(Graph.make(n + apexes, edges), rng.randrange(1 << 30)))
+
+
+def test_certificates_agree_with_networkx_on_gadget_candidates():
+    for gadget in (star_gadget(6), buddy_transform(star_gadget(5)), planar_gadget(5)):
+        base = sorted(gadget.enforced)
+        pick = gadget.budget - len(base)
+        for combo in itertools.combinations(sorted(gadget.free_edges()), pick):
+            g = Graph.make(gadget.graph.n, base + list(combo))
+            _check_counting_certificates(g)
 
 
 def test_rotation_json_roundtrip():
