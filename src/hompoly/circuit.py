@@ -243,28 +243,14 @@ def extract_homc(oracle_id: str, oracle_vars, vars, k: int, delta: int) -> Circu
     """Interpolation circuit whose value is the degree-k slice, in the given
     variable subset, of the polynomial bound to oracle_id.
 
-    The oracle is called at delta+1 points with each selected variable v
-    replaced by v*t_j for integer nodes t_j = 0..delta, and the calls are
-    combined with the Lagrange weights for the coefficient of t^k.  Gate
-    count is (delta+1)*(|vars|+2) + 1.
+    interpolate_homc around the one-gate oracle call: the oracle is called
+    at delta+1 points with each selected variable v replaced by v*t_j for
+    integer nodes t_j = 0..delta, and the calls are combined with the
+    Lagrange weights for the coefficient of t^k.  Gate count is
+    (delta+1)*(|vars|+2) + 1.
     """
-    if not 0 <= k <= delta:
-        raise ValueError("need 0 <= k <= delta")
-    oracle_vars = tuple(oracle_vars)
-    scaled = frozenset(vars)
-    b = CircuitBuilder()
-    b.declare_oracle(oracle_id, oracle_vars)
-    weights = lagrange_weights(k, delta)
-    parts = []
-    for j in range(delta + 1):
-        tj = b.const(j)
-        inputs = []
-        for v in oracle_vars:
-            vd = b.var(v)
-            inputs.append(b.mul(vd, tj) if v in scaled else vd)
-        call = b.oracle(oracle_id, inputs)
-        parts.append(b.mul(b.const(weights[j]), call))
-    return b.freeze(b.add(*parts))
+    return interpolate_homc(oracle_call_circuit(oracle_id, oracle_vars),
+                            vars, k, delta)
 
 
 def _rebuild(b: CircuitBuilder, c: Circuit, var_gate) -> int:

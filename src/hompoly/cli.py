@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -18,11 +17,9 @@ from fractions import Fraction
 
 from . import reductions, topo
 from .errors import BudgetExceededError, PipelineIntegrityError
-from .genfun import VariableModel, hom_poly, parse_model
+from .genfun import DEFAULT_GF_EDGE_BUDGET, VariableModel, hom_poly, parse_model
 from .graphs import Graph, parse_class
 from .poly import Polynomial, var_to_str
-
-BUDGET_ENV = "HOMPOLY_BUDGET"
 
 LEMMAS = ("cycles-even", "tree-matching", "outerplanar-star",
           "planar-permutation", "genus-block", "genus-chain")
@@ -71,13 +68,6 @@ def _dump_poly(p: Polynomial) -> str:
     return "[\n" + ",\n".join(terms) + "\n]" if terms else "[]"
 
 
-def _budget(args) -> int | None:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get(BUDGET_ENV)
-    return int(env) if env else None
-
-
 def cmd_classify(args) -> int:
     h = _load_graph(args.h_file)
     cls = parse_class(args.graph_class, args.k)
@@ -89,24 +79,17 @@ def cmd_classify(args) -> int:
 def cmd_poly(args) -> int:
     h = _load_graph(args.h_file)
     cls = parse_class(args.graph_class, args.k)
-    model = parse_model(args.model)
-    kwargs = {}
-    budget = _budget(args)
-    if budget is not None:
-        kwargs["budget"] = budget
-    p = hom_poly(h, args.n, cls, model, **kwargs)
+    p = hom_poly(h, args.n, cls, parse_model(args.model), budget=args.budget)
     print(_dump_poly(p))
     return 0
 
 
 def cmd_genus(args) -> int:
     g = _load_graph(args.graph_file)
-    budget = _budget(args) or 10 ** 6
-    planar = topo.is_planar(g)
-    if planar:
+    if topo.is_planar(g):
         out = {"genus": 0, "planar": True}
     else:
-        genus, rot = topo.min_genus_rotation(g, budget=budget)
+        genus, rot = topo.min_genus_rotation(g, budget=args.budget)
         out = {"genus": genus, "planar": False,
                "rotation": topo.rotation_to_json_obj(rot)}
     print(_dump(out))
@@ -213,7 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--model", choices=[m.value for m in VariableModel],
                    default="edge")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_GF_EDGE_BUDGET,
+                   help="most host edges whose subsets are filtered one by "
+                        "one (cycles, cliques and trees on a complete host are "
+                        "generated directly); more fails with exit 2")
     p.set_defaults(fn=cmd_poly)
 
     p = sub.add_parser("verify", help="run reduction pipelines against oracles")
@@ -234,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("genus", help="minimum genus by rotation-system search")
     p.add_argument("graph_file")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=topo.DEFAULT_GENUS_BUDGET,
+                   help="largest rotation search space to try; a larger "
+                        "one fails with exit 2")
     p.set_defaults(fn=cmd_genus)
 
     p = sub.add_parser("report", help="render a verify report file")

@@ -23,8 +23,8 @@ class Gadget:
     budget: int = 0
 
     def __post_init__(self):
-        if self.enforced & self.denied:
-            raise ValueError("enforced and denied edges overlap")
+        if self.denied & self.graph.edges:
+            raise ValueError("denied edges must be absent from the gadget graph")
         if not self.enforced <= self.graph.edges:
             raise ValueError("enforced edges must be present in the gadget graph")
         if self.budget < len(self.enforced):

@@ -408,32 +408,8 @@ def _edge_mask(edges: frozenset, order: dict) -> int:
 
 
 def subset_in_class(n: int, es: list, cls: GraphClass, budget: int = 10 ** 6) -> bool:
-    """Fast path for recognize on an explicit edge list.
-
-    Equivalent to recognize(Graph.make(n, es), cls) for loopless subsets:
-    the touched vertices must form one connected component with the class
-    shape, everything else is isolated.
-    """
-    if not es:
-        return False
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in es:
-        for x in (a, b):
-            parent.setdefault(x, x)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    if len({find(x) for x in parent}) != 1:
-        return False
-    comp = Graph.make(n, es).induced(sorted(parent))
-    return _component_shape_ok(comp, cls, budget)
+    """recognize on the n-vertex graph with the given edge list."""
+    return recognize(Graph.make(n, es), cls, budget)
 
 
 def class_edge_subsets(g: Graph, cls: GraphClass, budget: int) -> list[frozenset]:
@@ -442,8 +418,8 @@ def class_edge_subsets(g: Graph, cls: GraphClass, budget: int) -> list[frozenset
 
     Over a complete host the cycle, clique and tree classes generate their
     shapes directly; every other case filters the bitmasks of g's edges
-    through subset_in_class and raises BudgetExceededError when g has more
-    than budget edges.
+    through subset_in_class (recognize on each subset) and raises
+    BudgetExceededError when g has more than budget edges.
     """
     edges = sorted(g.edges)
     order = {e: i for i, e in enumerate(edges)}

@@ -312,7 +312,3 @@ class Polynomial:
             bits.append(f"{c}*{mono}")
         suffix = f" ... ({len(self._terms)} terms)" if len(self._terms) > 8 else ""
         return f"Polynomial({' + '.join(bits)}{suffix})"
-
-
-ZERO = Polynomial.zero()
-ONE = Polynomial.constant(1)

@@ -232,27 +232,35 @@ def _edge_vars_at(v: int, others) -> list:
     return [edge_var(v, w) for w in others if w != v]
 
 
-def _restricted_circuit_filters(p: Polynomial, oracle_id: str, filters,
-                                direct: Polynomial, details: dict) -> int:
-    """Re-run homogeneous-component filters through interpolation circuits.
+def _slice(p: Polynomial, filters, oracle_id: str, with_circuit: bool,
+           details: dict) -> tuple[Polynomial, int | None]:
+    """Apply the (vars, k) homogeneous-component filters to p in order; the
+    sliced polynomial and the circuit size (None without with_circuit).
 
-    Binds the polynomial to an oracle gate and nests one interpolation per
-    (vars, k) filter, with each interpolation degree taken from the bound
-    polynomial.  The evaluated circuit must equal the direct route's result;
-    records the sizes per nesting level and returns the final size.
+    With with_circuit the same filter list is re-run through interpolation
+    circuits: p is bound to an oracle gate and one interpolation is nested
+    per filter, each of degree max(k, degree of p in vars).  The evaluated
+    circuit must equal the direct slices, else PipelineIntegrityError;
+    records the sizes per nesting level and returns the final one.  Callers
+    choose when the check runs: the gadget pipelines skip it on an empty p,
+    so a mis-calibrated budget adds no circuit keys, while the tree pipeline
+    checks an empty p too.
     """
-    ovars = tuple(sorted(p.variables()))
-    c = circ.oracle_call_circuit(oracle_id, ovars)
+    sliced = p
+    for vars, k in filters:
+        sliced = sliced.homogeneous_component(vars, k)
+    if not with_circuit:
+        return sliced, None
+    c = circ.oracle_call_circuit(oracle_id, tuple(sorted(p.variables())))
     sizes = [circ.size(c)]
     for vars, k in filters:
-        delta = max(k, p.degree_in(vars))
-        c = circ.interpolate_homc(c, vars, k, delta)
+        c = circ.interpolate_homc(c, vars, k, max(k, p.degree_in(vars)))
         sizes.append(circ.size(c))
-    if circ.eval_symbolic(c, {oracle_id: p}) != direct:
+    if circ.eval_symbolic(c, {oracle_id: p}) != sliced:
         raise PipelineIntegrityError("circuit route disagrees with direct route")
     details["circuit_sizes"] = sizes
     details["circuit_agrees"] = True
-    return sizes[-1]
+    return sliced, sizes[-1]
 
 
 # -- cycles -------------------------------------------------------------------------
@@ -485,12 +493,8 @@ def reduce_trees(h: Graph, target: Graph,
         filters = [([vertex_var(tn + k) for k in range(len(tedges))], tn // 2),
                    ([vertex_var(v) for v in range(tn)], tn),
                    ([vertex_var(s)], 1)]
-        sliced = P
-        for vars, k in filters:
-            sliced = sliced.homogeneous_component(vars, k)
-        if with_circuit:
-            csize = _restricted_circuit_filters(
-                P, f"trees:{graph_key(target)}", filters, sliced, details)
+        sliced, csize = _slice(P, filters, f"trees:{graph_key(target)}",
+                               with_circuit, details)
 
     # every tree is bipartite, hence homomorphic to any H with an edge; the
     # class polynomial's homomorphism filter is checked on the survivors
@@ -572,20 +576,13 @@ def _outerplanar_direct(h: Graph, n: int, budget, with_circuit):
         n, gadget.enforced, gadget.free_edges(), pick,
         lambda g: recognize(g, OUTERPLANAR), hom_target=h)
     p_budget = subsets_to_poly(survivors)
-    fa = _edge_vars_at(a, outer)
-    fb = _edge_vars_at(b, outer)
-    p_pts = p_budget.homogeneous_component(fa, 1).homogeneous_component(fb, 1)
-
+    details = {"budget_valid": len(p_budget), "budget": gadget.budget}
+    p_pts, csize = _slice(
+        p_budget, [(_edge_vars_at(a, outer), 1), (_edge_vars_at(b, outer), 1)],
+        f"star-budget:n{n}:h{graph_key(h)}", with_circuit and bool(p_budget),
+        details)
+    details["endpoint_valid"] = len(p_pts)
     _verify_star_survivors(p_pts, n, center, a, b, outer)
-    details = {"budget_valid": len(p_budget), "endpoint_valid": len(p_pts),
-               "budget": gadget.budget}
-
-    csize = None
-    if with_circuit and p_budget:
-        csize = _restricted_circuit_filters(
-            p_budget, f"star-budget:n{n}:h{graph_key(h)}", [(fa, 1), (fb, 1)],
-            p_pts, details)
-
     glued = _glue_endpoints(p_pts, sorted(gadget.enforced), a, b,
                             [v for v in outer if v != b])
     return glued, csize, details
@@ -633,17 +630,13 @@ def _outerplanar_buddy(h: Graph, n: int, budget, with_circuit):
         out += [edge_var(*canonical_edge(w, buddy(v))) for w in outer if w != v]
         return out
 
-    fa, fb = pair_conn_vars(a), pair_conn_vars(b)
-    p_pts = p_budget.homogeneous_component(fa, 1).homogeneous_component(fb, 1)
-    details = {"budget_valid": len(p_budget), "endpoint_valid": len(p_pts),
-               "budget": gadget.budget,
+    details = {"budget_valid": len(p_budget), "budget": gadget.budget,
                "support_bipartite": hom_to_single_edge(gadget.graph)}
-
-    csize = None
-    if with_circuit and p_budget:
-        csize = _restricted_circuit_filters(
-            p_budget, f"buddy-budget:n{n}:h{graph_key(h)}", [(fa, 1), (fb, 1)],
-            p_pts, details)
+    p_pts, csize = _slice(
+        p_budget, [(pair_conn_vars(a), 1), (pair_conn_vars(b), 1)],
+        f"buddy-budget:n{n}:h{graph_key(h)}", with_circuit and bool(p_budget),
+        details)
+    details["endpoint_valid"] = len(p_pts)
 
     # contract the buddy pairs: pair edges to one, buddies relabeled onto
     # their originals; the lift multiplicity (one per order-respecting
@@ -708,28 +701,23 @@ def _planar_body(h, m, budget, with_circuit, params, t0) -> ReductionReport:
         if not details["bipartite_variant"]:
             lemma_ok = False
 
-    produced = subsets_to_poly(sorted(got_middle))
-    expected = subsets_to_poly(sorted(expected_paths))
+    produced = subsets_to_poly(got_middle)
+    expected = subsets_to_poly(expected_paths)
     equal = lemma_ok
     csize = None
 
     if m >= 6:
         p_mid = subsets_to_poly(survivors)
         e_left, e_right = end_edges(gadget)
-        p_glue = enforce_edges(p_mid, [e_left, e_right])
         lo = gadget.graph.label("end-left-outer")
         ro = gadget.graph.label("end-right-outer")
         mids = list(range(m))
-        flo = _edge_vars_at(lo, mids)
-        fro = _edge_vars_at(ro, mids)
-        p_glue = p_glue.homogeneous_component(flo, 1).homogeneous_component(fro, 1)
+        # on the multilinear p_mid a degree-one slice in x_e enforces e
+        filters = [([edge_var(*e_left)], 1), ([edge_var(*e_right)], 1),
+                   (_edge_vars_at(lo, mids), 1), (_edge_vars_at(ro, mids), 1)]
+        p_glue, csize = _slice(p_mid, filters, f"planar-budget:m{m}:h{graph_key(h)}",
+                               with_circuit and bool(p_mid), details)
         details["glue_survivors"] = len(p_glue)
-
-        if with_circuit and p_mid:
-            csize = _restricted_circuit_filters(
-                p_mid, f"planar-budget:m{m}:h{graph_key(h)}",
-                [([edge_var(*e_left)], 1), ([edge_var(*e_right)], 1),
-                 (flo, 1), (fro, 1)], p_glue, details)
 
         ga, gb = gadget.role("glue-a"), gadget.role("glue-b")
         drop = sorted(gadget.enforced) + [e_left, e_right]
@@ -899,16 +887,11 @@ def reduce_genus(h: Graph, k: int, m: int, with_circuit: bool = True) -> Reducti
     p_mid = subsets_to_poly(survivors)
     pa = g.label("planar-end-left-outer")
     pb = g.label("planar-end-right-outer")
-    fa = _edge_vars_at(pa, mids)
-    fb = _edge_vars_at(pb, mids)
-    p_pts = p_mid.homogeneous_component(fa, 1).homogeneous_component(fb, 1)
+    p_pts, csize = _slice(
+        p_mid, [(_edge_vars_at(pa, mids), 1), (_edge_vars_at(pb, mids), 1)],
+        f"genus-budget:k{k}:m{m}:h{graph_key(h)}", with_circuit and bool(p_mid),
+        details)
     details["glue_survivors"] = len(p_pts)
-
-    csize = None
-    if with_circuit and p_mid:
-        csize = _restricted_circuit_filters(
-            p_mid, f"genus-budget:k{k}:m{m}:h{graph_key(h)}", [(fa, 1), (fb, 1)],
-            p_pts, details)
 
     glued = _glue_endpoints(p_pts, sorted(gadget.enforced), pa, pb,
                             [v for v in mids if v != pb])

@@ -119,6 +119,33 @@ def test_genus_command(tmp_path, capsys):
     assert main(["genus", str(p)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["genus"] == 1 and not out["planar"]
+    # a zero budget is a budget, not a request for the default
+    assert main(["genus", str(p), "--budget", "0"]) == 2
+    assert "exceeds budget 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("golden,argv", [
+    ("verify-default.json", []),
+    ("verify-outerplanar-n7-k3.json",
+     ["--lemma", "outerplanar-star", "--n", "7", "--h-file", "k3"]),
+    ("verify-outerplanar-buddy-n6-k2.json",
+     ["--lemma", "outerplanar-star", "--n", "6", "--h-file", "k2"]),
+    ("verify-planar-m6-k2.json",
+     ["--lemma", "planar-permutation", "--m", "6", "--h-file", "k2"]),
+])
+def test_verify_golden_reports(golden, argv, graph_files, tmp_path, capsys):
+    """The --out file is byte-identical to the committed report.
+
+    Regenerate one with
+    `PYTHONPATH=src python -m hompoly.cli verify ARGS --out tests/golden/GOLDEN`,
+    where k3 and k2 in ARGS name files holding the JSON of Graph.complete(3)
+    and Graph.single_edge().
+    """
+    out = tmp_path / "r.json"
+    argv = [graph_files.get(a, a) for a in argv]
+    assert main(["verify"] + argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_verify_report_roundtrip_and_determinism(tmp_path, capsys, monkeypatch):

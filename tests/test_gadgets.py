@@ -103,6 +103,10 @@ def test_gadget_validation():
         Gadget(g, frozenset([(0, 2)]), frozenset(), 1)
     with pytest.raises(ValueError):
         Gadget(g, frozenset([(0, 1), (1, 2)]), frozenset(), 1)
+    # a denied edge may not be in the support, enforced or not
+    with pytest.raises(ValueError, match="denied"):
+        Gadget(g, frozenset([(0, 1)]), frozenset([(1, 2)]), 2)
+    assert Gadget(g, frozenset([(0, 1)]), frozenset([(0, 2)]), 2).denied == {(0, 2)}
 
 
 @pytest.mark.parametrize("name,build", [

@@ -15,7 +15,7 @@ from hompoly import (CLIQUE, CYCLE, OUTERPLANAR, PLANAR, TREE, Graph,
                      enforce_edges, hom_poly, oracle_matching, oracle_uhc,
                      reduce_cliques_vac0, reduce_cycles, reduce_genus,
                      reduce_outerplanar, reduce_planar, reduce_trees)
-from hompoly import topo
+from hompoly import reductions, topo
 from hompoly.errors import BudgetExceededError, PipelineIntegrityError
 from hompoly.gadgets import genus_block
 from hompoly.graphs import genus_class
@@ -250,6 +250,9 @@ def test_outerplanar_budget_calibration():
         r = reduce_outerplanar(K3, 6, budget=off)
         assert not r.equal
         assert r.details.get("calibration_failure")
+    # budget 10 leaves no survivor, so no circuit check runs or is reported
+    assert r.details["budget_valid"] == 0
+    assert not any(k.startswith("circuit") for k in r.details)
 
 
 def test_outerplanar_buddy_branch():
@@ -302,6 +305,25 @@ def test_gadget_pipelines_make_no_networkx_call(planarity_calls):
     assert reduce_outerplanar(K2, 5).details["branch"] == "buddy"
     assert reduce_planar(K3, 6).equal and reduce_planar(K2, 4).equal
     assert planarity_calls == []
+
+
+def test_circuit_disagreement_is_caught(monkeypatch):
+    real = reductions.circ.eval_symbolic
+
+    def off_by_one(c, oracles=None):
+        return real(c, oracles) + Polynomial.constant(1)
+
+    monkeypatch.setattr(reductions.circ, "eval_symbolic", off_by_one)
+    with pytest.raises(PipelineIntegrityError, match="circuit route"):
+        reduce_trees(K2, K4)
+    with pytest.raises(PipelineIntegrityError, match="circuit route"):
+        reduce_genus(K3, 1, 4)
+    for r, branch in ((reduce_outerplanar(K3, 6), "triangle"),
+                      (reduce_outerplanar(K2, 5), "buddy"),
+                      (reduce_planar(K2, 6), None)):
+        assert not r.equal
+        assert "circuit route" in r.details["calibration_failure"]
+        assert r.details.get("branch") == branch
 
 
 def test_genus_pipeline():
