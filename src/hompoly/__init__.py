@@ -11,8 +11,8 @@ from .graphs import (CYCLE, CLIQUE, OUTERPLANAR, PLANAR, TREE, Graph,
                      hom_to_single_edge, recognize, class_edge_subsets)
 from .poly import (Polynomial, edge_var, loop_var, vertex_var, aux_var,
                    var_to_str, var_from_str)
-from .genfun import (VariableModel, WeightedGraph, generating_function,
-                     hom_poly, oracle_uhc, oracle_clique, oracle_matching)
+from .genfun import (VariableModel, generating_function, hom_poly,
+                     oracle_uhc, oracle_clique, oracle_matching)
 from .circuit import (Circuit, CircuitBuilder, eval_symbolic, extract_homc,
                       interpolate_homc, lagrange_weights, size)
 from .reductions import (Classification, ReductionReport, classify,

@@ -3,7 +3,8 @@
 All structured output is JSON with sorted keys.  Exit codes: 0 on success
 (and all lemmas passing for verify), 1 when a verification mismatch occurs,
 2 on usage or input errors.  Report files are byte-stable across runs and
-parallelism settings; wall-clock timings are only included with --timings.
+parallelism settings.  The verify runner times each lemma call; those wall
+times are only included with --timings.
 """
 
 from __future__ import annotations
@@ -96,37 +97,27 @@ def cmd_genus(args) -> int:
     return 0
 
 
+def _or(value, default):
+    return default if value is None else value  # an explicit 0 stays 0
+
+
 def _run_lemma(lemma: str, args) -> reductions.ReductionReport:
     h = _load_graph(args.h_file) if args.h_file else None
     if lemma == "cycles-even":
-        return reductions.reduce_cycles(h or Graph.single_edge(), args.n or 4)
+        return reductions.reduce_cycles(h or Graph.single_edge(), _or(args.n, 4))
     if lemma == "tree-matching":
         return reductions.reduce_trees(h or Graph.single_edge(),
                                        TARGETS[args.target])
     if lemma == "outerplanar-star":
-        return reductions.reduce_outerplanar(h or Graph.complete(3), args.n or 6)
+        return reductions.reduce_outerplanar(h or Graph.complete(3), _or(args.n, 6))
     if lemma == "planar-permutation":
-        return reductions.reduce_planar(h or Graph.complete(3), args.m or 4)
+        return reductions.reduce_planar(h or Graph.complete(3), _or(args.m, 4))
     if lemma == "genus-block":
-        return _genus_block_report()
+        return reductions.genus_block_report()
     if lemma == "genus-chain":
         return reductions.reduce_genus(h or Graph.complete(3),
-                                       args.k or 1, args.m or 4)
+                                       _or(args.k, 1), _or(args.m, 4))
     raise ValueError(lemma)
-
-
-def _genus_block_report() -> reductions.ReductionReport:
-    t0 = time.perf_counter()
-    certs = reductions.block_certificates()
-    ok = (not certs["planar"] and certs["minor"] is not None
-          and certs["min_genus"] == 1)
-    zero = Polynomial.zero()
-    return reductions.ReductionReport(
-        "genus-block", {}, zero, zero, ok, wall_time=time.perf_counter() - t0,
-        details={"planar": certs["planar"], "min_genus": certs["min_genus"],
-                 "minor_kind": certs["minor"]["kind"] if certs["minor"] else None,
-                 "rotation": certs["rotation"],
-                 "search_space": certs["search_space"]})
 
 
 def _report_table(reports) -> str:
@@ -146,11 +137,18 @@ def cmd_verify(args) -> int:
             print(f"unknown lemma id {lemma!r}; known: {', '.join(LEMMAS)}",
                   file=sys.stderr)
             return 2
+
+    def run(name: str) -> reductions.ReductionReport:
+        t0 = time.perf_counter()
+        report = _run_lemma(name, args)
+        report.wall_time = time.perf_counter() - t0
+        return report
+
     if args.parallelism > 1:
         with ThreadPoolExecutor(max_workers=args.parallelism) as pool:
-            reports = list(pool.map(lambda name: _run_lemma(name, args), lemmas))
+            reports = list(pool.map(run, lemmas))
     else:
-        reports = [_run_lemma(name, args) for name in lemmas]
+        reports = [run(name) for name in lemmas]
     reports.sort(key=lambda r: r.lemma_id)
 
     payload = _dump({"reports": [r.to_json_obj(include_timing=args.timings)

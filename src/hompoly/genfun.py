@@ -1,10 +1,12 @@
 """Generating functions over graph classes and the brute-force oracle suite.
 
-generating_function sums, over the edge subsets of a weighted graph whose
-spanning subgraph lies in the class, the product of the selected edge
-weights (and, in the edge-and-vertex model, the vertex variables of every
-endpoint).  hom_poly additionally keeps only subsets whose nontrivial
-component admits a homomorphism into a fixed target H.
+generating_function sums, over the edge subsets of a graph whose spanning
+subgraph lies in the class, the product of the selected edge variables (and,
+in the edge-and-vertex model, the vertex variables of every endpoint).
+hom_poly additionally keeps only subsets whose nontrivial component admits a
+homomorphism into a fixed target H.  Both sum with subsets_to_poly, as do the
+reduction pipelines.  A weighted host is a projection (Valiant 1979): the
+substitution of its weights for the edge variables, by Polynomial.substitute.
 
 The oracles at the bottom generate Hamiltonian cycles, cliques and perfect
 matchings by direct combinatorial generation, never through the class
@@ -18,14 +20,14 @@ import enum
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
 
 from .errors import BudgetExceededError
-from .graphs import (Graph, GraphClass, canonical_edge, class_edge_subsets,
-                     is_homomorphic)
-from .poly import Coeff, Polynomial, VarId, edge_var, vertex_var
+from .graphs import Graph, GraphClass, class_edge_subsets, is_homomorphic
+from .poly import Polynomial, edge_var, vertex_var
 
 DEFAULT_GF_EDGE_BUDGET = 21
+UHC_ORACLE_MAX_N = 9
+CLIQUE_ORACLE_MAX_N = 7
 
 
 class VariableModel(enum.Enum):
@@ -40,102 +42,53 @@ def parse_model(name: str) -> VariableModel:
     raise ValueError(f"unknown variable model {name!r}")
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
-    """Graph with an edge weight map; default weight is the edge's own variable."""
-    graph: Graph
-    weights: tuple = ()  # ((edge, VarId|Coeff), ...)
-
-    @classmethod
-    def make(cls, graph: Graph, weights: dict | None = None) -> "WeightedGraph":
-        wmap = {}
-        for e in graph.edges:
-            wmap[e] = edge_var(*e)
-        for e, w in (weights or {}).items():
-            e = canonical_edge(*e)
-            if e not in graph.edges:
-                raise ValueError(f"weight for missing edge {e}")
-            wmap[e] = w
-        return cls(graph, tuple(sorted(wmap.items())))
-
-    def support_edges(self) -> list:
-        """Edges with a nonzero weight, in canonical order."""
-        return [e for e, w in self.weights if isinstance(w, tuple) or w]
-
-
-def _subset_monomial(wmap: dict, subset, model: VariableModel):
-    """(monomial-dict, coefficient) for one selected edge subset, with wmap
-    the edge -> weight map of the host."""
-    coeff: Coeff = 1
-    mono: dict[VarId, int] = {}
-    touched: set[int] = set()
-    for e in subset:
-        w = wmap[e]
-        if isinstance(w, tuple):
-            mono[w] = mono.get(w, 0) + 1
-        else:
-            coeff *= w
-            if not coeff:
-                return None
-        touched.add(e[0])
-        touched.add(e[1])
-    if model is VariableModel.EDGE_AND_VERTEX:
-        for v in touched:
-            mono[vertex_var(v)] = mono.get(vertex_var(v), 0) + 1
-    return mono, coeff
-
-
-def _assemble(wg: WeightedGraph, subsets, model: VariableModel,
-              hom_target: Graph | None) -> Polynomial:
-    # the subsets come canonical from class_edge_subsets, so the graphs
-    # handed to the homomorphism test skip Graph.make's validation
+def subsets_to_poly(subsets, model: VariableModel = VariableModel.EDGE_ONLY
+                    ) -> Polynomial:
+    """Sum over the edge subsets of the product of their edge variables
+    (and, in the edge-and-vertex model, the vertex variables of every
+    endpoint); a subset listed twice counts twice.  Each edge is mapped to
+    its variable once per call, on first sight."""
+    with_vertices = model is VariableModel.EDGE_AND_VERTEX
+    evars: dict = {}
     terms: dict = {}
-    n = wg.graph.n
-    wmap = dict(wg.weights)
     for es in subsets:
-        if hom_target is not None:
-            if not is_homomorphic(Graph(n, es), hom_target):
-                continue
-        mc = _subset_monomial(wmap, sorted(es), model)
-        if mc is None:
-            continue
-        mono, coeff = mc
-        key = tuple(sorted(mono.items()))
-        terms[key] = terms.get(key, 0) + coeff
+        mono = [(evars.get(e) or evars.setdefault(e, edge_var(*e)), 1) for e in es]
+        if with_vertices:
+            mono += [(vertex_var(x), 1) for x in {x for e in es for x in e}]
+        key = tuple(sorted(mono))
+        terms[key] = terms.get(key, 0) + 1
     return Polynomial(terms)
 
 
-def generating_function(wg: WeightedGraph | Graph, cls: GraphClass,
+def generating_function(g: Graph, cls: GraphClass,
                         model: VariableModel = VariableModel.EDGE_ONLY,
                         budget: int = DEFAULT_GF_EDGE_BUDGET) -> Polynomial:
-    """Sum over class subsets of the support of the product of edge weights."""
-    if isinstance(wg, Graph):
-        wg = WeightedGraph.make(wg)
-    support = Graph.make(wg.graph.n, wg.support_edges())
-    return _assemble(wg, class_edge_subsets(support, cls, budget), model, None)
+    """Sum over the edge subsets of g in the class of their monomials; a
+    weighted g is this polynomial with its weights substituted."""
+    return subsets_to_poly(class_edge_subsets(g, cls, budget), model)
 
 
 def hom_poly(h: Graph, n: int, cls: GraphClass,
              model: VariableModel = VariableModel.EDGE_ONLY,
-             budget: int = DEFAULT_GF_EDGE_BUDGET,
-             weighted: WeightedGraph | None = None) -> Polynomial:
-    """Class generating function over K_n (or a weighted host) restricted to
-    subgraphs whose nontrivial component is homomorphic to h."""
-    wg = weighted if weighted is not None else WeightedGraph.make(Graph.complete(n))
-    if wg.graph.n != n:
-        raise ValueError("weighted host has the wrong vertex count")
-    support = Graph.make(n, wg.support_edges())
-    return _assemble(wg, class_edge_subsets(support, cls, budget), model, h)
+             budget: int = DEFAULT_GF_EDGE_BUDGET) -> Polynomial:
+    """Class generating function over K_n restricted to subgraphs whose
+    nontrivial component is homomorphic to h; a weighted host is a
+    substitution into it.  The subsets come canonical from
+    class_edge_subsets, so their graphs skip Graph.make's validation."""
+    subsets = class_edge_subsets(Graph.complete(n), cls, budget)
+    return subsets_to_poly((es for es in subsets if is_homomorphic(Graph(n, es), h)),
+                           model)
 
 
 # -- independent oracles -------------------------------------------------------
 
-def oracle_uhc(n: int, budget: int = 9) -> Polynomial:
+def oracle_uhc(n: int) -> Polynomial:
     """All Hamiltonian cycles of K_n as edge monomials; (n-1)!/2 terms."""
     if n < 3:
         raise ValueError("Hamiltonian cycles need n >= 3")
-    if n > budget:
-        raise BudgetExceededError(f"n={n} exceeds the cycle oracle budget {budget}")
+    if n > UHC_ORACLE_MAX_N:
+        raise BudgetExceededError(
+            f"n={n} exceeds the cycle oracle budget {UHC_ORACLE_MAX_N}")
     terms = {}
     for p in itertools.permutations(range(1, n)):
         if p[0] > p[-1]:
@@ -147,10 +100,11 @@ def oracle_uhc(n: int, budget: int = 9) -> Polynomial:
     return Polynomial(terms)
 
 
-def oracle_clique(n: int, budget: int = 7) -> Polynomial:
+def oracle_clique(n: int) -> Polynomial:
     """All cliques of K_n on at least two vertices."""
-    if n > budget:
-        raise BudgetExceededError(f"n={n} exceeds the clique oracle budget {budget}")
+    if n > CLIQUE_ORACLE_MAX_N:
+        raise BudgetExceededError(
+            f"n={n} exceeds the clique oracle budget {CLIQUE_ORACLE_MAX_N}")
     terms = {}
     for size in range(2, n + 1):
         for verts in itertools.combinations(range(n), size):

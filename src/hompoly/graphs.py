@@ -39,6 +39,8 @@ class Graph:
 
     @classmethod
     def make(cls, n, edges=(), loops=(), labels=None) -> "Graph":
+        if n < 0:
+            raise ValueError(f"vertex count {n} is negative")
         es = frozenset(canonical_edge(u, v) for u, v in edges)
         ls = frozenset(loops)
         for u, v in es:
@@ -234,7 +236,7 @@ def parse_class(name: str, k: int | None = None) -> GraphClass:
     raise ValueError(f"unknown graph class {name!r}")
 
 
-def _component_shape_ok(comp: Graph, cls: GraphClass, budget: int) -> bool:
+def _component_shape_ok(comp: Graph, cls: GraphClass) -> bool:
     # comp is connected with >= 2 vertices and no loops
     v, m = comp.n, len(comp.edges)
     if cls.kind == "cycle":
@@ -253,18 +255,19 @@ def _component_shape_ok(comp: Graph, cls: GraphClass, budget: int) -> bool:
             return topo.is_planar(comp)
         if topo.is_planar(comp):
             return False
-        return topo.min_genus(comp, budget=budget) == cls.genus
+        return topo.min_genus(comp) == cls.genus
     raise ValueError(f"unknown class kind {cls.kind}")
 
 
-def recognize(g: Graph, cls: GraphClass, budget: int = 10 ** 6) -> bool:
-    """Exactly one component has the class shape; the rest are single vertices."""
+def recognize(g: Graph, cls: GraphClass) -> bool:
+    """Exactly one component has the class shape; the rest are single vertices.
+    A genus class past topo.DEFAULT_GENUS_BUDGET raises BudgetExceededError."""
     if g.loops:
         return False
     nontrivial = [c for c in g.components() if len(c) > 1]
     if len(nontrivial) != 1:
         return False
-    return _component_shape_ok(g.induced(nontrivial[0]), cls, budget)
+    return _component_shape_ok(g.induced(nontrivial[0]), cls)
 
 
 # -- homomorphism search ------------------------------------------------------
@@ -407,9 +410,9 @@ def _edge_mask(edges: frozenset, order: dict) -> int:
     return m
 
 
-def subset_in_class(n: int, es: list, cls: GraphClass, budget: int = 10 ** 6) -> bool:
+def subset_in_class(n: int, es: list, cls: GraphClass) -> bool:
     """recognize on the n-vertex graph with the given edge list."""
-    return recognize(Graph.make(n, es), cls, budget)
+    return recognize(Graph.make(n, es), cls)
 
 
 def class_edge_subsets(g: Graph, cls: GraphClass, budget: int) -> list[frozenset]:

@@ -3,9 +3,9 @@
 Each pipeline builds a class generating function over a gadget, applies the
 filtering operations (enforce, deny, homogeneous-component slices, edge
 contraction, exact division) and compares the result against an independent
-brute-force oracle.  Pipelines run their extraction steps twice where
-affordable: once as direct polynomial operations and once through
-interpolation circuits with oracle gates, and both routes must agree.
+brute-force oracle.  Pipelines always run their extraction steps twice:
+once as direct polynomial operations and once through interpolation
+circuits with oracle gates, and both routes must agree.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import copy
 import itertools
 import threading
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,7 +23,7 @@ from .gadgets import (amalgam_chain, buddy_transform, end_edges,
                       genus_block, planar_gadget, star_gadget,
                       subdivide_and_buddy_planar, fold_block_to_edge_certificate)
 from .genfun import (hom_poly, hom_poly_oracle_id, oracle_matching, oracle_uhc,
-                     graph_key)
+                     graph_key, subsets_to_poly)
 from .graphs import (CYCLE, CLIQUE, OUTERPLANAR, PLANAR, TREE, Graph,
                      GraphClass, all_edges, canonical_edge, genus_class,
                      hom_to_single_edge, is_homomorphic, recognize)
@@ -120,7 +119,7 @@ class ReductionReport:
     expected: Polynomial
     equal: bool
     circuit_size: int | None = None
-    wall_time: float = 0.0
+    wall_time: float = 0.0  # seconds; set by the verify runner
     details: dict = field(default_factory=dict)
     caveat: str | None = None
 
@@ -187,13 +186,13 @@ def _vac0_report(lemma_id: str, params: dict, reason: str) -> ReductionReport:
 
 
 def _calibration_failure(lemma_id: str, params: dict, expected: Polynomial,
-                         details: dict, exc: PipelineIntegrityError,
-                         t0: float) -> ReductionReport:
+                         details: dict, exc: PipelineIntegrityError
+                         ) -> ReductionReport:
     """A mis-calibrated budget breaks the structural checks or the exact
     divisions of a gadget pipeline; report it instead of passing silently."""
     details["calibration_failure"] = str(exc)
     return ReductionReport(lemma_id, params, Polynomial.zero(), expected, False,
-                           None, time.perf_counter() - t0, details)
+                           details=details)
 
 
 # -- enforced enumeration shared by the gadget pipelines -----------------------------
@@ -220,36 +219,28 @@ def budget_survivors(nvert: int, enforced, free, pick: int, class_check,
     return out
 
 
-def subsets_to_poly(subsets) -> Polynomial:
-    terms = {}
-    for es in subsets:
-        mono = tuple(sorted((edge_var(*e), 1) for e in es))
-        terms[mono] = terms.get(mono, 0) + 1
-    return Polynomial(terms)
-
-
 def _edge_vars_at(v: int, others) -> list:
     return [edge_var(v, w) for w in others if w != v]
 
 
-def _slice(p: Polynomial, filters, oracle_id: str, with_circuit: bool,
+def _slice(p: Polynomial, filters, oracle_id: str, check: bool,
            details: dict) -> tuple[Polynomial, int | None]:
     """Apply the (vars, k) homogeneous-component filters to p in order; the
-    sliced polynomial and the circuit size (None without with_circuit).
+    sliced polynomial and the circuit size (None when check is false).
 
-    With with_circuit the same filter list is re-run through interpolation
-    circuits: p is bound to an oracle gate and one interpolation is nested
-    per filter, each of degree max(k, degree of p in vars).  The evaluated
-    circuit must equal the direct slices, else PipelineIntegrityError;
-    records the sizes per nesting level and returns the final one.  Callers
-    choose when the check runs: the gadget pipelines skip it on an empty p,
-    so a mis-calibrated budget adds no circuit keys, while the tree pipeline
-    checks an empty p too.
+    The same filter list is re-run through interpolation circuits: p is
+    bound to an oracle gate and one interpolation is nested per filter, each
+    of degree max(k, degree of p in vars).  The evaluated circuit must equal
+    the direct slices, else PipelineIntegrityError; records the sizes per
+    nesting level and returns the final one.  check is only the
+    empty-polynomial guard: the gadget pipelines pass bool(p), so a
+    mis-calibrated budget with no survivors adds no circuit keys, while the
+    tree pipeline always passes True and checks an empty p too.
     """
     sliced = p
     for vars, k in filters:
         sliced = sliced.homogeneous_component(vars, k)
-    if not with_circuit:
+    if not check:
         return sliced, None
     c = circ.oracle_call_circuit(oracle_id, tuple(sorted(p.variables())))
     sizes = [circ.size(c)]
@@ -265,11 +256,10 @@ def _slice(p: Polynomial, filters, oracle_id: str, with_circuit: bool,
 
 # -- cycles -------------------------------------------------------------------------
 
-def reduce_cycles(h: Graph, n: int, with_circuit: bool = True) -> ReductionReport:
+def reduce_cycles(h: Graph, n: int) -> ReductionReport:
     """Slice the cycle polynomial at the even length and, for odd n, contract
     one enforced edge of the one-larger host; compare with the Hamiltonian
     cycle oracle."""
-    t0 = time.perf_counter()
     params = {"n": n, "h": h.to_json_obj()}
     cls = classify(h, CYCLE)
     if cls.kind != "VNPComplete":
@@ -293,40 +283,33 @@ def reduce_cycles(h: Graph, n: int, with_circuit: bool = True) -> ReductionRepor
         details["branch"] = "odd-contraction"
     expected = oracle_uhc(n)
 
-    csize = None
-    if with_circuit:
-        oid = hom_poly_oracle_id(h, host, CYCLE)
-        k = n if details["branch"] != "odd-contraction" else host
-        c = circ.extract_homc(oid, evars, evars, k, host)
-        sizes = [circ.size(c)]
-        if details["branch"] == "odd-contraction":
-            c = circ.interpolate_homc(c, [edge_var(0, n)], 1, 1)
-            sizes.append(circ.size(c))
-            mapping = {edge_var(i, n): edge_var(0, i) for i in range(1, n)}
-            mapping[edge_var(0, n)] = 1
-            c = circ.substitute_vars(c, mapping)
-            c = circ.scale_circuit(c, Fraction(1, 2))
-        via_circuit = circ.eval_symbolic(c, {oid: F})
-        if via_circuit != produced:
-            raise PipelineIntegrityError("circuit route disagrees with direct route")
-        csize = circ.size(c)
-        details["circuit_sizes"] = sizes
-        details["circuit_agrees"] = True
+    oid = hom_poly_oracle_id(h, host, CYCLE)
+    k = n if details["branch"] != "odd-contraction" else host
+    c = circ.extract_homc(oid, evars, evars, k, host)
+    sizes = [circ.size(c)]
+    if details["branch"] == "odd-contraction":
+        c = circ.interpolate_homc(c, [edge_var(0, n)], 1, 1)
+        sizes.append(circ.size(c))
+        mapping = {edge_var(i, n): edge_var(0, i) for i in range(1, n)}
+        mapping[edge_var(0, n)] = 1
+        c = circ.substitute_vars(c, mapping)
+        c = circ.scale_circuit(c, Fraction(1, 2))
+    if circ.eval_symbolic(c, {oid: F}) != produced:
+        raise PipelineIntegrityError("circuit route disagrees with direct route")
+    details["circuit_sizes"] = sizes
+    details["circuit_agrees"] = True
 
     return ReductionReport("cycles-even", params, produced, expected,
-                           produced == expected, csize, time.perf_counter() - t0,
-                           details)
+                           produced == expected, circ.size(c), details=details)
 
 
 def contraction_transfer_check(n: int) -> ReductionReport:
     """contract_enforced_edge on the (n+1)-vertex Hamiltonian polynomial must
     reproduce the n-vertex one, with the factor-two integrality assertion."""
-    t0 = time.perf_counter()
     produced = contract_enforced_edge(oracle_uhc(n + 1), (0, n))
     expected = oracle_uhc(n)
     return ReductionReport("cycles-even", {"n": n, "phase": "transfer"},
-                           produced, expected, produced == expected,
-                           wall_time=time.perf_counter() - t0)
+                           produced, expected, produced == expected)
 
 
 # -- cliques ------------------------------------------------------------------------
@@ -443,8 +426,7 @@ def gadget_tree_poly(target: Graph, node_budget: int = DEFAULT_TREE_NODE_BUDGET
 
 
 def reduce_trees(h: Graph, target: Graph,
-                 node_budget: int = DEFAULT_TREE_NODE_BUDGET,
-                 with_circuit: bool = True) -> ReductionReport:
+                 node_budget: int = DEFAULT_TREE_NODE_BUDGET) -> ReductionReport:
     """Recover the perfect matchings of the target from the tree polynomial
     of the matching gadget in the edge-and-vertex model.
 
@@ -461,7 +443,6 @@ def reduce_trees(h: Graph, target: Graph,
     An odd target has no perfect matching: the result is zero, with nothing
     to search and the circuit check reported as skipped.
     """
-    t0 = time.perf_counter()
     params = {"target": target.to_json_obj(), "h": h.to_json_obj()}
     if target.loops:
         raise ValueError("matching target must be loopless")
@@ -483,8 +464,7 @@ def reduce_trees(h: Graph, target: Graph,
     csize = None
     if tn % 2:
         sliced = Polynomial.zero()
-        if with_circuit:
-            details["circuit"] = "skipped: odd target has no perfect matching"
+        details["circuit"] = "skipped: odd target has no perfect matching"
     else:
         P, details["dfs_nodes"] = gadget_tree_poly(target, node_budget)
         details["tree_terms"] = len(P)
@@ -493,8 +473,8 @@ def reduce_trees(h: Graph, target: Graph,
         filters = [([vertex_var(tn + k) for k in range(len(tedges))], tn // 2),
                    ([vertex_var(v) for v in range(tn)], tn),
                    ([vertex_var(s)], 1)]
-        sliced, csize = _slice(P, filters, f"trees:{graph_key(target)}",
-                               with_circuit, details)
+        sliced, csize = _slice(P, filters, f"trees:{graph_key(target)}", True,
+                               details)
 
     # every tree is bipartite, hence homomorphic to any H with an edge; the
     # class polynomial's homomorphism filter is checked on the survivors
@@ -516,18 +496,16 @@ def reduce_trees(h: Graph, target: Graph,
     expected = oracle_matching(target)
 
     return ReductionReport("tree-matching", params, produced, expected,
-                           produced == expected, csize, time.perf_counter() - t0,
-                           details)
+                           produced == expected, csize, details=details)
 
 
 # -- outerplanar ---------------------------------------------------------------------
 
-def reduce_outerplanar(h: Graph, n: int, budget: int | None = None,
-                       with_circuit: bool = True) -> ReductionReport:
+def reduce_outerplanar(h: Graph, n: int, budget: int | None = None
+                       ) -> ReductionReport:
     """Star-gadget pipeline: enforce the center star and the total edge
     budget, fix the two designated path endpoints, then glue them to turn
     the surviving outer paths into the Hamiltonian cycles of K_{n-2}."""
-    t0 = time.perf_counter()
     params = {"n": n, "h": h.to_json_obj()}
     cls = classify(h, OUTERPLANAR)
     if cls.kind != "VNPComplete" or not h.edges:
@@ -541,20 +519,20 @@ def reduce_outerplanar(h: Graph, n: int, budget: int | None = None,
     expected = oracle_uhc(n - 2)
     try:
         if direct:
-            produced, csize, det = _outerplanar_direct(h, n, budget, with_circuit)
+            produced, csize, det = _outerplanar_direct(h, n, budget)
         else:
             if n > 6:
                 raise ValueError("the buddy branch supports n <= 6")
-            produced, csize, det = _outerplanar_buddy(h, n, budget, with_circuit)
+            produced, csize, det = _outerplanar_buddy(h, n, budget)
         details.update(det)
     except PipelineIntegrityError as exc:
         return _calibration_failure("outerplanar-star", params, expected, details,
-                                    exc, t0)
+                                    exc)
     equal = produced == expected
     if not equal:
         details["calibration_failure"] = details.get("calibration_failure", True)
     return ReductionReport("outerplanar-star", params, produced, expected, equal,
-                           csize, time.perf_counter() - t0, details)
+                           csize, details=details)
 
 
 def _glue_endpoints(p: Polynomial, drop_to_one, a: int, b: int,
@@ -567,7 +545,7 @@ def _glue_endpoints(p: Polynomial, drop_to_one, a: int, b: int,
     return divide_integral(p, 2, "gluing endpoints")
 
 
-def _outerplanar_direct(h: Graph, n: int, budget, with_circuit):
+def _outerplanar_direct(h: Graph, n: int, budget):
     gadget = star_gadget(n, budget)
     center, a, b = gadget.role("center"), gadget.role("glue-a"), gadget.role("glue-b")
     outer = [v for v in range(n) if v != center]
@@ -579,8 +557,7 @@ def _outerplanar_direct(h: Graph, n: int, budget, with_circuit):
     details = {"budget_valid": len(p_budget), "budget": gadget.budget}
     p_pts, csize = _slice(
         p_budget, [(_edge_vars_at(a, outer), 1), (_edge_vars_at(b, outer), 1)],
-        f"star-budget:n{n}:h{graph_key(h)}", with_circuit and bool(p_budget),
-        details)
+        f"star-budget:n{n}:h{graph_key(h)}", bool(p_budget), details)
     details["endpoint_valid"] = len(p_pts)
     _verify_star_survivors(p_pts, n, center, a, b, outer)
     glued = _glue_endpoints(p_pts, sorted(gadget.enforced), a, b,
@@ -607,7 +584,7 @@ def _verify_star_survivors(p_pts: Polynomial, n, center, a, b, outer) -> None:
             raise PipelineIntegrityError("survivor is not outerplanar")
 
 
-def _outerplanar_buddy(h: Graph, n: int, budget, with_circuit):
+def _outerplanar_buddy(h: Graph, n: int, budget):
     base = star_gadget(n, budget)
     gadget = buddy_transform(base)
     N = gadget.graph.n
@@ -634,8 +611,7 @@ def _outerplanar_buddy(h: Graph, n: int, budget, with_circuit):
                "support_bipartite": hom_to_single_edge(gadget.graph)}
     p_pts, csize = _slice(
         p_budget, [(pair_conn_vars(a), 1), (pair_conn_vars(b), 1)],
-        f"buddy-budget:n{n}:h{graph_key(h)}", with_circuit and bool(p_budget),
-        details)
+        f"buddy-budget:n{n}:h{graph_key(h)}", bool(p_budget), details)
     details["endpoint_valid"] = len(p_pts)
 
     # contract the buddy pairs: pair edges to one, buddies relabeled onto
@@ -653,14 +629,12 @@ def _outerplanar_buddy(h: Graph, n: int, budget, with_circuit):
 
 # -- planar --------------------------------------------------------------------------
 
-def reduce_planar(h: Graph, m: int, budget: int | None = None,
-                  with_circuit: bool = True) -> ReductionReport:
+def reduce_planar(h: Graph, m: int, budget: int | None = None) -> ReductionReport:
     """Apex-gadget pipeline: with all apex edges enforced and m-1 middle
     edges allowed, the planar survivors are exactly the Hamiltonian paths on
     the middle clique (m!/2 of them); for m >= 6 the designated end edges
     and endpoint degrees are enforced and the second/second-to-last vertices
     are glued, recovering the Hamiltonian cycles on m-3 vertices."""
-    t0 = time.perf_counter()
     params = {"m": m, "h": h.to_json_obj()}
     cls = classify(h, PLANAR)
     if cls.kind != "VNPComplete" or not h.edges:
@@ -669,14 +643,16 @@ def reduce_planar(h: Graph, m: int, budget: int | None = None,
     if m < 3 or m > 6:
         raise ValueError("planar pipeline supports 3 <= m <= 6")
 
+    details: dict = {}
     try:
-        return _planar_body(h, m, budget, with_circuit, params, t0)
+        return _planar_body(h, m, budget, params, details)
     except PipelineIntegrityError as exc:
         return _calibration_failure("planar-permutation", params, Polynomial.zero(),
-                                    {}, exc, t0)
+                                    details, exc)
 
 
-def _planar_body(h, m, budget, with_circuit, params, t0) -> ReductionReport:
+def _planar_body(h, m, budget, params, details: dict) -> ReductionReport:
+    # fills the caller's details, so a calibration failure keeps them
     gadget = planar_gadget(m, budget)
     nvert = gadget.graph.n
     pick = gadget.budget - len(gadget.enforced)
@@ -685,7 +661,7 @@ def _planar_body(h, m, budget, with_circuit, params, t0) -> ReductionReport:
         nvert, gadget.enforced, gadget.free_edges(), pick,
         lambda g: recognize(g, PLANAR),
         hom_target=h if triangle_branch else None)
-    details: dict = {"budget": gadget.budget, "middle_valid": len(survivors)}
+    details.update(budget=gadget.budget, middle_valid=len(survivors))
 
     expected_paths = _ham_path_sets(range(m))
     got_middle = {frozenset(e for e in es if e[1] < m) for es in survivors}
@@ -716,7 +692,7 @@ def _planar_body(h, m, budget, with_circuit, params, t0) -> ReductionReport:
         filters = [([edge_var(*e_left)], 1), ([edge_var(*e_right)], 1),
                    (_edge_vars_at(lo, mids), 1), (_edge_vars_at(ro, mids), 1)]
         p_glue, csize = _slice(p_mid, filters, f"planar-budget:m{m}:h{graph_key(h)}",
-                               with_circuit and bool(p_mid), details)
+                               bool(p_mid), details)
         details["glue_survivors"] = len(p_glue)
 
         ga, gb = gadget.role("glue-a"), gadget.role("glue-b")
@@ -729,7 +705,7 @@ def _planar_body(h, m, budget, with_circuit, params, t0) -> ReductionReport:
         produced, expected = glued, uhc
 
     return ReductionReport("planar-permutation", params, produced, expected, equal,
-                           csize, time.perf_counter() - t0, details)
+                           csize, details=details)
 
 
 def _ham_path_sets(vertices) -> set:
@@ -781,6 +757,22 @@ def block_certificates() -> dict:
     return copy.deepcopy(_block_certificate())
 
 
+def genus_block_report() -> ReductionReport:
+    """The block certificates as a report.  Its verdict, which reduce_genus
+    reads too: the block is not planar, has a Kuratowski minor, and has
+    least genus one."""
+    certs = block_certificates()
+    ok = (not certs["planar"] and certs["minor"] is not None
+          and certs["min_genus"] == 1)
+    zero = Polynomial.zero()
+    return ReductionReport(
+        "genus-block", {}, zero, zero, ok,
+        details={"planar": certs["planar"], "min_genus": certs["min_genus"],
+                 "minor_kind": certs["minor"]["kind"] if certs["minor"] else None,
+                 "rotation": certs["rotation"],
+                 "search_space": certs["search_space"]})
+
+
 def chain_rotation(k: int, subdivide: bool = False) -> dict:
     """Concatenated rotation system for the k-block chain.
 
@@ -815,13 +807,12 @@ def chain_rotation(k: int, subdivide: bool = False) -> dict:
     return {"genus": genus, "rotation": rot, "graph": chain}
 
 
-def reduce_genus(h: Graph, k: int, m: int, with_circuit: bool = True) -> ReductionReport:
+def reduce_genus(h: Graph, k: int, m: int) -> ReductionReport:
     """Chain of k genus blocks with the planar gadget amalgamated at the free
     end.  The block chain is certified non-planar with an explicit embedding
     of genus k; genus additivity over one-vertex amalgams then pins the class
     test down to planarity of the apex portion, which reruns the permutation
     lemma and the endpoint glue under the genus-k budget."""
-    t0 = time.perf_counter()
     params = {"k": k, "m": m, "h": h.to_json_obj()}
     cls = classify(h, genus_class(k))
     if cls.kind != "VNPComplete" or not h.edges:
@@ -831,12 +822,11 @@ def reduce_genus(h: Graph, k: int, m: int, with_circuit: bool = True) -> Reducti
         raise ValueError("genus pipeline supports k in {1,2}, 4 <= m <= 5")
 
     details: dict = {}
-    certs = block_certificates()
-    details["block"] = {"planar": certs["planar"], "min_genus": certs["min_genus"],
-                        "minor": None if certs["minor"] is None
-                        else certs["minor"]["kind"]}
-    structural_ok = (not certs["planar"] and certs["minor"] is not None
-                     and certs["min_genus"] == 1)
+    block = genus_block_report()
+    details["block"] = {"planar": block.details["planar"],
+                        "min_genus": block.details["min_genus"],
+                        "minor": block.details["minor_kind"]}
+    structural_ok = block.equal
     details["lower_bound"] = "genus additivity over vertex amalgams, used as a black box"
 
     # the plain block contains a 4-clique, so unless that maps into h the
@@ -889,8 +879,7 @@ def reduce_genus(h: Graph, k: int, m: int, with_circuit: bool = True) -> Reducti
     pb = g.label("planar-end-right-outer")
     p_pts, csize = _slice(
         p_mid, [(_edge_vars_at(pa, mids), 1), (_edge_vars_at(pb, mids), 1)],
-        f"genus-budget:k{k}:m{m}:h{graph_key(h)}", with_circuit and bool(p_mid),
-        details)
+        f"genus-budget:k{k}:m{m}:h{graph_key(h)}", bool(p_mid), details)
     details["glue_survivors"] = len(p_pts)
 
     glued = _glue_endpoints(p_pts, sorted(gadget.enforced), pa, pb,
@@ -911,4 +900,4 @@ def reduce_genus(h: Graph, k: int, m: int, with_circuit: bool = True) -> Reducti
     if not structural_ok:
         caveat = "embedding or certificate search failed"
     return ReductionReport("genus-chain", params, glued, uhc, equal, csize,
-                           time.perf_counter() - t0, details, caveat)
+                           details=details, caveat=caveat)

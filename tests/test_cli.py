@@ -113,6 +113,22 @@ def test_unknown_lemma_rejected(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--lemma", "cycles-even", "--n", "0"],
+    ["--lemma", "planar-permutation", "--m", "0"],
+    ["--lemma", "genus-chain", "--k", "0"],
+])
+def test_verify_zero_size_is_not_the_default(argv, capsys):
+    # an explicit 0 reaches the pipeline, which rejects it
+    assert main(["verify"] + argv) == 2
+    assert "supports" in capsys.readouterr().err
+
+
+def test_poly_negative_n_exits_2(graph_files, capsys):
+    assert main(["poly", graph_files["k2"], "cycle", "--n", "-1"]) == 2
+    assert "negative" in capsys.readouterr().err
+
+
 def test_genus_command(tmp_path, capsys):
     p = tmp_path / "k5.json"
     p.write_text(json.dumps(Graph.complete(5).to_json_obj()))
@@ -168,6 +184,21 @@ def test_verify_report_roundtrip_and_determinism(tmp_path, capsys, monkeypatch):
         == sorted(r["lemma"] for r in data["reports"])
     assert main(["report", str(out1)]) == 0
     capsys.readouterr()
+
+
+def test_verify_timings(tmp_path, capsys):
+    args = ["verify", "--lemma", "cycles-even", "--lemma", "genus-block",
+            "--lemma", "planar-permutation", "--lemma", "tree-matching",
+            "--target", "c4"]
+    plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+    assert main(args + ["--out", str(plain)]) == 0
+    assert main(args + ["--out", str(timed), "--timings"]) == 0
+    capsys.readouterr()
+    data = json.loads(timed.read_text())
+    assert len(data["reports"]) == 4
+    for r in data["reports"]:
+        assert r.pop("wall_time_ms") > 0, r["lemma"]
+    assert data == json.loads(plain.read_text())
 
 
 def test_verify_exit_one_on_mismatch(tmp_path, capsys, monkeypatch):

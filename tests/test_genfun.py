@@ -6,7 +6,7 @@ import pytest
 
 from conftest import (brute_hamiltonian_cycles, brute_perfect_matchings,
                       poly_term_edge_sets)
-from hompoly import (CYCLE, CLIQUE, TREE, Graph, VariableModel, WeightedGraph,
+from hompoly import (CYCLE, CLIQUE, TREE, Graph, VariableModel,
                      generating_function, hom_poly, oracle_clique,
                      oracle_matching, oracle_uhc)
 from hompoly.errors import BudgetExceededError
@@ -29,16 +29,13 @@ def test_gf_single_edge_tree_with_vertices():
         monomial({edge_var(0, 1): 1, vertex_var(0): 1, vertex_var(1): 1}))
 
 
-def test_gf_zero_weight_edges_drop_out():
-    wg = WeightedGraph.make(Graph.complete(3), {(0, 1): 0})
-    p = generating_function(wg, CYCLE)
-    assert p.is_zero()
-
-
-def test_gf_numeric_weights():
-    wg = WeightedGraph.make(Graph.complete(3), {(0, 1): 2, (0, 2): 3, (1, 2): 5})
-    p = generating_function(wg, CYCLE)
-    assert p == Polynomial.constant(30)
+def test_gf_weights_are_projections():
+    # a weighted host is the class polynomial with its weights substituted:
+    # a zero weight drops every term through the edge, numbers multiply
+    p = generating_function(Graph.complete(3), CYCLE)
+    assert p.substitute({edge_var(0, 1): 0}).is_zero()
+    assert p.substitute({edge_var(0, 1): 2, edge_var(0, 2): 3,
+                         edge_var(1, 2): 5}) == Polynomial.constant(30)
 
 
 def test_hom_poly_bipartite_keeps_even_cycles_only():
@@ -117,13 +114,6 @@ def test_gf_budget_guard():
     from hompoly import OUTERPLANAR
     with pytest.raises(BudgetExceededError):
         generating_function(Graph.complete(6), OUTERPLANAR, budget=10)
-
-
-def test_hom_poly_on_weighted_host_equals_denial():
-    from hompoly.reductions import deny_edges
-    wg = WeightedGraph.make(Graph.complete(4), {(0, 1): 0})
-    restricted = hom_poly(K2, 4, CYCLE, weighted=wg)
-    assert restricted == deny_edges(hom_poly(K2, 4, CYCLE), [(0, 1)])
 
 
 def test_enumeration_order_deterministic():

@@ -22,6 +22,14 @@ def test_edges_are_canonicalized():
         Graph.make(2, [(0, 0)])
 
 
+def test_negative_vertex_count_rejected():
+    with pytest.raises(ValueError, match="negative"):
+        Graph.make(-1)
+    with pytest.raises(ValueError):
+        Graph.complete(-1)
+    assert Graph.make(0).n == 0
+
+
 def test_odd_cycle_not_homomorphic_to_edge():
     assert not is_homomorphic(Graph.cycle(3), K2)
     assert is_homomorphic(Graph.cycle(4), K2)

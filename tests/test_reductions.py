@@ -163,12 +163,12 @@ def test_tree_pipeline_odd_target_is_zero():
 def test_tree_pipeline_routes_agree():
     # the pruned search against the full tree generating function of the gadget
     from hompoly.reductions import gadget_tree_poly, tree_gadget_edges
-    from hompoly.genfun import generating_function, VariableModel, WeightedGraph
+    from hompoly.genfun import generating_function, VariableModel
     from hompoly.poly import vertex_var
     for target in (Graph.cycle(4), K4):
         tn = target.n
         gedges, nvert = tree_gadget_edges(target)
-        host = WeightedGraph.make(Graph.make(nvert, gedges))
+        host = Graph.make(nvert, gedges)
         P = generating_function(host, TREE, VariableModel.EDGE_AND_VERTEX,
                                 budget=len(gedges))
         ev = [vertex_var(tn + k) for k in range(len(target.edges))]
@@ -203,7 +203,7 @@ def test_gadget_tree_poly_terms_are_trees():
         # the slices keep exactly the trees of 3tn/2 edges
         full = sum(1 for mono, _ in P.terms()
                    if sum(v[0] == 'e' for v, _ in mono) == 3 * half)
-        assert reduce_trees(K2, target, with_circuit=False).details["survivors"] == full
+        assert reduce_trees(K2, target).details["survivors"] == full
 
 
 @st.composite
@@ -290,6 +290,9 @@ def test_planar_budget_calibration():
         r = reduce_planar(K3, 6, budget=off)
         assert not r.equal
         assert r.details.get("calibration_failure")
+        # the details recorded before the failure are kept
+        assert r.details["budget"] == off
+        assert r.details["expected_paths"] == 360
 
 
 def test_planar_bipartite_variant():
@@ -377,6 +380,19 @@ def test_block_certificates_are_copies():
     assert second != first
     assert second["min_genus"] == 1 and len(second["minor"]["branch_sets"]) == 6
     assert chain_rotation(1)["genus"] == 1
+
+
+def test_block_verdict_is_shared(monkeypatch):
+    # a block certificate of the wrong genus fails the block report and,
+    # through the same verdict, the chain pipeline
+    good = reductions.genus_block_report()
+    assert good.equal and good.details["minor_kind"] == "k33"
+    monkeypatch.setattr(reductions, "_block_cache",
+                        dict(block_certificates(), min_genus=2))
+    assert not reductions.genus_block_report().equal
+    r = reduce_genus(K3, 1, 4)
+    assert not r.equal and r.caveat
+    assert r.details["block"] == {"planar": False, "min_genus": 2, "minor": "k33"}
 
 
 def test_block_certificate_shared_by_threads(block_searches):
