@@ -29,11 +29,15 @@ def test_gf_single_edge_tree_with_vertices():
         monomial({edge_var(0, 1): 1, vertex_var(0): 1, vertex_var(1): 1}))
 
 
-def test_gf_weights_are_projections():
+def test_gf_zero_weight_edges_drop_out():
     # a weighted host is the class polynomial with its weights substituted:
-    # a zero weight drops every term through the edge, numbers multiply
+    # a zero weight drops every term through the edge
     p = generating_function(Graph.complete(3), CYCLE)
     assert p.substitute({edge_var(0, 1): 0}).is_zero()
+
+
+def test_gf_numeric_weights():
+    p = generating_function(Graph.complete(3), CYCLE)
     assert p.substitute({edge_var(0, 1): 2, edge_var(0, 2): 3,
                          edge_var(1, 2): 5}) == Polynomial.constant(30)
 
