@@ -10,7 +10,7 @@ from .graphs import (CYCLE, CLIQUE, OUTERPLANAR, PLANAR, TREE, Graph,
                      GraphClass, genus_class, is_homomorphic,
                      hom_to_single_edge, recognize, class_edge_subsets)
 from .poly import (Polynomial, edge_var, loop_var, vertex_var, aux_var,
-                   var_to_str, var_from_str)
+                   var_to_str)
 from .genfun import (VariableModel, generating_function, hom_poly,
                      oracle_uhc, oracle_clique, oracle_matching)
 from .circuit import (Circuit, CircuitBuilder, eval_symbolic, extract_homc,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Coeff, Monomial, Polynomial, VarId, var_from_str, var_to_str
+from .poly import Coeff, Monomial, Polynomial, VarId
 
 # gate encodings:
 #   ('const', Coeff)
@@ -34,43 +34,6 @@ class Circuit:
             if oid == oracle_id:
                 return vs
         raise KeyError(oracle_id)
-
-    def to_json_obj(self) -> dict:
-        gates = []
-        for i, g in enumerate(self.gates):
-            kind = g[0]
-            if kind == 'const':
-                gates.append({"id": i, "kind": "const", "value": str(Fraction(g[1]))})
-            elif kind == 'var':
-                gates.append({"id": i, "kind": "var", "var": var_to_str(g[1])})
-            elif kind in ('add', 'mul'):
-                gates.append({"id": i, "kind": kind, "inputs": list(g[1])})
-            else:
-                gates.append({"id": i, "kind": "oracle", "oracle": g[1],
-                              "inputs": list(g[2])})
-        return {
-            "gates": gates,
-            "output": self.output,
-            "oracles": {oid: [var_to_str(v) for v in vs]
-                        for oid, vs in self.oracle_vars},
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Circuit":
-        gates = []
-        for entry in obj["gates"]:
-            kind = entry["kind"]
-            if kind == "const":
-                gates.append(('const', Fraction(entry["value"])))
-            elif kind == "var":
-                gates.append(('var', var_from_str(entry["var"])))
-            elif kind in ("add", "mul"):
-                gates.append((kind, tuple(entry["inputs"])))
-            else:
-                gates.append(('oracle', entry["oracle"], tuple(entry["inputs"])))
-        oracles = tuple((oid, tuple(var_from_str(v) for v in vs))
-                        for oid, vs in obj.get("oracles", {}).items())
-        return cls(tuple(gates), obj["output"], oracles)
 
 
 class CircuitBuilder:

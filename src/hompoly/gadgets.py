@@ -44,13 +44,6 @@ class Gadget:
             "budget": self.budget,
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Gadget":
-        return cls(Graph.from_json_obj(obj["graph"]),
-                   frozenset(tuple(e) for e in obj["enforced"]),
-                   frozenset(tuple(e) for e in obj["denied"]),
-                   obj["budget"])
-
 
 # -- outerplanar star ------------------------------------------------------------
 

@@ -25,7 +25,6 @@ from .errors import BudgetExceededError
 from .graphs import Graph, GraphClass, class_edge_subsets, is_homomorphic
 from .poly import Polynomial, edge_var, vertex_var
 
-DEFAULT_GF_EDGE_BUDGET = 21
 UHC_ORACLE_MAX_N = 9
 CLIQUE_ORACLE_MAX_N = 7
 
@@ -61,21 +60,21 @@ def subsets_to_poly(subsets, model: VariableModel = VariableModel.EDGE_ONLY
 
 
 def generating_function(g: Graph, cls: GraphClass,
-                        model: VariableModel = VariableModel.EDGE_ONLY,
-                        budget: int = DEFAULT_GF_EDGE_BUDGET) -> Polynomial:
-    """Sum over the edge subsets of g in the class of their monomials; a
-    weighted g is this polynomial with its weights substituted."""
-    return subsets_to_poly(class_edge_subsets(g, cls, budget), model)
+                        model: VariableModel = VariableModel.EDGE_ONLY) -> Polynomial:
+    """Sum over the edge subsets of g in the class (class_edge_subsets, limit
+    graphs.SUBSET_FILTER_MAX_EDGES) of their monomials; a weighted g is this
+    polynomial with its weights substituted."""
+    return subsets_to_poly(class_edge_subsets(g, cls), model)
 
 
 def hom_poly(h: Graph, n: int, cls: GraphClass,
-             model: VariableModel = VariableModel.EDGE_ONLY,
-             budget: int = DEFAULT_GF_EDGE_BUDGET) -> Polynomial:
+             model: VariableModel = VariableModel.EDGE_ONLY) -> Polynomial:
     """Class generating function over K_n restricted to subgraphs whose
     nontrivial component is homomorphic to h; a weighted host is a
     substitution into it.  The subsets come canonical from
-    class_edge_subsets, so their graphs skip Graph.make's validation."""
-    subsets = class_edge_subsets(Graph.complete(n), cls, budget)
+    class_edge_subsets (limit graphs.SUBSET_FILTER_MAX_EDGES), so their
+    graphs skip Graph.make's validation."""
+    subsets = class_edge_subsets(Graph.complete(n), cls)
     return subsets_to_poly((es for es in subsets if is_homomorphic(Graph(n, es), h)),
                            model)
 

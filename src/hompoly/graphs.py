@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BudgetExceededError
 
 DEFAULT_HOM_BUDGET = 2_000_000
+SUBSET_FILTER_MAX_EDGES = 21  # K7; class_edge_subsets filters 2^edges subsets
 
 Edge = tuple
 
@@ -46,11 +47,11 @@ class Graph:
         for u, v in es:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        for v in ls:
-            if not 0 <= v < n:
-                raise ValueError(f"loop at {v} out of range for n={n}")
         lab = tuple(sorted((labels or {}).items())) if not isinstance(labels, tuple) \
             else labels
+        for what, v in [("loop", v) for v in ls] + [(f"label {r!r}", v) for r, v in lab]:
+            if not 0 <= v < n:
+                raise ValueError(f"{what} at {v} out of range for n={n}")
         roles = [r for r, _ in lab]
         if len(set(roles)) != len(roles):
             raise ValueError("duplicate role labels")
@@ -146,37 +147,12 @@ class Graph:
         return len(self.components()) <= 1
 
     def induced(self, vertices) -> "Graph":
-        """Induced subgraph relabeled to 0..k-1 in sorted vertex order."""
+        """Induced subgraph relabeled to 0..k-1 in sorted (so canonical) order."""
         vs = sorted(vertices)
         idx = {v: i for i, v in enumerate(vs)}
         es = [(idx[a], idx[b]) for a, b in self.edges if a in idx and b in idx]
         ls = [idx[v] for v in self.loops if v in idx]
-        return Graph.make(len(vs), es, ls)
-
-    def contract_edge(self, e: Edge) -> "Graph":
-        """Identify e's endpoints, merge parallel edges, drop the new loop.
-
-        The higher endpoint is removed and vertices above it shift down by
-        one, so the result is canonically labeled.
-        """
-        e = canonical_edge(*e)
-        if e not in self.edges:
-            raise ValueError(f"edge {e} not in graph")
-        u, v = e
-
-        def remap(x: int) -> int:
-            if x == v:
-                x = u
-            return x - 1 if x > v else x
-
-        es = set()
-        for a, b in self.edges:
-            ra, rb = remap(a), remap(b)
-            if ra != rb:
-                es.add(canonical_edge(ra, rb))
-        ls = {remap(x) for x in self.loops}
-        lab = {r: remap(x) for r, x in self.labels}
-        return Graph.make(self.n - 1, es, ls, lab)
+        return Graph(len(vs), frozenset(es), frozenset(ls))
 
     # -- JSON ---------------------------------------------------------------
 
@@ -189,9 +165,23 @@ class Graph:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "Graph":
-        return cls.make(obj["n"], [tuple(e) for e in obj.get("edges", [])],
-                        obj.get("loops", []), obj.get("labels", {}))
+    def from_json_obj(cls, obj) -> "Graph":
+        """The graph of a to_json_obj object; malformed input raises ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"graph JSON must be an object, not {type(obj).__name__}")
+        n, edges = obj.get("n"), obj.get("edges", [])
+        loops, labels = obj.get("loops", []), obj.get("labels", {})
+        if not (_ints([n]) and _ints(loops) and isinstance(edges, list)
+                and all(_ints(e) and len(e) == 2 for e in edges)
+                and isinstance(labels, dict) and _ints(list(labels.values()))
+                and all(isinstance(r, str) for r in labels)):
+            raise ValueError("graph JSON needs an integer n, integer pairs as edges, "
+                             "integer loops and labels mapping roles to integers")
+        return cls.make(n, [tuple(e) for e in edges], loops, labels)
+
+
+def _ints(xs) -> bool:
+    return isinstance(xs, list) and all(type(x) is int for x in xs)  # no bools
 
 
 # -- graph classes ----------------------------------------------------------
@@ -415,14 +405,15 @@ def subset_in_class(n: int, es: list, cls: GraphClass) -> bool:
     return recognize(Graph.make(n, es), cls)
 
 
-def class_edge_subsets(g: Graph, cls: GraphClass, budget: int) -> list[frozenset]:
+def class_edge_subsets(g: Graph, cls: GraphClass) -> list[frozenset]:
     """Edge subsets of g in the class, each once, ascending by bitmask over
     g's edges in canonical order.
 
     Over a complete host the cycle, clique and tree classes generate their
     shapes directly; every other case filters the bitmasks of g's edges
     through subset_in_class (recognize on each subset) and raises
-    BudgetExceededError when g has more than budget edges.
+    BudgetExceededError when g has more than SUBSET_FILTER_MAX_EDGES edges
+    (read at call time).
     """
     edges = sorted(g.edges)
     order = {e: i for i, e in enumerate(edges)}
@@ -431,9 +422,9 @@ def class_edge_subsets(g: Graph, cls: GraphClass, budget: int) -> list[frozenset
         gen = {"cycle": _cycle_edge_sets, "clique": _clique_edge_sets,
                "tree": _tree_edge_sets}[cls.kind]
         return sorted(gen(g.n), key=lambda s: _edge_mask(s, order))
-    if len(edges) > budget:
-        raise BudgetExceededError(
-            f"{len(edges)} candidate edges exceed the enumeration budget {budget}")
+    if len(edges) > SUBSET_FILTER_MAX_EDGES:
+        raise BudgetExceededError(f"{len(edges)} candidate edges exceed the "
+                                  f"enumeration budget {SUBSET_FILTER_MAX_EDGES}")
     out = []
     for mask in range(1, 1 << len(edges)):
         es = [edges[k] for k in range(len(edges)) if mask >> k & 1]

@@ -48,20 +48,6 @@ def var_to_str(v: VarId) -> str:
     return ":".join(str(x) for x in v)
 
 
-def var_from_str(s: str) -> VarId:
-    parts = s.split(":")
-    tag = parts[0]
-    if tag == 'e':
-        return edge_var(int(parts[1]), int(parts[2]))
-    if tag == 'l':
-        return loop_var(int(parts[1]))
-    if tag == 'v':
-        return vertex_var(int(parts[1]))
-    if tag == 'y':
-        return aux_var(":".join(parts[1:]))
-    raise ValueError(f"unknown variable tag {tag!r}")
-
-
 def _norm_coeff(c: Coeff) -> Coeff:
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
@@ -293,14 +279,6 @@ class Polynomial:
     def to_json_obj(self) -> list:
         return [{"coeff": str(Fraction(c)), "vars": [[var_to_str(v), e] for v, e in m]}
                 for m, c in self.sorted_terms()]
-
-    @classmethod
-    def from_json_obj(cls, obj: list) -> "Polynomial":
-        terms: dict[Monomial, Coeff] = {}
-        for entry in obj:
-            m = monomial([(var_from_str(vs), e) for vs, e in entry["vars"]])
-            terms[m] = terms.get(m, 0) + Fraction(entry["coeff"])
-        return cls(terms)
 
     def __repr__(self) -> str:
         if not self._terms:

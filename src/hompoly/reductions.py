@@ -24,7 +24,7 @@ from .gadgets import (amalgam_chain, buddy_transform, end_edges,
                       subdivide_and_buddy_planar, fold_block_to_edge_certificate)
 from .genfun import (hom_poly, hom_poly_oracle_id, oracle_matching, oracle_uhc,
                      graph_key, subsets_to_poly)
-from .graphs import (CYCLE, CLIQUE, OUTERPLANAR, PLANAR, TREE, Graph,
+from .graphs import (CYCLE, OUTERPLANAR, PLANAR, TREE, Graph,
                      GraphClass, all_edges, canonical_edge, genus_class,
                      hom_to_single_edge, is_homomorphic, recognize)
 from .poly import Polynomial, edge_var, vertex_var
@@ -204,18 +204,17 @@ def budget_survivors(nvert: int, enforced, free, pick: int, class_check,
 
     Equivalent to enforcing the given edges and slicing the class generating
     function at the total edge budget, computed without materializing the
-    unrestricted polynomial.
+    unrestricted polynomial; gadget edges are canonical, so no Graph.make.
     """
     base = sorted(enforced)
     out = []
     for combo in itertools.combinations(sorted(free), pick):
-        es = base + list(combo)
-        g = Graph.make(nvert, es)
+        g = Graph(nvert, frozenset(base + list(combo)))
         if not class_check(g):
             continue
         if hom_target is not None and not is_homomorphic(g, hom_target):
             continue
-        out.append(frozenset(es))
+        out.append(g.edges)
     return out
 
 
@@ -261,11 +260,11 @@ def reduce_cycles(h: Graph, n: int) -> ReductionReport:
     one enforced edge of the one-larger host; compare with the Hamiltonian
     cycle oracle."""
     params = {"n": n, "h": h.to_json_obj()}
+    if n < 3 or n > 6:
+        raise ValueError("cycle pipeline supports 3 <= n <= 6")
     cls = classify(h, CYCLE)
     if cls.kind != "VNPComplete":
         return _vac0_report("cycles-even", params, cls.witness)
-    if n < 3 or n > 6:
-        raise ValueError("cycle pipeline supports 3 <= n <= 6")
 
     details: dict = {}
     if h.loops or n % 2 == 0:
@@ -507,12 +506,12 @@ def reduce_outerplanar(h: Graph, n: int, budget: int | None = None
     budget, fix the two designated path endpoints, then glue them to turn
     the surviving outer paths into the Hamiltonian cycles of K_{n-2}."""
     params = {"n": n, "h": h.to_json_obj()}
+    if n < 5 or n > 7:
+        raise ValueError("outerplanar pipeline supports 5 <= n <= 7")
     cls = classify(h, OUTERPLANAR)
     if cls.kind != "VNPComplete" or not h.edges:
         reason = cls.witness if cls.kind != "VNPComplete" else LOOP_ONLY_CAVEAT
         return _vac0_report("outerplanar-star", params, reason)
-    if n < 5 or n > 7:
-        raise ValueError("outerplanar pipeline supports 5 <= n <= 7")
 
     direct = is_homomorphic(K3, h)
     details: dict = {"branch": "triangle" if direct else "buddy"}
@@ -636,12 +635,12 @@ def reduce_planar(h: Graph, m: int, budget: int | None = None) -> ReductionRepor
     and endpoint degrees are enforced and the second/second-to-last vertices
     are glued, recovering the Hamiltonian cycles on m-3 vertices."""
     params = {"m": m, "h": h.to_json_obj()}
+    if m < 3 or m > 6:
+        raise ValueError("planar pipeline supports 3 <= m <= 6")
     cls = classify(h, PLANAR)
     if cls.kind != "VNPComplete" or not h.edges:
         reason = cls.witness if cls.kind != "VNPComplete" else LOOP_ONLY_CAVEAT
         return _vac0_report("planar-permutation", params, reason)
-    if m < 3 or m > 6:
-        raise ValueError("planar pipeline supports 3 <= m <= 6")
 
     details: dict = {}
     try:
@@ -814,12 +813,12 @@ def reduce_genus(h: Graph, k: int, m: int) -> ReductionReport:
     test down to planarity of the apex portion, which reruns the permutation
     lemma and the endpoint glue under the genus-k budget."""
     params = {"k": k, "m": m, "h": h.to_json_obj()}
+    if k < 1 or k > 2 or m < 4 or m > 5:
+        raise ValueError("genus pipeline supports k in {1,2}, 4 <= m <= 5")
     cls = classify(h, genus_class(k))
     if cls.kind != "VNPComplete" or not h.edges:
         reason = cls.witness if cls.kind != "VNPComplete" else LOOP_ONLY_CAVEAT
         return _vac0_report("genus-chain", params, reason)
-    if k < 1 or k > 2 or m < 4 or m > 5:
-        raise ValueError("genus pipeline supports k in {1,2}, 4 <= m <= 5")
 
     details: dict = {}
     block = genus_block_report()
@@ -855,9 +854,7 @@ def reduce_genus(h: Graph, k: int, m: int) -> ReductionReport:
         # blocks are enforced and each has genus one; by additivity over the
         # one-vertex amalgams the candidate has genus exactly k iff its apex
         # portion (the only piece that varies) is planar
-        portion = [e for e in cand.edges
-                   if e[0] in planar_part_vertices and e[1] in planar_part_vertices]
-        return topo.is_planar(Graph.make(cand.n, portion).induced(planar_part_vertices))
+        return topo.is_planar(cand.induced(planar_part_vertices))
 
     pick = gadget.budget - len(gadget.enforced)
     survivors = budget_survivors(

@@ -129,6 +129,53 @@ def test_poly_negative_n_exits_2(graph_files, capsys):
     assert "negative" in capsys.readouterr().err
 
 
+def test_poly_has_no_budget_flag(graph_files, capsys):
+    assert main(["poly", graph_files["k3"], "planar", "--n", "5",
+                 "--budget", "30"]) == 2
+    assert "--budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,bad,good", [
+    (["--lemma", "outerplanar-star", "--n", "SIZE", "--h-file", "loop"], "99", "6"),
+    (["--lemma", "cycles-even", "--n", "SIZE", "--h-file", "empty"], "0", "4"),
+    (["--lemma", "planar-permutation", "--m", "SIZE", "--h-file", "loop"], "99", "4"),
+    (["--lemma", "genus-chain", "--k", "SIZE", "--h-file", "empty"], "9", "1"),
+])
+def test_verify_size_checked_before_the_classifier(argv, bad, good, graph_files,
+                                                   tmp_path, capsys):
+    # an H that makes the lemma trivial does not excuse an unsupported size
+    argv = [graph_files.get(a, a) for a in argv]
+    assert main(["verify"] + [bad if a == "SIZE" else a for a in argv]) == 2
+    assert "supports" in capsys.readouterr().err
+    out = tmp_path / "r.json"
+    assert main(["verify"] + [good if a == "SIZE" else a for a in argv]
+                + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert "skipped" in json.loads(out.read_text())["reports"][0]["details"]
+
+
+@pytest.mark.parametrize("obj", [
+    {"n": "3"},
+    {"n": 2, "edges": [["a", 1]]},
+    [1, 2],
+    {"n": 2, "edges": [[0.5, 1]]},
+    {"n": 2.5, "edges": [[0, 1]]},
+    {"n": True},
+    {"n": 2, "edges": [[0, 1, 1]]},
+    {"n": 2, "edges": [[0, 1]], "loops": [True]},
+    {"n": 3, "edges": [[0, 1]], "labels": {"x": 7}},
+    {"n": 3, "labels": {"x": -1}},
+    {"n": 3, "labels": {"x": "0"}},
+])
+def test_malformed_graph_file_exits_2(obj, tmp_path, capsys):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(obj))
+    assert main(["classify", str(path), "planar"]) == 2
+    assert main(["verify", "--lemma", "cycles-even", "--h-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 2 and "Traceback" not in err
+
+
 def test_genus_command(tmp_path, capsys):
     p = tmp_path / "k5.json"
     p.write_text(json.dumps(Graph.complete(5).to_json_obj()))
@@ -148,6 +195,11 @@ def test_genus_command(tmp_path, capsys):
      ["--lemma", "outerplanar-star", "--n", "6", "--h-file", "k2"]),
     ("verify-planar-m6-k2.json",
      ["--lemma", "planar-permutation", "--m", "6", "--h-file", "k2"]),
+    ("verify-cycles-n5.json", ["--lemma", "cycles-even", "--n", "5"]),
+    ("verify-genus-chain-k2-m5-k2.json",
+     ["--lemma", "genus-chain", "--k", "2", "--m", "5", "--h-file", "k2"]),
+    ("verify-tree-matching-k33-k2.json",
+     ["--lemma", "tree-matching", "--target", "k33", "--h-file", "k2"]),
 ])
 def test_verify_golden_reports(golden, argv, graph_files, tmp_path, capsys):
     """The --out file is byte-identical to the committed report.

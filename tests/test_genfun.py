@@ -114,10 +114,15 @@ def test_hamiltonian_slice_equals_oracle():
         assert F.homogeneous_component(evars, n) == oracle_uhc(n)
 
 
-def test_gf_budget_guard():
-    from hompoly import OUTERPLANAR
-    with pytest.raises(BudgetExceededError):
-        generating_function(Graph.complete(6), OUTERPLANAR, budget=10)
+def test_gf_budget_guard(monkeypatch):
+    from hompoly import OUTERPLANAR, graphs
+    with pytest.raises(BudgetExceededError,
+                       match="28 candidate edges exceed the enumeration budget 21"):
+        generating_function(Graph.complete(8), OUTERPLANAR)
+    # the limit is read at call time
+    monkeypatch.setattr(graphs, "SUBSET_FILTER_MAX_EDGES", 9)
+    with pytest.raises(BudgetExceededError, match="10 candidate edges"):
+        generating_function(Graph.complete(5), OUTERPLANAR)
 
 
 def test_enumeration_order_deterministic():

@@ -8,7 +8,6 @@ import pytest
 from conftest import brute_class_subsets, brute_is_homomorphic
 from hompoly import (Graph, class_edge_subsets, hom_to_single_edge, is_homomorphic,
                      recognize)
-from hompoly.genfun import DEFAULT_GF_EDGE_BUDGET
 from hompoly.graphs import (CLIQUE, CYCLE, OUTERPLANAR, PLANAR, TREE,
                             all_edges, genus_class, subset_in_class)
 
@@ -132,7 +131,7 @@ def test_recognize_rejects_extra_components():
 
 
 def collect(n, cls):
-    return class_edge_subsets(Graph.complete(n), cls, DEFAULT_GF_EDGE_BUDGET)
+    return class_edge_subsets(Graph.complete(n), cls)
 
 
 def test_enumeration_counts():
@@ -178,7 +177,7 @@ def test_bitmask_path_matches_shape_generators(cls):
     # bitmask filter; they must be the K5 shapes that avoid the edge
     missing = (1, 3)
     host = Graph.make(5, [e for e in all_edges(5) if e != missing])
-    got = class_edge_subsets(host, cls, DEFAULT_GF_EDGE_BUDGET)
+    got = class_edge_subsets(host, cls)
     assert got == [s for s in collect(5, cls) if missing not in s]
 
 
@@ -193,37 +192,6 @@ def test_subset_in_class_equals_recognize_on_random_edge_lists():
             g = Graph.make(n, es)
             for cls in classes:
                 assert subset_in_class(n, es, cls) == recognize(g, cls), (n, es, cls)
-
-
-def test_contract_edge():
-    tri = Graph.cycle(3)
-    assert tri.contract_edge((0, 1)) == Graph.make(2, [(0, 1)])
-    p3 = Graph.path(3)
-    assert p3.contract_edge((1, 2)) == Graph.make(2, [(0, 1)])
-    with pytest.raises(ValueError):
-        tri.contract_edge((0, 5))
-
-
-def test_contract_edge_preserves_connectivity_and_shrinks():
-    rng = random.Random(5)
-    for _ in range(60):
-        n = rng.randint(3, 7)
-        es = [e for e in all_edges(n) if rng.random() < 0.5]
-        g = Graph.make(n, es)
-        if not g.edges:
-            continue
-        e = sorted(g.edges)[rng.randrange(len(g.edges))]
-        c = g.contract_edge(e)
-        assert c.n == g.n - 1
-        assert len([x for x in c.components() if len(x) > 1]) \
-            <= len([x for x in g.components() if len(x) > 1])
-
-
-def test_contract_block_edge_gives_seven_vertices():
-    from hompoly.gadgets import genus_block
-    block = genus_block().graph
-    contracted = block.contract_edge((4, 5))
-    assert contracted.n == 7
 
 
 def test_graph_json_roundtrip():

@@ -169,8 +169,7 @@ def test_tree_pipeline_routes_agree():
         tn = target.n
         gedges, nvert = tree_gadget_edges(target)
         host = Graph.make(nvert, gedges)
-        P = generating_function(host, TREE, VariableModel.EDGE_AND_VERTEX,
-                                budget=len(gedges))
+        P = generating_function(host, TREE, VariableModel.EDGE_AND_VERTEX)
         ev = [vertex_var(tn + k) for k in range(len(target.edges))]
         ov = [vertex_var(v) for v in range(tn)]
         evars = [edge_var(*e) for e in gedges]
