@@ -4,9 +4,13 @@ generating_function sums, over the edge subsets of a graph whose spanning
 subgraph lies in the class, the product of the selected edge variables (and,
 in the edge-and-vertex model, the vertex variables of every endpoint).
 hom_poly additionally keeps only subsets whose nontrivial component admits a
-homomorphism into a fixed target H.  Both sum with subsets_to_poly, as do the
-reduction pipelines.  A weighted host is a projection (Valiant 1979): the
-substitution of its weights for the edge variables, by Polynomial.substitute.
+homomorphism into a fixed target H.  That verdict depends only on the
+homomorphic-equivalence class of the subset (its core; Hell and Nesetril,
+"The core of a graph", 1992), which on the cycle, clique and tree classes is
+fixed by the edge count, so there hom_poly decides it once per edge count.
+Both sum with subsets_to_poly, as do the reduction pipelines.  A weighted
+host is a projection (Valiant 1979): the substitution of its weights for the
+edge variables, by Polynomial.substitute.
 
 The oracles at the bottom generate Hamiltonian cycles, cliques and perfect
 matchings by direct combinatorial generation, never through the class
@@ -22,7 +26,8 @@ import itertools
 import json
 
 from .errors import BudgetExceededError
-from .graphs import Graph, GraphClass, class_edge_subsets, is_homomorphic
+from .graphs import (SHAPE_KINDS, Graph, GraphClass, class_edge_subsets,
+                     is_homomorphic)
 from .poly import Polynomial, edge_var, vertex_var
 
 UHC_ORACLE_MAX_N = 9
@@ -73,10 +78,27 @@ def hom_poly(h: Graph, n: int, cls: GraphClass,
     nontrivial component is homomorphic to h; a weighted host is a
     substitution into it.  The subsets come canonical from
     class_edge_subsets (limit graphs.SUBSET_FILTER_MAX_EDGES), so their
-    graphs skip Graph.make's validation."""
+    graphs skip Graph.make's validation.
+
+    Whether g maps to h depends only on the homomorphic-equivalence class
+    of g, that is on its core (Hell and Nesetril, "The core of a graph",
+    1992).  In the SHAPE_KINDS the edge count fixes that class: a cycle's
+    length is its edge count and a clique's size follows from its edge
+    count, so two such members are isomorphic, and every tree with an edge
+    is equivalent to K2.  All subsets share the n vertices, and isolated
+    vertices change no verdict.  So for those kinds the first subset of each
+    edge count is checked and its verdict holds for the rest; every other
+    class is checked subset by subset.
+    """
     subsets = class_edge_subsets(Graph.complete(n), cls)
-    return subsets_to_poly((es for es in subsets if is_homomorphic(Graph(n, es), h)),
-                           model)
+    if cls.kind not in SHAPE_KINDS:
+        return subsets_to_poly(
+            (es for es in subsets if is_homomorphic(Graph(n, es), h)), model)
+    verdict: dict = {}  # edge count -> whether its subsets map to h
+    for es in subsets:
+        if len(es) not in verdict:
+            verdict[len(es)] = is_homomorphic(Graph(n, es), h)
+    return subsets_to_poly((es for es in subsets if verdict[len(es)]), model)
 
 
 # -- independent oracles -------------------------------------------------------

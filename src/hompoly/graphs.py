@@ -47,8 +47,9 @@ class Graph:
         for u, v in es:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        lab = tuple(sorted((labels or {}).items())) if not isinstance(labels, tuple) \
-            else labels
+        # sorted pairs, not a dict, so that a repeated role is caught below
+        pairs = labels.items() if isinstance(labels, dict) else labels or ()
+        lab = tuple(sorted(pairs))
         for what, v in [("loop", v) for v in ls] + [(f"label {r!r}", v) for r, v in lab]:
             if not 0 <= v < n:
                 raise ValueError(f"{what} at {v} out of range for n={n}")
@@ -208,6 +209,10 @@ TREE = GraphClass("tree")
 OUTERPLANAR = GraphClass("outerplanar")
 PLANAR = GraphClass("planar")
 
+# Kinds whose members with equal edge counts are homomorphically equivalent
+# (see class_edge_subsets).
+SHAPE_KINDS = ("cycle", "clique", "tree")
+
 
 def genus_class(k: int) -> GraphClass:
     if k < 0:
@@ -217,7 +222,7 @@ def genus_class(k: int) -> GraphClass:
 
 def parse_class(name: str, k: int | None = None) -> GraphClass:
     name = name.lower()
-    if name in ("cycle", "clique", "tree", "outerplanar", "planar"):
+    if name in SHAPE_KINDS + ("outerplanar", "planar"):
         return GraphClass(name)
     if name == "genus":
         if k is None:
@@ -409,16 +414,22 @@ def class_edge_subsets(g: Graph, cls: GraphClass) -> list[frozenset]:
     """Edge subsets of g in the class, each once, ascending by bitmask over
     g's edges in canonical order.
 
-    Over a complete host the cycle, clique and tree classes generate their
-    shapes directly; every other case filters the bitmasks of g's edges
-    through subset_in_class (recognize on each subset) and raises
+    Over a complete host the SHAPE_KINDS (cycle, clique, tree) generate
+    their shapes directly; every other case filters the bitmasks of g's
+    edges through subset_in_class (recognize on each subset) and raises
     BudgetExceededError when g has more than SUBSET_FILTER_MAX_EDGES edges
     (read at call time).
+
+    Two members of one shape kind with equal edge counts are homomorphically
+    equivalent, so they map to the same targets (Hell and Nesetril, "The core
+    of a graph", 1992): cycles with equal edge counts are isomorphic, and so
+    are cliques, and every tree with an edge has core K2.  Isolated vertices
+    change no verdict.  genfun.hom_poly relies on this.
     """
     edges = sorted(g.edges)
     order = {e: i for i, e in enumerate(edges)}
     complete = len(edges) == g.n * (g.n - 1) // 2
-    if complete and cls.kind in ("cycle", "clique", "tree"):
+    if complete and cls.kind in SHAPE_KINDS:
         gen = {"cycle": _cycle_edge_sets, "clique": _clique_edge_sets,
                "tree": _tree_edge_sets}[cls.kind]
         return sorted(gen(g.n), key=lambda s: _edge_mask(s, order))

@@ -131,9 +131,6 @@ class Polynomial:
                 out.add(v)
         return out
 
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self._terms), default=0)
-
     def degree_in(self, vars: Iterable[VarId]) -> int:
         vs = frozenset(vars)
         return max((sum(e for v, e in m if v in vs) for m in self._terms), default=0)
@@ -152,9 +149,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset((m, Fraction(c)) for m, c in self._terms.items()))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):

@@ -12,7 +12,7 @@ import itertools
 import networkx as nx
 import pytest
 
-from hompoly import Graph, reductions, topo
+from hompoly import Graph, class_edge_subsets, reductions, topo
 
 
 def brute_is_homomorphic(g: Graph, h: Graph) -> bool:
@@ -107,6 +107,13 @@ def brute_class_subsets(n: int, kind: str, genus_k: int | None = None):
         if nx_in_class(n, es, kind, genus_k):
             out.append(frozenset(es))
     return out
+
+
+def reference_hom_subsets(h: Graph, n: int, cls):
+    """The class edge subsets of K_n whose n-vertex graph maps to h, decided
+    by brute_is_homomorphic once per subset."""
+    return [es for es in class_edge_subsets(Graph.complete(n), cls)
+            if brute_is_homomorphic(Graph.make(n, es), h)]
 
 
 def brute_perfect_matchings(g: Graph):

@@ -4,17 +4,31 @@ import math
 
 import pytest
 
+import networkx as nx
+
 from conftest import (brute_hamiltonian_cycles, brute_perfect_matchings,
-                      poly_term_edge_sets)
-from hompoly import (CYCLE, CLIQUE, TREE, Graph, VariableModel,
-                     generating_function, hom_poly, oracle_clique,
-                     oracle_matching, oracle_uhc)
+                      poly_term_edge_sets, reference_hom_subsets)
+from hompoly import (CYCLE, CLIQUE, OUTERPLANAR, TREE, Graph, VariableModel,
+                     class_edge_subsets, generating_function, genfun, hom_poly,
+                     oracle_clique, oracle_matching, oracle_uhc)
 from hompoly.errors import BudgetExceededError
+from hompoly.genfun import subsets_to_poly
 from hompoly.graphs import all_edges
 from hompoly.poly import Polynomial, edge_var, monomial, vertex_var
 
 LOOP = Graph.looped_vertex()
 K2 = Graph.single_edge()
+PETERSEN = Graph.make(10, nx.petersen_graph().edges())
+
+# (target, largest n for cliques and trees, largest n for cycles).  The
+# brute-force reference tries |V(h)|^n maps for each subset that does not
+# map, so the larger targets stop earlier: the Petersen graph at n=6 alone
+# would take over a minute.
+SHAPE_TARGETS = [pytest.param(*args, id=name) for name, *args in [
+    ("K2", K2, 6, 7), ("K3", Graph.complete(3), 6, 7), ("K4", Graph.complete(4), 6, 7),
+    ("C5", Graph.cycle(5), 5, 5), ("C7", Graph.cycle(7), 5, 5),
+    ("petersen", PETERSEN, 4, 4), ("loop", LOOP, 6, 7),
+    ("empty1", Graph.empty(1), 6, 7), ("empty2", Graph.empty(2), 6, 7)]]
 
 
 def test_gf_triangle_cycle():
@@ -66,6 +80,50 @@ def test_hom_poly_terms_subset_of_gf():
         full = {m for m, _ in generating_function(Graph.complete(4), cls).terms()}
         restricted = {m for m, _ in hom_poly(K2, 4, cls).terms()}
         assert restricted <= full
+
+
+@pytest.mark.parametrize("h,largest,largest_cycle", SHAPE_TARGETS)
+@pytest.mark.parametrize("cls", [CYCLE, CLIQUE, TREE], ids=str)
+def test_hom_poly_shape_kinds_match_per_subset_reference(h, largest, largest_cycle,
+                                                         cls):
+    # hom_poly decides one subset per edge count on these classes; the
+    # reference decides every subset by brute force
+    for n in range(2, (largest_cycle if cls is CYCLE else largest) + 1):
+        expected = reference_hom_subsets(h, n, cls)
+        for model in VariableModel:
+            assert hom_poly(h, n, cls, model) == subsets_to_poly(expected, model), \
+                (n, model)
+
+
+def _count_hom_checks(monkeypatch):
+    edge_counts = []
+    real = genfun.is_homomorphic
+
+    def counting(g, h, *args, **kwargs):
+        edge_counts.append(len(g.edges))
+        return real(g, h, *args, **kwargs)
+
+    monkeypatch.setattr(genfun, "is_homomorphic", counting)
+    return edge_counts
+
+
+@pytest.mark.parametrize("cls,n", [(CYCLE, 7), (CLIQUE, 6), (TREE, 6)], ids=str)
+def test_hom_poly_checks_once_per_edge_count_on_shape_kinds(monkeypatch, cls, n):
+    edge_counts = _count_hom_checks(monkeypatch)
+    hom_poly(Graph.cycle(5), n, cls)
+    distinct = {len(es) for es in class_edge_subsets(Graph.complete(n), cls)}
+    assert sorted(edge_counts) == sorted(distinct)
+
+
+def test_hom_poly_checks_every_outerplanar_subset(monkeypatch):
+    # at n=4 the path P4 maps to K2 and the triangle does not, both with
+    # three edges, so one verdict per edge count would be wrong here
+    subsets = class_edge_subsets(Graph.complete(4), OUTERPLANAR)
+    expected = reference_hom_subsets(K2, 4, OUTERPLANAR)
+    assert {es in expected for es in subsets if len(es) == 3} == {True, False}
+    edge_counts = _count_hom_checks(monkeypatch)
+    assert hom_poly(K2, 4, OUTERPLANAR) == subsets_to_poly(expected)
+    assert len(edge_counts) == len(subsets)
 
 
 def test_gf_outputs_multilinear_unit_coefficients():

@@ -157,7 +157,7 @@ def test_enumeration_is_deterministic_and_bitmask_ordered():
                                           ("planar", None), ("genus", 0),
                                           ("genus", 1)])
 def test_enumeration_matches_recognizer_and_brute(kind, genus_k):
-    for n in (3, 4, 5):
+    for n in (2, 3, 4, 5):
         if kind == "genus" and genus_k == 1 and n < 5:
             continue
         cls = genus_class(genus_k) if kind == "genus" else \
@@ -200,5 +200,11 @@ def test_graph_json_roundtrip():
 
 
 def test_labels_unique_per_role():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate role labels"):
         Graph.make(2, labels=(("a", 0), ("a", 1)))
+
+
+def test_tuple_labels_sorted_like_dict_labels():
+    g = Graph.make(2, labels=(("b", 0), ("a", 1)))
+    assert g == Graph.make(2, labels={"b": 0, "a": 1})
+    assert g.labels == (("a", 1), ("b", 0))

@@ -121,7 +121,7 @@ def test_ring_axioms(p, q, r):
 def test_homogeneous_components_reconstruct(p):
     vs = list(p.variables())
     total = Polynomial.zero()
-    for k in range(p.total_degree() + 1):
+    for k in range(p.degree_in(vs) + 1):
         total = total + p.homogeneous_component(vs, k)
     assert total == p
 
