@@ -2,9 +2,9 @@
 
 All structured output is JSON with sorted keys.  Exit codes: 0 on success
 (and all lemmas passing for verify), 1 when a verification mismatch occurs,
-2 on usage or input errors.  Report files are byte-stable across runs and
-parallelism settings.  The verify runner times each lemma call; those wall
-times are only included with --timings.
+2 on usage or input errors.  Report files are byte-stable across runs.  The
+verify runner times each lemma call; those wall times are only included with
+--timings.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import reductions, topo
@@ -139,12 +138,7 @@ def cmd_verify(args) -> int:
         report.wall_time = time.perf_counter() - t0
         return report
 
-    if args.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=args.parallelism) as pool:
-            reports = list(pool.map(run, lemmas))
-    else:
-        reports = [run(name) for name in lemmas]
-    reports.sort(key=lambda r: r.lemma_id)
+    reports = sorted((run(name) for name in lemmas), key=lambda r: r.lemma_id)
 
     payload = _dump({"reports": [r.to_json_obj(include_timing=args.timings)
                                  for r in reports],
@@ -162,7 +156,10 @@ def cmd_verify(args) -> int:
 def cmd_report(args) -> int:
     with open(args.report_file) as fh:
         data = json.load(fh)
-    rows = data.get("reports", [])
+    rows = data.get("reports", []) if isinstance(data, dict) else None
+    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+        raise ValueError("a report file is a JSON object whose reports are a "
+                         "list of objects")
     print("lemma                 equal  produced  expected")
     print("-" * 48)
     for r in rows:
@@ -199,9 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--target", choices=sorted(TARGETS), default="k4")
     p.add_argument("--h-file", default=None, help="graph JSON for H")
-    p.add_argument("--parallelism", type=int, default=1,
-                   help="run lemmas on this many threads; the lemmas are "
-                        "CPU-bound Python, so this does not speed them up")
     p.add_argument("--timings", action="store_true",
                    help="include wall times in the report file")
     p.add_argument("--out", default=None, help="write the JSON report here")

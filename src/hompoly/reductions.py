@@ -6,13 +6,19 @@ contraction, exact division) and compares the result against an independent
 brute-force oracle.  Pipelines always run their extraction steps twice:
 once as direct polynomial operations and once through interpolation
 circuits with oracle gates, and both routes must agree.
+
+The outerplanar, planar and genus lemmas run in one frame, _gadget_lemma:
+the classifier's skip, then the lemma's body, where a PipelineIntegrityError
+(a mis-calibrated budget, or the circuit route disagreeing) becomes one
+failed report keeping the details recorded so far.  The genus lemma reports
+a circuit disagreement this way like the other two; the tree and cycle
+lemmas raise it.
 """
 
 from __future__ import annotations
 
 import copy
 import itertools
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -185,14 +191,22 @@ def _vac0_report(lemma_id: str, params: dict, reason: str) -> ReductionReport:
                            details={"skipped": reason})
 
 
-def _calibration_failure(lemma_id: str, params: dict, expected: Polynomial,
-                         details: dict, exc: PipelineIntegrityError
-                         ) -> ReductionReport:
-    """A mis-calibrated budget breaks the structural checks or the exact
-    divisions of a gadget pipeline; report it instead of passing silently."""
-    details["calibration_failure"] = str(exc)
-    return ReductionReport(lemma_id, params, Polynomial.zero(), expected, False,
-                           details=details)
+def _gadget_lemma(lemma_id: str, h: Graph, cls: GraphClass, params: dict,
+                  expected, body) -> ReductionReport:
+    """The classifier's skip, then body(details), which returns the report.
+    A PipelineIntegrityError from the body becomes a failed report against
+    expected(), keeping the details the body recorded before it."""
+    verdict = classify(h, cls)
+    if verdict.kind != "VNPComplete" or not h.edges:
+        reason = verdict.witness if verdict.kind != "VNPComplete" else LOOP_ONLY_CAVEAT
+        return _vac0_report(lemma_id, params, reason)
+    details: dict = {}
+    try:
+        return body(details)
+    except PipelineIntegrityError as exc:
+        details["calibration_failure"] = str(exc)
+        return ReductionReport(lemma_id, params, Polynomial.zero(), expected(), False,
+                               details=details)
 
 
 # -- enforced enumeration shared by the gadget pipelines -----------------------------
@@ -216,6 +230,13 @@ def budget_survivors(nvert: int, enforced, free, pick: int, class_check,
             continue
         out.append(g.edges)
     return out
+
+
+def _gadget_survivors(gadget, class_check, hom_target: Graph | None) -> list:
+    """budget_survivors over the gadget's enforced edges and its budget."""
+    return budget_survivors(gadget.graph.n, gadget.enforced, gadget.free_edges(),
+                            gadget.budget - len(gadget.enforced), class_check,
+                            hom_target)
 
 
 def _edge_vars_at(v: int, others) -> list:
@@ -508,30 +529,58 @@ def reduce_outerplanar(h: Graph, n: int, budget: int | None = None
     params = {"n": n, "h": h.to_json_obj()}
     if n < 5 or n > 7:
         raise ValueError("outerplanar pipeline supports 5 <= n <= 7")
-    cls = classify(h, OUTERPLANAR)
-    if cls.kind != "VNPComplete" or not h.edges:
-        reason = cls.witness if cls.kind != "VNPComplete" else LOOP_ONLY_CAVEAT
-        return _vac0_report("outerplanar-star", params, reason)
 
-    direct = is_homomorphic(K3, h)
-    details: dict = {"branch": "triangle" if direct else "buddy"}
-    expected = oracle_uhc(n - 2)
-    try:
+    def body(details: dict) -> ReductionReport:
+        # without a triangle in H, the buddy transform of the star gadget is
+        # bipartite and its buddy pairs contract back onto the star's edges
+        direct = is_homomorphic(K3, h)
+        details["branch"] = "triangle" if direct else "buddy"
+        if not direct and n > 6:
+            raise ValueError("the buddy branch supports n <= 6")
+        star = star_gadget(n, budget)
+        gadget = star if direct else buddy_transform(star)
+        center, a, b = star.role("center"), star.role("glue-a"), star.role("glue-b")
+        outer = list(range(1, n))
+        k = len(outer)
+        survivors = _gadget_survivors(gadget, lambda g: recognize(g, OUTERPLANAR), h)
+        p_budget = subsets_to_poly(survivors)
+        details.update(budget_valid=len(p_budget), budget=gadget.budget)
         if direct:
-            produced, csize, det = _outerplanar_direct(h, n, budget)
+            ends = [_edge_vars_at(v, outer) for v in (a, b)]
         else:
-            if n > 6:
-                raise ValueError("the buddy branch supports n <= 6")
-            produced, csize, det = _outerplanar_buddy(h, n, budget)
-        details.update(det)
-    except PipelineIntegrityError as exc:
-        return _calibration_failure("outerplanar-star", params, expected, details,
-                                    exc)
-    equal = produced == expected
-    if not equal:
-        details["calibration_failure"] = details.get("calibration_failure", True)
-    return ReductionReport("outerplanar-star", params, produced, expected, equal,
-                           csize, details=details)
+            def pair_conn_vars(v):
+                out = [edge_var(*canonical_edge(v, w + k)) for w in outer if w != v]
+                out += [edge_var(*canonical_edge(w, v + k)) for w in outer if w != v]
+                return out
+            ends = [pair_conn_vars(v) for v in (a, b)]
+            details["support_bipartite"] = hom_to_single_edge(gadget.graph)
+        p_pts, csize = _slice(
+            p_budget, [(vs, 1) for vs in ends],
+            f"{'star' if direct else 'buddy'}-budget:n{n}:h{graph_key(h)}",
+            bool(p_budget), details)
+        details["endpoint_valid"] = len(p_pts)
+        if direct:
+            _verify_star_survivors(p_pts, n, center, a, b, outer)
+        else:
+            # contract the buddy pairs: pair edges to one, buddies relabeled
+            # onto their originals; the lift multiplicity (one per
+            # order-respecting attachment pattern, n-1 in total) is uniform
+            # and divided out
+            p_pts = p_pts.substitute({edge_var(v, v + k): 1 for v in outer})
+            p_pts = relabel_edges_poly(p_pts, {v + k: v for v in outer})
+            p_pts, details["lift_multiplicity"] = divide_uniform(
+                p_pts, "contracting buddy pairs")
+        glued = _glue_endpoints(p_pts, sorted(star.enforced), a, b,
+                                [v for v in outer if v != b])
+        expected = oracle_uhc(n - 2)
+        equal = glued == expected
+        if not equal:
+            details["calibration_failure"] = True
+        return ReductionReport("outerplanar-star", params, glued, expected, equal,
+                               csize, details=details)
+
+    return _gadget_lemma("outerplanar-star", h, OUTERPLANAR, params,
+                         lambda: oracle_uhc(n - 2), body)
 
 
 def _glue_endpoints(p: Polynomial, drop_to_one, a: int, b: int,
@@ -542,26 +591,6 @@ def _glue_endpoints(p: Polynomial, drop_to_one, a: int, b: int,
     vmap = {v: i for i, v in enumerate(sorted(final_vertices))}
     p = relabel_edges_poly(p, vmap)
     return divide_integral(p, 2, "gluing endpoints")
-
-
-def _outerplanar_direct(h: Graph, n: int, budget):
-    gadget = star_gadget(n, budget)
-    center, a, b = gadget.role("center"), gadget.role("glue-a"), gadget.role("glue-b")
-    outer = [v for v in range(n) if v != center]
-    pick = gadget.budget - len(gadget.enforced)
-    survivors = budget_survivors(
-        n, gadget.enforced, gadget.free_edges(), pick,
-        lambda g: recognize(g, OUTERPLANAR), hom_target=h)
-    p_budget = subsets_to_poly(survivors)
-    details = {"budget_valid": len(p_budget), "budget": gadget.budget}
-    p_pts, csize = _slice(
-        p_budget, [(_edge_vars_at(a, outer), 1), (_edge_vars_at(b, outer), 1)],
-        f"star-budget:n{n}:h{graph_key(h)}", bool(p_budget), details)
-    details["endpoint_valid"] = len(p_pts)
-    _verify_star_survivors(p_pts, n, center, a, b, outer)
-    glued = _glue_endpoints(p_pts, sorted(gadget.enforced), a, b,
-                            [v for v in outer if v != b])
-    return glued, csize, details
 
 
 def _verify_star_survivors(p_pts: Polynomial, n, center, a, b, outer) -> None:
@@ -583,49 +612,6 @@ def _verify_star_survivors(p_pts: Polynomial, n, center, a, b, outer) -> None:
             raise PipelineIntegrityError("survivor is not outerplanar")
 
 
-def _outerplanar_buddy(h: Graph, n: int, budget):
-    base = star_gadget(n, budget)
-    gadget = buddy_transform(base)
-    N = gadget.graph.n
-    center = gadget.role("center")
-    a, b = gadget.role("glue-a"), gadget.role("glue-b")
-    outer = list(range(1, n))
-    k = len(outer)
-
-    def buddy(v):
-        return v + k
-
-    pick = gadget.budget - len(gadget.enforced)
-    survivors = budget_survivors(
-        N, gadget.enforced, gadget.free_edges(), pick,
-        lambda g: recognize(g, OUTERPLANAR), hom_target=h)
-    p_budget = subsets_to_poly(survivors)
-
-    def pair_conn_vars(v):
-        out = [edge_var(*canonical_edge(v, buddy(w))) for w in outer if w != v]
-        out += [edge_var(*canonical_edge(w, buddy(v))) for w in outer if w != v]
-        return out
-
-    details = {"budget_valid": len(p_budget), "budget": gadget.budget,
-               "support_bipartite": hom_to_single_edge(gadget.graph)}
-    p_pts, csize = _slice(
-        p_budget, [(pair_conn_vars(a), 1), (pair_conn_vars(b), 1)],
-        f"buddy-budget:n{n}:h{graph_key(h)}", bool(p_budget), details)
-    details["endpoint_valid"] = len(p_pts)
-
-    # contract the buddy pairs: pair edges to one, buddies relabeled onto
-    # their originals; the lift multiplicity (one per order-respecting
-    # attachment pattern, n-1 in total) is uniform and divided out
-    contracted = p_pts.substitute({edge_var(v, buddy(v)): 1 for v in outer})
-    contracted = relabel_edges_poly(contracted, {buddy(v): v for v in outer})
-    contracted, lift = divide_uniform(contracted, "contracting buddy pairs")
-    details["lift_multiplicity"] = lift
-
-    glued = _glue_endpoints(contracted, [(center, v) for v in outer], a, b,
-                            [v for v in outer if v != b])
-    return glued, csize, details
-
-
 # -- planar --------------------------------------------------------------------------
 
 def reduce_planar(h: Graph, m: int, budget: int | None = None) -> ReductionReport:
@@ -637,74 +623,45 @@ def reduce_planar(h: Graph, m: int, budget: int | None = None) -> ReductionRepor
     params = {"m": m, "h": h.to_json_obj()}
     if m < 3 or m > 6:
         raise ValueError("planar pipeline supports 3 <= m <= 6")
-    cls = classify(h, PLANAR)
-    if cls.kind != "VNPComplete" or not h.edges:
-        reason = cls.witness if cls.kind != "VNPComplete" else LOOP_ONLY_CAVEAT
-        return _vac0_report("planar-permutation", params, reason)
 
-    details: dict = {}
-    try:
-        return _planar_body(h, m, budget, params, details)
-    except PipelineIntegrityError as exc:
-        return _calibration_failure("planar-permutation", params, Polynomial.zero(),
-                                    details, exc)
-
-
-def _planar_body(h, m, budget, params, details: dict) -> ReductionReport:
-    # fills the caller's details, so a calibration failure keeps them
-    gadget = planar_gadget(m, budget)
-    nvert = gadget.graph.n
-    pick = gadget.budget - len(gadget.enforced)
-    triangle_branch = is_homomorphic(K3, h)
-    survivors = budget_survivors(
-        nvert, gadget.enforced, gadget.free_edges(), pick,
-        lambda g: recognize(g, PLANAR),
-        hom_target=h if triangle_branch else None)
-    details.update(budget=gadget.budget, middle_valid=len(survivors))
-
-    expected_paths = _ham_path_sets(range(m))
-    got_middle = {frozenset(e for e in es if e[1] < m) for es in survivors}
-    lemma_ok = got_middle == expected_paths
-    details["expected_paths"] = len(expected_paths)
-    if not lemma_ok:
-        details["calibration_failure"] = True
-
-    if not triangle_branch:
-        variant = subdivide_and_buddy_planar(gadget)
-        details["bipartite_variant"] = hom_to_single_edge(variant.graph)
-        details["hom_certificate"] = "subdivided+buddy support is bipartite"
-        if not details["bipartite_variant"]:
-            lemma_ok = False
-
-    produced = subsets_to_poly(got_middle)
-    expected = subsets_to_poly(expected_paths)
-    equal = lemma_ok
-    csize = None
-
-    if m >= 6:
-        p_mid = subsets_to_poly(survivors)
+    def body(details: dict) -> ReductionReport:
+        gadget = planar_gadget(m, budget)
+        triangle_branch = is_homomorphic(K3, h)
+        survivors = _gadget_survivors(gadget, lambda g: recognize(g, PLANAR),
+                                      h if triangle_branch else None)
+        details["budget"] = gadget.budget
+        mids = list(range(m))
+        got_middle, expected_paths = _path_lemma(survivors, mids, details)
+        equal = got_middle == expected_paths
+        if not equal:
+            details["calibration_failure"] = True
+        if not triangle_branch:
+            variant = subdivide_and_buddy_planar(gadget)
+            details["bipartite_variant"] = hom_to_single_edge(variant.graph)
+            details["hom_certificate"] = "subdivided+buddy support is bipartite"
+            equal = equal and details["bipartite_variant"]
+        if m < 6:
+            return ReductionReport("planar-permutation", params,
+                                   subsets_to_poly(got_middle),
+                                   subsets_to_poly(expected_paths), equal,
+                                   details=details)
         e_left, e_right = end_edges(gadget)
         lo = gadget.graph.label("end-left-outer")
         ro = gadget.graph.label("end-right-outer")
-        mids = list(range(m))
-        # on the multilinear p_mid a degree-one slice in x_e enforces e
+        ga, gb = gadget.role("glue-a"), gadget.role("glue-b")
+        # on the multilinear survivor polynomial a degree-one slice in x_e
+        # enforces e
         filters = [([edge_var(*e_left)], 1), ([edge_var(*e_right)], 1),
                    (_edge_vars_at(lo, mids), 1), (_edge_vars_at(ro, mids), 1)]
-        p_glue, csize = _slice(p_mid, filters, f"planar-budget:m{m}:h{graph_key(h)}",
-                               bool(p_mid), details)
-        details["glue_survivors"] = len(p_glue)
+        glued, uhc, csize = _glue_into_uhc(
+            survivors, filters, f"planar-budget:m{m}:h{graph_key(h)}",
+            sorted(gadget.enforced) + [e_left, e_right], ga, gb,
+            [v for v in mids if v not in (lo, ro, gb)], details)
+        return ReductionReport("planar-permutation", params, glued, uhc,
+                               equal and glued == uhc, csize, details=details)
 
-        ga, gb = gadget.role("glue-a"), gadget.role("glue-b")
-        drop = sorted(gadget.enforced) + [e_left, e_right]
-        final = [v for v in mids if v not in (lo, ro, gb)]
-        glued = _glue_endpoints(p_glue, drop, ga, gb, final)
-        uhc = oracle_uhc(m - 3)
-        details["glued_equal_uhc"] = glued == uhc
-        equal = equal and glued == uhc
-        produced, expected = glued, uhc
-
-    return ReductionReport("planar-permutation", params, produced, expected, equal,
-                           csize, details=details)
+    return _gadget_lemma("planar-permutation", h, PLANAR, params, Polynomial.zero,
+                         body)
 
 
 def _ham_path_sets(vertices) -> set:
@@ -717,33 +674,54 @@ def _ham_path_sets(vertices) -> set:
     return out
 
 
+def _path_lemma(survivors, mids, details: dict) -> tuple[set, set]:
+    """The survivors' edge sets among the middle vertices, and the
+    Hamiltonian paths on those vertices that the sets should be."""
+    got = {frozenset(e for e in es if e[0] in mids and e[1] in mids)
+           for es in survivors}
+    expected = _ham_path_sets(mids)
+    details.update(middle_valid=len(survivors), expected_paths=len(expected))
+    return got, expected
+
+
+def _glue_into_uhc(survivors, filters, oracle_id: str, drop_to_one, a: int, b: int,
+                   final_vertices, details: dict) -> tuple:
+    """Slice the survivors' polynomial by the filters, glue b onto a, and
+    compare with the Hamiltonian cycles on the final vertices; returns the
+    glued polynomial, oracle_uhc and the circuit size."""
+    p = subsets_to_poly(survivors)
+    p_glue, csize = _slice(p, filters, oracle_id, bool(p), details)
+    details["glue_survivors"] = len(p_glue)
+    glued = _glue_endpoints(p_glue, drop_to_one, a, b, final_vertices)
+    uhc = oracle_uhc(len(final_vertices))
+    details["glued_equal_uhc"] = glued == uhc
+    return glued, uhc, csize
+
+
 # -- genus ---------------------------------------------------------------------------
 
 BLOCK_GENUS_BUDGET = 100_000
 
 _block_cache: dict = {}
-_block_lock = threading.Lock()
 
 
 def _block_certificate() -> dict:
     """The block certificate, computed once per process and shared; callers
-    must not mutate it.  The lock keeps lemmas run on threads from searching
-    twice."""
-    with _block_lock:
-        if not _block_cache:
-            g = genus_block().graph
-            planar = topo.is_planar(g)
-            witness = topo.kuratowski_witness(g)
-            genus, rot = topo.min_genus_rotation(g, budget=BLOCK_GENUS_BUDGET)
-            _block_cache.update({
-                "planar": planar,
-                "minor": None if witness is None else
-                {"kind": witness[0], "branch_sets": [sorted(s) for s in witness[1]]},
-                "min_genus": genus,
-                "rotation": topo.rotation_to_json_obj(rot),
-                "search_space": topo.rotation_search_space(g),
-            })
-        return _block_cache
+    must not mutate it."""
+    if not _block_cache:
+        g = genus_block().graph
+        planar = topo.is_planar(g)
+        witness = topo.kuratowski_witness(g)
+        genus, rot = topo.min_genus_rotation(g, budget=BLOCK_GENUS_BUDGET)
+        _block_cache.update({
+            "planar": planar,
+            "minor": None if witness is None else
+            {"kind": witness[0], "branch_sets": [sorted(s) for s in witness[1]]},
+            "min_genus": genus,
+            "rotation": topo.rotation_to_json_obj(rot),
+            "search_space": topo.rotation_search_space(g),
+        })
+    return _block_cache
 
 
 def block_certificates() -> dict:
@@ -815,86 +793,70 @@ def reduce_genus(h: Graph, k: int, m: int) -> ReductionReport:
     params = {"k": k, "m": m, "h": h.to_json_obj()}
     if k < 1 or k > 2 or m < 4 or m > 5:
         raise ValueError("genus pipeline supports k in {1,2}, 4 <= m <= 5")
-    cls = classify(h, genus_class(k))
-    if cls.kind != "VNPComplete" or not h.edges:
-        reason = cls.witness if cls.kind != "VNPComplete" else LOOP_ONLY_CAVEAT
-        return _vac0_report("genus-chain", params, reason)
 
-    details: dict = {}
-    block = genus_block_report()
-    details["block"] = {"planar": block.details["planar"],
-                        "min_genus": block.details["min_genus"],
-                        "minor": block.details["minor_kind"]}
-    structural_ok = block.equal
-    details["lower_bound"] = "genus additivity over vertex amalgams, used as a black box"
+    def body(details: dict) -> ReductionReport:
+        block = genus_block_report()
+        details["block"] = {"planar": block.details["planar"],
+                            "min_genus": block.details["min_genus"],
+                            "minor": block.details["minor_kind"]}
+        structural_ok = block.equal
+        details["lower_bound"] = "genus additivity over vertex amalgams, used as a black box"
 
-    # the plain block contains a 4-clique, so unless that maps into h the
-    # pipeline runs on the diagonal-subdivided chain, whose blocks keep their
-    # genus while folding onto a single edge
-    k4_branch = is_homomorphic(Graph.complete(4), h)
-    triangle_branch = is_homomorphic(K3, h)
-    use_subdivided = not k4_branch
-    details["chain_variant"] = "subdivided" if use_subdivided else "plain"
-    chain_cert = chain_rotation(k, subdivide=use_subdivided)
-    details["chain_embedding_genus"] = chain_cert["genus"]
-    structural_ok = structural_ok and chain_cert["genus"] == k
-    if use_subdivided:
-        sub_block = amalgam_chain(1, subdivide=True).graph
-        details["subdivided_block_nonplanar"] = not topo.is_planar(sub_block)
-        structural_ok = structural_ok and details["subdivided_block_nonplanar"]
+        # the plain block contains a 4-clique, so unless that maps into h the
+        # pipeline runs on the diagonal-subdivided chain, whose blocks keep
+        # their genus while folding onto a single edge
+        k4_branch = is_homomorphic(Graph.complete(4), h)
+        triangle_branch = is_homomorphic(K3, h)
+        use_subdivided = not k4_branch
+        details["chain_variant"] = "subdivided" if use_subdivided else "plain"
+        chain_cert = chain_rotation(k, subdivide=use_subdivided)
+        details["chain_embedding_genus"] = chain_cert["genus"]
+        structural_ok = structural_ok and chain_cert["genus"] == k
+        if use_subdivided:
+            sub_block = amalgam_chain(1, subdivide=True).graph
+            details["subdivided_block_nonplanar"] = not topo.is_planar(sub_block)
+            structural_ok = structural_ok and details["subdivided_block_nonplanar"]
 
-    gadget = amalgam_chain(k, attach_planar=m, subdivide=use_subdivided)
-    g = gadget.graph
-    apex_a, apex_b = g.label("planar-apex-a"), g.label("planar-apex-b")
-    mids = sorted(w for (u, v) in g.edges if apex_a in (u, v)
-                  for w in (u, v) if w != apex_a)
-    planar_part_vertices = set(mids) | {apex_a, apex_b}
+        gadget = amalgam_chain(k, attach_planar=m, subdivide=use_subdivided)
+        g = gadget.graph
+        apex_a, apex_b = g.label("planar-apex-a"), g.label("planar-apex-b")
+        mids = sorted(w for (u, v) in g.edges if apex_a in (u, v)
+                      for w in (u, v) if w != apex_a)
+        planar_part_vertices = set(mids) | {apex_a, apex_b}
 
-    def class_check(cand: Graph) -> bool:
-        # blocks are enforced and each has genus one; by additivity over the
-        # one-vertex amalgams the candidate has genus exactly k iff its apex
-        # portion (the only piece that varies) is planar
-        return topo.is_planar(cand.induced(planar_part_vertices))
+        def class_check(cand: Graph) -> bool:
+            # blocks are enforced and each has genus one; by additivity over
+            # the one-vertex amalgams the candidate has genus exactly k iff
+            # its apex portion (the only piece that varies) is planar
+            return topo.is_planar(cand.induced(planar_part_vertices))
 
-    pick = gadget.budget - len(gadget.enforced)
-    survivors = budget_survivors(
-        g.n, gadget.enforced, gadget.free_edges(), pick, class_check,
-        hom_target=h if (k4_branch or triangle_branch) else None)
-    details["middle_valid"] = len(survivors)
+        # a 4-clique maps into h only if a triangle does
+        survivors = _gadget_survivors(gadget, class_check,
+                                      h if triangle_branch else None)
+        got_middle, expected_paths = _path_lemma(survivors, mids, details)
 
-    mid_sets = {frozenset(e for e in es
-                          if e[0] in mids and e[1] in mids) for es in survivors}
-    expected_paths = _ham_path_sets(mids)
-    lemma_ok = mid_sets == expected_paths
-    details["expected_paths"] = len(expected_paths)
+        # endpoint glue in ends-direct mode: the designated path endpoints are
+        # the outer end vertex and the junction; fixing their middle degree to
+        # one and identifying them turns each path into a cycle on m-1 vertices
+        pa = g.label("planar-end-left-outer")
+        pb = g.label("planar-end-right-outer")
+        glued, uhc, csize = _glue_into_uhc(
+            survivors, [(_edge_vars_at(pa, mids), 1), (_edge_vars_at(pb, mids), 1)],
+            f"genus-budget:k{k}:m{m}:h{graph_key(h)}", sorted(gadget.enforced),
+            pa, pb, [v for v in mids if v != pb], details)
 
-    # endpoint glue in ends-direct mode: the designated path endpoints are the
-    # outer end vertex and the junction; fixing their middle degree to one and
-    # identifying them turns each path into a cycle on m-1 vertices
-    p_mid = subsets_to_poly(survivors)
-    pa = g.label("planar-end-left-outer")
-    pb = g.label("planar-end-right-outer")
-    p_pts, csize = _slice(
-        p_mid, [(_edge_vars_at(pa, mids), 1), (_edge_vars_at(pb, mids), 1)],
-        f"genus-budget:k{k}:m{m}:h{graph_key(h)}", bool(p_mid), details)
-    details["glue_survivors"] = len(p_pts)
+        if not triangle_branch:
+            folded = amalgam_chain(k, subdivide=True)
+            variant = subdivide_and_buddy_planar(planar_gadget(m))
+            details["chain_folds_to_edge"] = fold_block_to_edge_certificate(folded)
+            details["planar_variant_bipartite"] = hom_to_single_edge(variant.graph)
+            structural_ok = structural_ok and details["chain_folds_to_edge"] \
+                and details["planar_variant_bipartite"]
 
-    glued = _glue_endpoints(p_pts, sorted(gadget.enforced), pa, pb,
-                            [v for v in mids if v != pb])
-    uhc = oracle_uhc(m - 1)
-    details["glued_equal_uhc"] = glued == uhc
+        equal = structural_ok and got_middle == expected_paths and glued == uhc
+        caveat = None if structural_ok else "embedding or certificate search failed"
+        return ReductionReport("genus-chain", params, glued, uhc, equal, csize,
+                               details=details, caveat=caveat)
 
-    if not triangle_branch:
-        folded = amalgam_chain(k, subdivide=True)
-        variant = subdivide_and_buddy_planar(planar_gadget(m))
-        details["chain_folds_to_edge"] = fold_block_to_edge_certificate(folded)
-        details["planar_variant_bipartite"] = hom_to_single_edge(variant.graph)
-        structural_ok = structural_ok and details["chain_folds_to_edge"] \
-            and details["planar_variant_bipartite"]
-
-    equal = structural_ok and lemma_ok and glued == uhc
-    caveat = None
-    if not structural_ok:
-        caveat = "embedding or certificate search failed"
-    return ReductionReport("genus-chain", params, glued, uhc, equal, csize,
-                           details=details, caveat=caveat)
+    return _gadget_lemma("genus-chain", h, genus_class(k), params,
+                         lambda: oracle_uhc(m - 1), body)
