@@ -130,7 +130,8 @@ def _report_table(reports) -> str:
 
 
 def cmd_verify(args) -> int:
-    lemmas = args.lemma or list(LEMMAS)  # argparse's choices rejected unknown ids
+    # argparse's choices rejected unknown ids; a repeated id runs once
+    lemmas = list(dict.fromkeys(args.lemma or LEMMAS))
 
     def run(name: str) -> reductions.ReductionReport:
         t0 = time.perf_counter()

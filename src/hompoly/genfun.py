@@ -8,9 +8,11 @@ homomorphism into a fixed target H.  That verdict depends only on the
 homomorphic-equivalence class of the subset (its core; Hell and Nesetril,
 "The core of a graph", 1992), which on the cycle, clique and tree classes is
 fixed by the edge count, so there hom_poly decides it once per edge count.
-Both sum with subsets_to_poly, as do the reduction pipelines.  A weighted
-host is a projection (Valiant 1979): the substitution of its weights for the
-edge variables, by Polynomial.substitute.
+Both hand the class's edge bitmasks (graphs.class_edge_masks) to one
+assembler, _assemble; the reduction pipelines, which hold edge sets, reach
+it through the subsets_to_poly adapter.  A weighted host is a projection
+(Valiant 1979): the substitution of its weights for the edge variables, by
+Polynomial.substitute.
 
 The oracles at the bottom generate Hamiltonian cycles, cliques and perfect
 matchings by direct combinatorial generation, never through the class
@@ -24,10 +26,11 @@ import enum
 import hashlib
 import itertools
 import json
+import operator
 
 from .errors import BudgetExceededError
-from .graphs import (SHAPE_KINDS, Graph, GraphClass, class_edge_subsets,
-                     is_homomorphic)
+from .graphs import (SHAPE_KINDS, Graph, GraphClass, all_edges, class_edge_masks,
+                     is_homomorphic, mask_edges)
 from .poly import Polynomial, edge_var, vertex_var
 
 UHC_ORACLE_MAX_N = 9
@@ -46,39 +49,87 @@ def parse_model(name: str) -> VariableModel:
     raise ValueError(f"unknown variable model {name!r}")
 
 
+def _chunk_tables(values: list, empty, op) -> list[list]:
+    """For each run of 8 values, a table indexed by a byte: entry b folds
+    op over the run's values at the set bits of b, lowest bit first."""
+    tables = []
+    for c in range(0, len(values), 8):
+        table = [empty]
+        for v in values[c:c + 8]:
+            table += [op(x, v) for x in table]
+        tables.append(table)
+    return tables
+
+
+def _assemble(masks, evars: list, model: VariableModel) -> Polynomial:
+    """Sum over the masks of the product of their edge variables (and, in
+    the edge-and-vertex model, the vertex variables of every endpoint); bit
+    i of a mask selects evars[i], and a mask listed twice counts twice.
+
+    evars is ascending, so the concatenation of a mask's per-byte tables
+    is its monomial already sorted: no sort per term.  The vertex pairs
+    follow, since every ('v', x) sorts after every ('e', i, j).
+    """
+    etabs = _chunk_tables([((v, 1),) for v in evars], (), operator.add)
+    with_vertices = model is VariableModel.EDGE_AND_VERTEX
+    if with_vertices:
+        vtabs = _chunk_tables([1 << v[1] | 1 << v[2] for v in evars], 0,
+                              operator.or_)
+    vpairs: dict = {}  # vertex mask -> its (vertex_var, 1) pairs
+    terms: dict = {}
+    for mask in masks:
+        mono, vmask, c = (), 0, 0
+        while mask:
+            mono += etabs[c][mask & 255]
+            if with_vertices:
+                vmask |= vtabs[c][mask & 255]
+            mask >>= 8
+            c += 1
+        if with_vertices:
+            pairs = vpairs.get(vmask)
+            if pairs is None:
+                pairs = vpairs[vmask] = tuple((vertex_var(x), 1)
+                                              for x in range(vmask.bit_length())
+                                              if vmask >> x & 1)
+            mono += pairs
+        terms[mono] = terms.get(mono, 0) + 1
+    return Polynomial(terms)
+
+
 def subsets_to_poly(subsets, model: VariableModel = VariableModel.EDGE_ONLY
                     ) -> Polynomial:
     """Sum over the edge subsets of the product of their edge variables
     (and, in the edge-and-vertex model, the vertex variables of every
-    endpoint); a subset listed twice counts twice.  Each edge is mapped to
-    its variable once per call, on first sight."""
-    with_vertices = model is VariableModel.EDGE_AND_VERTEX
-    evars: dict = {}
-    terms: dict = {}
-    for es in subsets:
-        mono = [(evars.get(e) or evars.setdefault(e, edge_var(*e)), 1) for e in es]
-        if with_vertices:
-            mono += [(vertex_var(x), 1) for x in {x for e in es for x in e}]
-        key = tuple(sorted(mono))
-        terms[key] = terms.get(key, 0) + 1
-    return Polynomial(terms)
+    endpoint); a subset listed twice counts twice.
+
+    An adapter for callers that hold edge sets: the union of their edges is
+    indexed in variable order and each subset becomes a mask for _assemble,
+    whose per-byte tables then give every monomial already sorted.
+    """
+    subsets = list(subsets)
+    edges = sorted({e for es in subsets for e in es}, key=lambda e: edge_var(*e))
+    bits = {e: 1 << i for i, e in enumerate(edges)}
+    return _assemble([sum(map(bits.__getitem__, es)) for es in subsets],
+                     [edge_var(*e) for e in edges], model)
 
 
 def generating_function(g: Graph, cls: GraphClass,
                         model: VariableModel = VariableModel.EDGE_ONLY) -> Polynomial:
-    """Sum over the edge subsets of g in the class (class_edge_subsets, limit
+    """Sum over the edge subsets of g in the class (class_edge_masks, limit
     graphs.SUBSET_FILTER_MAX_EDGES) of their monomials; a weighted g is this
     polynomial with its weights substituted."""
-    return subsets_to_poly(class_edge_subsets(g, cls), model)
+    return _assemble(class_edge_masks(g, cls),
+                     [edge_var(*e) for e in sorted(g.edges)], model)
 
 
 def hom_poly(h: Graph, n: int, cls: GraphClass,
              model: VariableModel = VariableModel.EDGE_ONLY) -> Polynomial:
     """Class generating function over K_n restricted to subgraphs whose
     nontrivial component is homomorphic to h; a weighted host is a
-    substitution into it.  The subsets come canonical from
-    class_edge_subsets (limit graphs.SUBSET_FILTER_MAX_EDGES), so their
-    graphs skip Graph.make's validation.
+    substitution into it.  The subsets stay bitmasks over K_n's edges from
+    class_edge_masks (limit graphs.SUBSET_FILTER_MAX_EDGES) to _assemble;
+    only a mask handed to is_homomorphic is decoded, into a canonical
+    edge set whose graph skips Graph.make's validation.
 
     Whether g maps to h depends only on the homomorphic-equivalence class
     of g, that is on its core (Hell and Nesetril, "The core of a graph",
@@ -86,19 +137,24 @@ def hom_poly(h: Graph, n: int, cls: GraphClass,
     length is its edge count and a clique's size follows from its edge
     count, so two such members are isomorphic, and every tree with an edge
     is equivalent to K2.  All subsets share the n vertices, and isolated
-    vertices change no verdict.  So for those kinds the first subset of each
-    edge count is checked and its verdict holds for the rest; every other
-    class is checked subset by subset.
+    vertices change no verdict.  So for those kinds the first mask of each
+    bit count is checked and its verdict holds for the rest; every other
+    class is checked mask by mask.
     """
-    subsets = class_edge_subsets(Graph.complete(n), cls)
+    edges = all_edges(n)
+    masks = class_edge_masks(Graph.complete(n), cls)
     if cls.kind not in SHAPE_KINDS:
-        return subsets_to_poly(
-            (es for es in subsets if is_homomorphic(Graph(n, es), h)), model)
-    verdict: dict = {}  # edge count -> whether its subsets map to h
-    for es in subsets:
-        if len(es) not in verdict:
-            verdict[len(es)] = is_homomorphic(Graph(n, es), h)
-    return subsets_to_poly((es for es in subsets if verdict[len(es)]), model)
+        kept = [m for m in masks if is_homomorphic(Graph(n, mask_edges(m, edges)), h)]
+    else:
+        verdict: dict = {}  # edge count -> whether its subsets map to h
+        kept = []
+        for m in masks:
+            size = m.bit_count()
+            if size not in verdict:
+                verdict[size] = is_homomorphic(Graph(n, mask_edges(m, edges)), h)
+            if verdict[size]:
+                kept.append(m)
+    return _assemble(kept, [edge_var(*e) for e in edges], model)
 
 
 # -- independent oracles -------------------------------------------------------

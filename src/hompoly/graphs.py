@@ -4,13 +4,17 @@ Vertices are 0..n-1.  Edges are canonical pairs (i, j) with i < j; self-loops
 live in a separate vertex set (loops are legal in homomorphism targets H but
 never selected by class enumerations).  Labels attach role names to vertices
 for gadget bookkeeping.
+
+Class enumeration keeps each edge subset as an int bitmask over the host's
+edges in canonical order (class_edge_masks); class_edge_subsets is the
+frozenset view for callers that want edge sets.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import BudgetExceededError
 
@@ -353,56 +357,75 @@ def hom_to_single_edge(g: Graph) -> bool:
 
 # -- class-restricted subgraph enumeration ------------------------------------
 
-def _cycle_edge_sets(n: int) -> list[frozenset]:
+def _edge_index(k: int) -> list[list[int]]:
+    """index[a][b]: the position of edge (a, b) or (b, a) in all_edges(k)."""
+    index = [[0] * k for _ in range(k)]
+    for idx, (a, b) in enumerate(all_edges(k)):
+        index[a][b] = index[b][a] = idx
+    return index
+
+
+def _prufer_templates(k: int) -> list[tuple]:
+    """Every labeled tree on positions 0..k-1 (k >= 3), once each, as the
+    indices of its edges in all_edges(k): one linear-time Pruefer decoding
+    (Pruefer 1918) per sequence, k^(k-2) of them (Cayley's count)."""
+    index = _edge_index(k)
     out = []
-    for size in range(3, n + 1):
-        for verts in itertools.combinations(range(n), size):
-            first, rest = verts[0], verts[1:]
-            for p in itertools.permutations(rest):
-                if p[0] > p[-1]:
-                    continue
-                cyc = (first,) + p
-                out.append(frozenset(canonical_edge(cyc[i], cyc[(i + 1) % size])
-                                     for i in range(size)))
+    for seq in itertools.product(range(k), repeat=k - 2):
+        degree = [1] * k
+        for x in seq:
+            degree[x] += 1
+        ptr = degree.index(1)
+        leaf, es = ptr, []
+        for x in seq:
+            es.append(index[leaf][x])
+            degree[x] -= 1
+            if degree[x] == 1 and x < ptr:
+                leaf = x
+            else:
+                ptr += 1
+                while degree[ptr] != 1:
+                    ptr += 1
+                leaf = ptr
+        es.append(index[leaf][k - 1])
+        out.append(tuple(es))
     return out
 
 
-def _clique_edge_sets(n: int) -> list[frozenset]:
+def _cycle_templates(k: int) -> list[tuple]:
+    """Every cycle through all of positions 0..k-1 (k >= 3), once each, as
+    the indices of its edges in all_edges(k)."""
+    index = _edge_index(k)
     out = []
-    for size in range(2, n + 1):
-        for verts in itertools.combinations(range(n), size):
-            out.append(frozenset(itertools.combinations(verts, 2)))
+    for p in itertools.permutations(range(1, k)):
+        if p[0] < p[-1]:
+            cyc = (0,) + p
+            out.append(tuple(index[cyc[i - 1]][cyc[i]] for i in range(k)))
     return out
 
 
-def _tree_edge_sets(n: int) -> list[frozenset]:
-    # labeled trees on every vertex subset, via Pruefer sequences
-    out = [frozenset([e]) for e in all_edges(n)]
-    for size in range(3, n + 1):
-        for verts in itertools.combinations(range(n), size):
-            for seq in itertools.product(verts, repeat=size - 2):
-                deg = {v: 1 for v in verts}
-                for x in seq:
-                    deg[x] += 1
-                avail = sorted(v for v in verts if deg[v] == 1)
-                es = []
-                seq_list = list(seq)
-                for x in seq_list:
-                    leaf = avail.pop(0)
-                    es.append(canonical_edge(leaf, x))
-                    deg[x] -= 1
-                    if deg[x] == 1:
-                        bisect.insort(avail, x)
-                es.append(canonical_edge(avail[0], avail[1]))
-                out.append(frozenset(es))
+def _shape_masks(n: int, kind: str) -> list[int]:
+    """The masks of K_n's cycles, cliques or trees, unsorted.
+
+    Each shape on k >= 3 vertices is a template over positions 0..k-1,
+    placed on every k-subset of the vertices through that subset's bit[a][b]
+    entries; the edge of K2 is a clique and a tree."""
+    bit = [[0] * n for _ in range(n)]
+    for idx, (a, b) in enumerate(all_edges(n)):
+        bit[a][b] = 1 << idx
+    out = [] if kind == "cycle" else [1 << i for i in range(n * (n - 1) // 2)]
+    for k in range(3, n + 1):
+        if kind == "cycle":
+            templates = _cycle_templates(k)
+        elif kind == "tree":
+            templates = _prufer_templates(k)
+        else:
+            templates = [tuple(range(k * (k - 1) // 2))]
+        getters = [itemgetter(*t) for t in templates]
+        for verts in itertools.combinations(range(n), k):
+            placed = [bit[a][b] for a, b in itertools.combinations(verts, 2)]
+            out += [sum(get(placed)) for get in getters]  # disjoint bits: sum is OR
     return out
-
-
-def _edge_mask(edges: frozenset, order: dict) -> int:
-    m = 0
-    for e in edges:
-        m |= 1 << order[e]
-    return m
 
 
 def subset_in_class(n: int, es: list, cls: GraphClass) -> bool:
@@ -410,13 +433,18 @@ def subset_in_class(n: int, es: list, cls: GraphClass) -> bool:
     return recognize(Graph.make(n, es), cls)
 
 
-def class_edge_subsets(g: Graph, cls: GraphClass) -> list[frozenset]:
-    """Edge subsets of g in the class, each once, ascending by bitmask over
-    g's edges in canonical order.
+def mask_edges(mask: int, edges: list) -> frozenset:
+    """The edges whose bits are set in mask; bit i is edges[i]."""
+    return frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
 
-    Over a complete host the SHAPE_KINDS (cycle, clique, tree) generate
-    their shapes directly; every other case filters the bitmasks of g's
-    edges through subset_in_class (recognize on each subset) and raises
+
+def class_edge_masks(g: Graph, cls: GraphClass) -> list[int]:
+    """Edge subsets of g in the class, each once, as ascending bitmasks: bit
+    i selects the i-th edge of g in canonical order (sorted(g.edges)).
+
+    Over a complete host the SHAPE_KINDS (cycle, clique, tree) are built
+    from templates (_shape_masks); every other case filters the bitmasks of
+    g's edges through subset_in_class (recognize on each subset) and raises
     BudgetExceededError when g has more than SUBSET_FILTER_MAX_EDGES edges
     (read at call time).
 
@@ -427,18 +455,19 @@ def class_edge_subsets(g: Graph, cls: GraphClass) -> list[frozenset]:
     change no verdict.  genfun.hom_poly relies on this.
     """
     edges = sorted(g.edges)
-    order = {e: i for i, e in enumerate(edges)}
-    complete = len(edges) == g.n * (g.n - 1) // 2
-    if complete and cls.kind in SHAPE_KINDS:
-        gen = {"cycle": _cycle_edge_sets, "clique": _clique_edge_sets,
-               "tree": _tree_edge_sets}[cls.kind]
-        return sorted(gen(g.n), key=lambda s: _edge_mask(s, order))
+    if len(edges) == g.n * (g.n - 1) // 2 and cls.kind in SHAPE_KINDS:
+        return sorted(_shape_masks(g.n, cls.kind))
     if len(edges) > SUBSET_FILTER_MAX_EDGES:
         raise BudgetExceededError(f"{len(edges)} candidate edges exceed the "
                                   f"enumeration budget {SUBSET_FILTER_MAX_EDGES}")
-    out = []
-    for mask in range(1, 1 << len(edges)):
-        es = [edges[k] for k in range(len(edges)) if mask >> k & 1]
-        if subset_in_class(g.n, es, cls):
-            out.append(frozenset(es))
-    return out
+    return [mask for mask in range(1, 1 << len(edges))
+            if subset_in_class(g.n, [e for i, e in enumerate(edges) if mask >> i & 1],
+                               cls)]
+
+
+def class_edge_subsets(g: Graph, cls: GraphClass) -> list[frozenset]:
+    """class_edge_masks decoded into frozensets of edges, in the same
+    ascending bitmask order, for callers that want edge sets; the
+    polynomial builders in genfun read the masks themselves."""
+    edges = sorted(g.edges)
+    return [mask_edges(mask, edges) for mask in class_edge_masks(g, cls)]

@@ -660,8 +660,14 @@ def reduce_planar(h: Graph, m: int, budget: int | None = None) -> ReductionRepor
         return ReductionReport("planar-permutation", params, glued, uhc,
                                equal and glued == uhc, csize, details=details)
 
-    return _gadget_lemma("planar-permutation", h, PLANAR, params, Polynomial.zero,
-                         body)
+    def expected() -> Polynomial:
+        # what body compares its result with: the glued cycles at m = 6,
+        # the middle Hamiltonian paths below
+        if m == 6:
+            return oracle_uhc(m - 3)
+        return subsets_to_poly(_ham_path_sets(range(m)))
+
+    return _gadget_lemma("planar-permutation", h, PLANAR, params, expected, body)
 
 
 def _ham_path_sets(vertices) -> set:

@@ -1,18 +1,21 @@
 """Shared brute-force oracles, deliberately independent of the library paths.
 
 Homomorphism checks here try every vertex map; class membership is decided
-with networkx primitives; subsets are enumerated by raw bitmask.  Tests
-compare library output against these.
+with networkx primitives; subsets are enumerated by raw bitmask, and the
+cycle, clique and tree shapes by permutations, combinations and Pruefer
+sequences into frozensets.  Tests compare library output against these.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 
 import networkx as nx
 import pytest
 
-from hompoly import Graph, class_edge_subsets, reductions, topo
+from hompoly import Graph, VariableModel, class_edge_subsets, reductions, topo
+from hompoly.poly import Polynomial, edge_var, vertex_var
 
 
 def brute_is_homomorphic(g: Graph, h: Graph) -> bool:
@@ -107,6 +110,65 @@ def brute_class_subsets(n: int, kind: str, genus_k: int | None = None):
         if nx_in_class(n, es, kind, genus_k):
             out.append(frozenset(es))
     return out
+
+
+# -- reference shape generators: Pruefer sequences, permutations and
+# combinations, one frozenset per shape, never through bitmasks ---------------
+
+def reference_cycle_sets(n: int) -> list[frozenset]:
+    out = []
+    for size in range(3, n + 1):
+        for verts in itertools.combinations(range(n), size):
+            first, rest = verts[0], verts[1:]
+            for p in itertools.permutations(rest):
+                if p[0] > p[-1]:
+                    continue
+                cyc = (first,) + p
+                out.append(frozenset(tuple(sorted((cyc[i], cyc[(i + 1) % size])))
+                                     for i in range(size)))
+    return out
+
+
+def reference_clique_sets(n: int) -> list[frozenset]:
+    return [frozenset(itertools.combinations(verts, 2))
+            for size in range(2, n + 1)
+            for verts in itertools.combinations(range(n), size)]
+
+
+def reference_tree_sets(n: int) -> list[frozenset]:
+    """Labeled trees on every vertex subset, one Pruefer decoding each with
+    a degree map and a sorted leaf list."""
+    out = [frozenset([(i, j)]) for i in range(n) for j in range(i + 1, n)]
+    for size in range(3, n + 1):
+        for verts in itertools.combinations(range(n), size):
+            for seq in itertools.product(verts, repeat=size - 2):
+                deg = {v: 1 for v in verts}
+                for x in seq:
+                    deg[x] += 1
+                avail = sorted(v for v in verts if deg[v] == 1)
+                es = []
+                for x in seq:
+                    leaf = avail.pop(0)
+                    es.append(tuple(sorted((leaf, x))))
+                    deg[x] -= 1
+                    if deg[x] == 1:
+                        bisect.insort(avail, x)
+                es.append((avail[0], avail[1]))
+                out.append(frozenset(es))
+    return out
+
+
+def reference_subsets_to_poly(subsets, model=VariableModel.EDGE_ONLY) -> Polynomial:
+    """The class polynomial of edge sets, each monomial built from its
+    variables and sorted."""
+    terms: dict = {}
+    for es in subsets:
+        mono = [(edge_var(*e), 1) for e in es]
+        if model is VariableModel.EDGE_AND_VERTEX:
+            mono += [(vertex_var(x), 1) for x in {x for e in es for x in e}]
+        key = tuple(sorted(mono))
+        terms[key] = terms.get(key, 0) + 1
+    return Polynomial(terms)
 
 
 def reference_hom_subsets(h: Graph, n: int, cls):

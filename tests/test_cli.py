@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, report determinism."""
 
+import hashlib
 import json
 import pathlib
 from fractions import Fraction
@@ -98,6 +99,28 @@ def test_poly_golden_output(golden, h, argv, tmp_path, capsys):
     path.write_text(json.dumps(h.to_json_obj()))
     assert main(["poly", str(path)] + argv) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+POLY_DIGESTS = json.loads((GOLDEN / "poly-sha256.json").read_text())
+DIGEST_TARGETS = {"K2": Graph.single_edge(), "K3": Graph.complete(3),
+                  "C5": Graph.cycle(5)}
+
+
+@pytest.mark.parametrize("command", sorted(POLY_DIGESTS))
+def test_poly_output_digest(command, tmp_path, capsys):
+    """The sha256 of `hompoly poly` stdout matches the committed digest.
+
+    poly-sha256.json maps each command, with H named by a key of
+    DIGEST_TARGETS, to the digest of its stdout.  The tree, cycle and
+    clique commands take the shape templates, the outerplanar and planar
+    ones the bitmask filter.
+    """
+    _, h, *rest = command.split()
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(DIGEST_TARGETS[h].to_json_obj()))
+    assert main(["poly", str(path)] + rest) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == POLY_DIGESTS[command]
 
 
 def test_bad_input_exits_2(graph_files, tmp_path, capsys):
@@ -248,6 +271,16 @@ def test_verify_report_roundtrip_and_determinism(tmp_path, capsys):
         == sorted(r["lemma"] for r in data["reports"])
     assert main(["report", str(out1)]) == 0
     capsys.readouterr()
+
+
+def test_verify_repeated_lemma_runs_once(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["verify", "--lemma", "genus-block", "--lemma", "genus-block",
+                 "--out", str(out)]) == 0
+    table = capsys.readouterr().out
+    assert [line.split()[0] for line in table.splitlines()[2:]] == ["genus-block"]
+    assert [r["lemma"] for r in json.loads(out.read_text())["reports"]] \
+        == ["genus-block"]
 
 
 def test_verify_timings(tmp_path, capsys):

@@ -7,10 +7,13 @@ import pytest
 import networkx as nx
 
 from conftest import (brute_hamiltonian_cycles, brute_perfect_matchings,
-                      poly_term_edge_sets, reference_hom_subsets)
-from hompoly import (CYCLE, CLIQUE, OUTERPLANAR, TREE, Graph, VariableModel,
+                      poly_term_edge_sets, reference_hom_subsets,
+                      reference_subsets_to_poly)
+from hompoly import (CYCLE, CLIQUE, OUTERPLANAR, PLANAR, TREE, Graph, VariableModel,
                      class_edge_subsets, generating_function, genfun, hom_poly,
-                     oracle_clique, oracle_matching, oracle_uhc)
+                     oracle_clique, oracle_matching, oracle_uhc, recognize,
+                     reductions)
+from hompoly.gadgets import planar_gadget, star_gadget
 from hompoly.errors import BudgetExceededError
 from hompoly.genfun import subsets_to_poly
 from hompoly.graphs import all_edges
@@ -124,6 +127,26 @@ def test_hom_poly_checks_every_outerplanar_subset(monkeypatch):
     edge_counts = _count_hom_checks(monkeypatch)
     assert hom_poly(K2, 4, OUTERPLANAR) == subsets_to_poly(expected)
     assert len(edge_counts) == len(subsets)
+
+
+@pytest.mark.parametrize("model", list(VariableModel), ids=lambda m: m.value)
+@pytest.mark.parametrize("gadget,cls", [
+    pytest.param(planar_gadget(5), PLANAR, id="planar-m5"),
+    pytest.param(star_gadget(6), OUTERPLANAR, id="star-n6"),
+])
+def test_subsets_to_poly_on_gadget_survivors_equals_assembler(gadget, cls, model):
+    # the adapter indexes only the survivors' edges, the assembler here all
+    # of the gadget's; both must give the reference polynomial
+    survivors = reductions._gadget_survivors(
+        gadget, lambda g: recognize(g, cls), Graph.complete(3))
+    assert len(survivors) > 1
+    edges = sorted(gadget.graph.edges)
+    masks = [sum(1 << edges.index(e) for e in es) for es in survivors]
+    expected = reference_subsets_to_poly(survivors, model)
+    assert subsets_to_poly(survivors, model) == expected
+    assert genfun._assemble(masks, [edge_var(*e) for e in edges], model) == expected
+    # a subset listed twice counts twice, as in the reference
+    assert subsets_to_poly(survivors * 2, model) == expected * 2
 
 
 def test_gf_outputs_multilinear_unit_coefficients():

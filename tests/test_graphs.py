@@ -1,15 +1,19 @@
 """Graph construction, homomorphism search, recognizers and enumeration."""
 
 import itertools
+import math
 import random
 
 import pytest
 
-from conftest import brute_class_subsets, brute_is_homomorphic
+from conftest import (brute_class_subsets, brute_is_homomorphic,
+                      reference_clique_sets, reference_cycle_sets,
+                      reference_tree_sets)
 from hompoly import (Graph, class_edge_subsets, hom_to_single_edge, is_homomorphic,
                      recognize)
 from hompoly.graphs import (CLIQUE, CYCLE, OUTERPLANAR, PLANAR, TREE,
-                            all_edges, genus_class, subset_in_class)
+                            all_edges, class_edge_masks, genus_class,
+                            subset_in_class)
 
 K2 = Graph.single_edge()
 
@@ -179,6 +183,34 @@ def test_bitmask_path_matches_shape_generators(cls):
     host = Graph.make(5, [e for e in all_edges(5) if e != missing])
     got = class_edge_subsets(host, cls)
     assert got == [s for s in collect(5, cls) if missing not in s]
+
+
+REFERENCE_SHAPES = {"cycle": reference_cycle_sets, "clique": reference_clique_sets,
+                    "tree": reference_tree_sets}
+
+
+@pytest.mark.parametrize("cls,largest", [(CYCLE, 8), (CLIQUE, 7), (TREE, 7)], ids=str)
+def test_shape_masks_match_reference_generators(cls, largest):
+    # the reference decodes each shape into a frozenset; the masks must be
+    # the same subsets, in ascending bitmask order
+    for n in range(largest + 1):
+        order = {e: i for i, e in enumerate(all_edges(n))}
+        reference = sorted(REFERENCE_SHAPES[cls.kind](n),
+                           key=lambda s: sum(1 << order[e] for e in s))
+        assert collect(n, cls) == reference, n
+        masks = class_edge_masks(Graph.complete(n), cls)
+        assert masks == sorted(set(masks))
+
+
+def test_shape_mask_counts():
+    for n in range(9):
+        assert len(class_edge_masks(Graph.complete(n), TREE)) \
+            == sum(math.comb(n, k) * k ** (k - 2) for k in range(2, n + 1))
+        assert len(class_edge_masks(Graph.complete(n), CYCLE)) \
+            == sum(math.comb(n, k) * math.factorial(k - 1) // 2
+                   for k in range(3, n + 1))
+        assert len(class_edge_masks(Graph.complete(n), CLIQUE)) \
+            == 2 ** n - n - 1
 
 
 def test_subset_in_class_equals_recognize_on_random_edge_lists():

@@ -290,6 +290,8 @@ def test_planar_budget_calibration():
         # the details recorded before the failure are kept
         assert r.details["budget"] == off
         assert r.details["expected_paths"] == 360
+        # the report compares with the oracle, not with the zero polynomial
+        assert r.expected == oracle_uhc(3) and len(r.expected) == 1
 
 
 def test_planar_bipartite_variant():
