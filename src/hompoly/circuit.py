@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Coeff, Monomial, Polynomial, VarId
+from .poly import Coeff, Polynomial, VarId
 
 # gate encodings:
 #   ('const', Coeff)
@@ -136,9 +136,9 @@ def eval_symbolic(c: Circuit,
             oid = g[1]
             if oid not in oracles:
                 raise KeyError(f"oracle {oid!r} is not bound")
-            decl = c.declared_vars(oid)
             inputs = [values[i] for i in g[2]]
-            values[gid] = _expand_oracle(oracles[oid], decl, inputs)
+            values[gid] = oracles[oid].substitute(
+                dict(zip(c.declared_vars(oid), inputs)))
     return values[c.output]
 
 
@@ -146,35 +146,6 @@ def _topo_order(c: Circuit) -> list[int]:
     reach = _reachable(c)
     # gates reference only earlier ids by construction
     return sorted(reach)
-
-
-def _expand_oracle(g: Polynomial, decl: tuple, inputs: list[Polynomial]) -> Polynomial:
-    sub: dict[VarId, Polynomial] = {}
-    scaling = True
-    scale_of: dict[VarId, Coeff] = {}
-    for v, p in zip(decl, inputs):
-        sub[v] = p
-        terms = list(p.terms())
-        if len(terms) == 1 and terms[0][0] == ((v, 1),):
-            scale_of[v] = terms[0][1]
-        elif len(terms) == 0:
-            scale_of[v] = 0
-        else:
-            scaling = False
-    if scaling:
-        # every input is c_v * its own variable: terms keep their monomials
-        out: dict[Monomial, Coeff] = {}
-        for m, c in g.terms():
-            coeff: Coeff = c
-            for v, e in m:
-                if v in scale_of:
-                    coeff *= scale_of[v] ** e
-                    if not coeff:
-                        break
-            if coeff:
-                out[m] = out.get(m, 0) + coeff
-        return Polynomial(out)
-    return g.substitute(sub)
 
 
 # -- homogeneous-component extraction by interpolation ---------------------------

@@ -161,6 +161,9 @@ def cmd_report(args) -> int:
     if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
         raise ValueError("a report file is a JSON object whose reports are a "
                          "list of objects")
+    for key in ("lemma", "equal", "produced_terms", "expected_terms"):
+        if not all(key in r for r in rows):
+            raise ValueError(f"a report row has no {key!r}")
     print("lemma                 equal  produced  expected")
     print("-" * 48)
     for r in rows:

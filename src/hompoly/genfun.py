@@ -159,6 +159,14 @@ def hom_poly(h: Graph, n: int, cls: GraphClass,
 
 # -- independent oracles -------------------------------------------------------
 
+def hamiltonian_orders(vertices):
+    """Each Hamiltonian path on the vertices once, as an order of the sorted
+    vertices whose first vertex is not above its last."""
+    for p in itertools.permutations(sorted(vertices)):
+        if p[0] <= p[-1]:
+            yield p
+
+
 def oracle_uhc(n: int) -> Polynomial:
     """All Hamiltonian cycles of K_n as edge monomials; (n-1)!/2 terms."""
     if n < 3:
@@ -167,13 +175,22 @@ def oracle_uhc(n: int) -> Polynomial:
         raise BudgetExceededError(
             f"n={n} exceeds the cycle oracle budget {UHC_ORACLE_MAX_N}")
     terms = {}
-    for p in itertools.permutations(range(1, n)):
-        if p[0] > p[-1]:
-            continue
+    for p in hamiltonian_orders(range(1, n)):
         cyc = (0,) + p
         mono = tuple(sorted((edge_var(cyc[i], cyc[(i + 1) % n]), 1)
                             for i in range(n)))
         terms[mono] = 1
+    return Polynomial(terms)
+
+
+def clique_poly(n: int, max_size: int) -> Polynomial:
+    """One monomial per clique of K_n on 2..max_size vertices."""
+    terms = {}
+    for size in range(2, max_size + 1):
+        for verts in itertools.combinations(range(n), size):
+            mono = tuple(sorted((edge_var(a, b), 1)
+                                for a, b in itertools.combinations(verts, 2)))
+            terms[mono] = 1
     return Polynomial(terms)
 
 
@@ -182,13 +199,7 @@ def oracle_clique(n: int) -> Polynomial:
     if n > CLIQUE_ORACLE_MAX_N:
         raise BudgetExceededError(
             f"n={n} exceeds the clique oracle budget {CLIQUE_ORACLE_MAX_N}")
-    terms = {}
-    for size in range(2, n + 1):
-        for verts in itertools.combinations(range(n), size):
-            mono = tuple(sorted((edge_var(a, b), 1)
-                                for a, b in itertools.combinations(verts, 2)))
-            terms[mono] = 1
-    return Polynomial(terms)
+    return clique_poly(n, n)
 
 
 def oracle_matching(g: Graph) -> Polynomial:

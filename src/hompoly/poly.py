@@ -159,7 +159,7 @@ class Polynomial:
         return Polynomial(out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self._terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -190,58 +190,71 @@ class Polynomial:
         """Divide every coefficient by the nonzero constant c, exactly."""
         if not c:
             raise ZeroDivisionError("divide_exact by zero")
-        inv = Fraction(1, 1) / Fraction(c)
-        return Polynomial({m: cc * inv for m, cc in self._terms.items()})
+        return self.scale(1 / Fraction(c))
 
     # -- substitution and slicing -----------------------------------------
 
     def substitute(self, mapping: Mapping[VarId, object]) -> "Polynomial":
         """Simultaneous substitution; unmapped variables are unchanged.
 
-        Values may be VarIds (relabeling), numbers, or Polynomials.  Single
-        term targets are rewritten in place; general polynomials fall back
-        to product expansion.
+        Values may be VarIds (relabeling), numbers, or Polynomials.  When
+        every value is a scalar multiple of its own variable, or zero, each
+        surviving monomial is kept as it is and only its coefficient is
+        multiplied.  Other single-term values are merged into each monomial,
+        which is re-sorted; general polynomials fall back to product
+        expansion.
         """
         norm: dict[VarId, Polynomial] = {}
         simple: dict[VarId, tuple[Monomial, Coeff]] = {}
-        all_simple = True
+        all_simple = in_place = True
         for v, val in mapping.items():
-            if isinstance(val, tuple):  # VarId
+            if isinstance(val, Polynomial):
+                p = val
+            elif isinstance(val, tuple):  # VarId
                 p = Polynomial.variable(val)
             elif isinstance(val, (int, Fraction)):
                 p = Polynomial.constant(val)
-            elif isinstance(val, Polynomial):
-                p = val
             else:
                 raise TypeError(f"cannot substitute value of type {type(val)}")
             norm[v] = p
             if len(p._terms) <= 1:
                 m, c = next(iter(p._terms.items()), ((), 0))
                 simple[v] = (m, c)
+                if c and m != ((v, 1),):
+                    in_place = False
             else:
                 all_simple = False
 
-        if all_simple:
+        if all_simple and in_place:
+            scale_of = {v: c for v, (_, c) in simple.items()}
             out: dict[Monomial, Coeff] = {}
             for m, c in self._terms.items():
-                coeff: Coeff = c
+                for v, e in m:
+                    if v in scale_of:
+                        c *= scale_of[v] ** e
+                        if not c:
+                            break
+                if c:
+                    out[m] = c
+            return Polynomial(out)
+
+        if all_simple:
+            out = {}
+            for m, c in self._terms.items():
                 parts: dict[VarId, int] = {}
-                dead = False
                 for v, e in m:
                     if v in simple:
                         tm, tc = simple[v]
                         if not tc:
-                            dead = True
-                            break
-                        coeff *= tc ** e
+                            break  # the term vanishes
+                        c *= tc ** e
                         for tv, te in tm:
                             parts[tv] = parts.get(tv, 0) + te * e
                     else:
                         parts[v] = parts.get(v, 0) + e
-                if dead:
-                    continue
-                mm = tuple(sorted(parts.items()))
-                out[mm] = out.get(mm, 0) + coeff
+                else:
+                    mm = tuple(sorted(parts.items()))
+                    out[mm] = out.get(mm, 0) + c
             return Polynomial(out)
 
         acc = Polynomial()

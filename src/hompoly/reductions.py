@@ -28,8 +28,9 @@ from .errors import BudgetExceededError, PipelineIntegrityError
 from .gadgets import (amalgam_chain, buddy_transform, end_edges,
                       genus_block, planar_gadget, star_gadget,
                       subdivide_and_buddy_planar, fold_block_to_edge_certificate)
-from .genfun import (hom_poly, hom_poly_oracle_id, oracle_matching, oracle_uhc,
-                     graph_key, subsets_to_poly)
+from .genfun import (clique_poly, graph_key, hamiltonian_orders, hom_poly,
+                     hom_poly_oracle_id, oracle_matching, oracle_uhc,
+                     subsets_to_poly)
 from .graphs import (CYCLE, OUTERPLANAR, PLANAR, TREE, Graph,
                      GraphClass, all_edges, canonical_edge, genus_class,
                      hom_to_single_edge, is_homomorphic, recognize)
@@ -48,13 +49,10 @@ def enforce_edges(p: Polynomial, es) -> Polynomial:
     coincides with scaling each enforced variable by a fresh y and taking
     the top homogeneous slice in y.
     """
-    vars = [edge_var(*e) for e in es]
-    if not p.is_multilinear(vars):
+    vs = frozenset(edge_var(*e) for e in es)
+    if not p.is_multilinear(vs):
         raise ValueError("enforce_edges needs multilinearity in the enforced variables")
-    vs = frozenset(vars)
-    kept = {m: c for m, c in p.terms()
-            if vs <= {v for v, _ in m}}
-    return Polynomial(kept)
+    return p.homogeneous_component(vs, len(vs))
 
 
 def deny_edges(p: Polynomial, es) -> Polynomial:
@@ -85,21 +83,12 @@ def divide_uniform(p: Polynomial, context: str = "") -> tuple[Polynomial, int]:
 
 
 def contract_enforced_edge(p: Polynomial, e) -> Polynomial:
-    """Enforce e=(u,v), relabel v's edge variables onto u, set x_e to one,
+    """Enforce e=(u,v), set x_e to one, relabel v's edge variables onto u,
     and divide the uniform factor two out of the result."""
     u, v = canonical_edge(*e)
-    kept = enforce_edges(p, [e])
-    mapping = {edge_var(u, v): 1}
-    for var in kept.variables():
-        if var[0] != 'e' or var == edge_var(u, v):
-            continue
-        _, i, j = var
-        if v == i or v == j:
-            other = j if v == i else i
-            if other != u:
-                mapping[var] = edge_var(other, u)
-    out = kept.substitute(mapping)
-    return divide_integral(out, 2, f"contracting edge {e}")
+    kept = enforce_edges(p, [e]).substitute({edge_var(u, v): 1})
+    return divide_integral(relabel_edges_poly(kept, {v: u}), 2,
+                           f"contracting edge {e}")
 
 
 def relabel_edges_poly(p: Polynomial, vmap: dict) -> Polynomial:
@@ -349,14 +338,7 @@ def reduce_cliques_vac0(h: Graph, n: int) -> Polynomial:
     c the clique number."""
     if h.loops:
         raise ValueError("the explicit clique enumeration needs a loopless H")
-    w = clique_number(h)
-    terms = {}
-    for size in range(2, w + 1):
-        for verts in itertools.combinations(range(n), size):
-            mono = tuple(sorted((edge_var(a, b), 1)
-                                for a, b in itertools.combinations(verts, 2)))
-            terms[mono] = 1
-    return Polynomial(terms)
+    return clique_poly(n, clique_number(h))
 
 
 # -- trees --------------------------------------------------------------------------
@@ -587,10 +569,9 @@ def _glue_endpoints(p: Polynomial, drop_to_one, a: int, b: int,
                     final_vertices) -> Polynomial:
     """Set the given edges to one, relabel b onto a, canonicalize labels."""
     p = p.substitute({edge_var(*e): 1 for e in drop_to_one})
-    p = relabel_edges_poly(p, {b: a})
     vmap = {v: i for i, v in enumerate(sorted(final_vertices))}
-    p = relabel_edges_poly(p, vmap)
-    return divide_integral(p, 2, "gluing endpoints")
+    vmap[b] = vmap.get(a, a)
+    return divide_integral(relabel_edges_poly(p, vmap), 2, "gluing endpoints")
 
 
 def _verify_star_survivors(p_pts: Polynomial, n, center, a, b, outer) -> None:
@@ -671,13 +652,8 @@ def reduce_planar(h: Graph, m: int, budget: int | None = None) -> ReductionRepor
 
 
 def _ham_path_sets(vertices) -> set:
-    vs = sorted(vertices)
-    out = set()
-    for p in itertools.permutations(vs):
-        if p[0] > p[-1]:
-            continue
-        out.add(frozenset(canonical_edge(p[i], p[i + 1]) for i in range(len(p) - 1)))
-    return out
+    return {frozenset(canonical_edge(a, b) for a, b in zip(p, p[1:]))
+            for p in hamiltonian_orders(vertices)}
 
 
 def _path_lemma(survivors, mids, details: dict) -> tuple[set, set]:

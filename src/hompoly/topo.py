@@ -249,11 +249,18 @@ def trace_faces(g: Graph, rot: RotationSystem) -> int:
     return faces
 
 
+def _require_one_edge_component(g: Graph, what: str) -> None:
+    if sum(1 for comp in g.components() if len(comp) > 1) != 1:
+        raise ValueError(f"{what} needs exactly one component with edges")
+
+
 def genus_of_rotation(g: Graph, rot: RotationSystem) -> int:
-    """Euler genus of the embedding determined by rot; g must be connected."""
-    if not g.is_connected():
-        raise ValueError("face tracing needs a connected graph")
-    V = g.n
+    """Euler genus of the embedding determined by rot; exactly one component
+    of g has edges.  Isolated vertices add nothing to the genus: V
+    counts the rotation's vertices, which validate_rotation requires to be
+    the non-isolated ones."""
+    _require_one_edge_component(g, "face tracing")
+    V = len(rot)
     E = len(g.edges)
     F = trace_faces(g, rot)
     chi = V - E + F
@@ -296,14 +303,17 @@ def rotation_search_space(g: Graph) -> int:
 
 
 def min_genus(g: Graph, budget: int = DEFAULT_GENUS_BUDGET) -> int:
-    """Exact minimum genus of a connected graph, by min_genus_rotation."""
+    """Exact minimum genus by min_genus_rotation; an edgeless graph on at
+    most one vertex has genus 0."""
     if not g.edges and g.is_connected():
         return 0
     return min_genus_rotation(g, budget=budget)[0]
 
 
 def min_genus_rotation(g: Graph, budget: int = DEFAULT_GENUS_BUDGET):
-    """(genus, rotation) pair attaining the minimum genus of a connected graph.
+    """(genus, rotation) pair attaining the minimum genus of a graph with
+    exactly one component with edges; isolated vertices add nothing to the
+    genus and have no entry in the rotation.
 
     Rotation systems are tried in a fixed order and the first one reaching
     the minimum is kept.  The search stops on genus 0, and on genus 1 once
@@ -313,8 +323,7 @@ def min_genus_rotation(g: Graph, budget: int = DEFAULT_GENUS_BUDGET):
     BudgetExceededError, before any search, when the quotiented search space
     is larger than budget.
     """
-    if not g.is_connected():
-        raise ValueError("min_genus needs a connected graph")
+    _require_one_edge_component(g, "min_genus")
     choices = _rotation_choices(g)
     space = rotation_search_space(g)
     if space > budget:

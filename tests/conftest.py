@@ -171,6 +171,40 @@ def reference_subsets_to_poly(subsets, model=VariableModel.EDGE_ONLY) -> Polynom
     return Polynomial(terms)
 
 
+def reference_substitute(p: Polynomial, mapping) -> Polynomial:
+    """Simultaneous substitution by the ring operations alone: each term is
+    its coefficient times its variables' values, multiplied out with *, and
+    the terms are summed with +."""
+    acc = Polynomial.zero()
+    for m, c in p.terms():
+        term = Polynomial.constant(c)
+        for v, e in m:
+            val = mapping.get(v, v)
+            if isinstance(val, tuple):
+                val = Polynomial.variable(val)
+            elif not isinstance(val, Polynomial):
+                val = Polynomial.constant(val)
+            for _ in range(e):
+                term = term * val
+        acc = acc + term
+    return acc
+
+
+def reference_contract_enforced_edge(p: Polynomial, e) -> Polynomial:
+    """Contraction by an explicit mapping loop: keep the terms with x_uv,
+    send x_uv to one and every other edge variable at v to the edge from
+    its other end to u, then halve."""
+    u, v = sorted(e)
+    xe = edge_var(u, v)
+    kept = Polynomial({m: c for m, c in p.terms() if xe in dict(m)})
+    mapping = {xe: 1}
+    for var in kept.variables():
+        if var[0] == 'e' and var != xe and v in var[1:]:
+            other = var[2] if var[1] == v else var[1]
+            mapping[var] = edge_var(other, u)
+    return kept.substitute(mapping).divide_exact(2)
+
+
 def reference_hom_subsets(h: Graph, n: int, cls):
     """The class edge subsets of K_n whose n-vertex graph maps to h, decided
     by brute_is_homomorphic once per subset."""

@@ -210,6 +210,30 @@ def test_malformed_report_file_exits_2(obj, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("missing", ["lemma", "equal", "produced_terms",
+                                     "expected_terms"])
+def test_report_row_missing_key_prints_nothing(missing, tmp_path, capsys):
+    row = {"lemma": "cycles-even", "equal": True, "produced_terms": 3,
+           "expected_terms": 3}
+    bad = {k: v for k, v in row.items() if k != missing}
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"reports": [row, bad], "all_equal": True}))
+    assert main(["report", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: a report row has no {missing!r}\n"
+
+
+def test_genus_command_ignores_isolated_vertices(tmp_path, capsys):
+    k5 = Graph.complete(5)
+    outs = []
+    for name, g in (("k5", k5), ("k5-iso", Graph.make(6, k5.edges))):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(g.to_json_obj()))
+        assert main(["genus", str(p)]) == 0
+        outs.append(json.loads(capsys.readouterr().out))
+    assert outs[1]["genus"] == 1 and outs[1] == outs[0]
+
+
 def test_genus_command(tmp_path, capsys):
     p = tmp_path / "k5.json"
     p.write_text(json.dumps(Graph.complete(5).to_json_obj()))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_substitute
 from hompoly.poly import (Polynomial, aux_var, edge_var, loop_var, monomial,
                           var_to_str, vertex_var)
 
@@ -136,3 +137,35 @@ def test_homogeneous_component_of_product_convolves(p, q, k):
         right = right + p.homogeneous_component(vs, i) \
             * q.homogeneous_component(vs, k - i)
     assert left == right
+
+
+COEFFS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def substitutions(draw):
+    """A mapping over part of VARS; each value is a scalar multiple of its
+    own variable (zero included), a constant or a relabel, or, when
+    in_place is drawn, only the first kind."""
+    in_place = draw(st.booleans())
+    kinds = ["scaled"] if in_place else ["scaled", "constant", "relabel"]
+    mapping = {}
+    for v in draw(st.sets(st.sampled_from(VARS))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "scaled":
+            mapping[v] = Polynomial.variable(v).scale(draw(COEFFS))
+        elif kind == "constant":
+            mapping[v] = draw(COEFFS)
+        else:
+            mapping[v] = draw(st.sampled_from(VARS))
+    return mapping
+
+
+@given(polynomials(), substitutions())
+@settings(max_examples=150, deadline=None)
+def test_substitute_equals_term_by_term_expansion(p, mapping):
+    q = p.substitute(mapping)
+    assert q == reference_substitute(p, mapping)
+    for m, c in q.terms():
+        assert c and list(m) == sorted(m)
+        assert len({v for v, _ in m}) == len(m) and all(e > 0 for _, e in m)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import poly_term_edge_sets, to_nx
+from conftest import poly_term_edge_sets, reference_contract_enforced_edge, to_nx
 from hompoly import (CLIQUE, CYCLE, OUTERPLANAR, PLANAR, TREE, Graph,
                      classify, contract_enforced_edge, deny_edges,
                      enforce_edges, hom_poly, oracle_matching, oracle_uhc,
@@ -74,6 +74,15 @@ def test_contract_enforced_edge_on_four_cycles():
         [edge_var(i, j) for i in range(4) for j in range(i + 1, 4)], 4)
     out = contract_enforced_edge(four_cycles, (0, 3))
     assert out == oracle_uhc(3)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_contract_enforced_edge_matches_mapping_loop(n):
+    cycles = oracle_uhc(n + 1)
+    for e in itertools.combinations(range(n + 1), 2):
+        out = contract_enforced_edge(cycles, e)
+        assert out == reference_contract_enforced_edge(cycles, e)
+        assert [c for _, c in out.terms()] == [1] * len(oracle_uhc(n))
 
 
 def test_contract_without_matching_terms_gives_zero():

@@ -375,3 +375,18 @@ def test_min_genus_on_edgeless_graphs():
     assert min_genus(Graph.empty(1)) == 0
     with pytest.raises(ValueError):
         min_genus(Graph.empty(2))
+
+
+def test_isolated_vertices_add_nothing_to_the_genus():
+    k5_iso = Graph.make(7, K5.edges)
+    genus, rot = min_genus_rotation(k5_iso)
+    assert (genus, rot) == min_genus_rotation(K5) and genus == 1
+    assert genus_of_rotation(k5_iso, rot) == 1
+    path_iso = Graph.make(4, [(1, 2)])
+    assert min_genus(path_iso) == 0
+    assert genus_of_rotation(path_iso, {1: (2,), 2: (1,)}) == 0
+    two_edges = Graph.make(4, [(0, 1), (2, 3)])
+    for call in (lambda: min_genus(two_edges),
+                 lambda: genus_of_rotation(two_edges, {v: (v ^ 1,) for v in range(4)})):
+        with pytest.raises(ValueError, match="exactly one component with edges"):
+            call()
