@@ -1,11 +1,13 @@
 """Arithmetic-circuit IR with oracle gates.
 
 A circuit is a DAG of constant / variable / add / mul / oracle gates with one
-output.  Oracle gates stand for a fixed named polynomial applied to the gate
-inputs; they stay opaque until eval_symbolic binds each oracle id to an
-actual Polynomial and expands the calls.  size() counts add, mul and oracle
-gates only (variable and constant leaves are free), which makes the recorded
-interpolation-circuit size bounds well defined.
+output.  As in a c-reduction (Valiant 1979; Buergisser 2000) a circuit has
+at most one oracle: every oracle gate stands for the same polynomial over
+the circuit's oracle_vars, applied to the gate inputs.  The gates stay
+opaque until eval_symbolic binds that polynomial and expands the calls.
+size() counts add, mul and oracle gates only (variable and constant leaves
+are free), which makes the recorded interpolation-circuit size bounds well
+defined.
 """
 
 from __future__ import annotations
@@ -20,20 +22,14 @@ from .poly import Coeff, Polynomial, VarId
 #   ('var', VarId)
 #   ('add', (ids...))
 #   ('mul', (ids...))
-#   ('oracle', oracle_id, (ids...))
+#   ('oracle', (ids...))
 
 
 @dataclass(frozen=True)
 class Circuit:
     gates: tuple
     output: int
-    oracle_vars: tuple = ()  # ((oracle_id, (VarId, ...)), ...)
-
-    def declared_vars(self, oracle_id: str) -> tuple:
-        for oid, vs in self.oracle_vars:
-            if oid == oracle_id:
-                return vs
-        raise KeyError(oracle_id)
+    oracle_vars: tuple | None = None  # the oracle's VarIds; None without one
 
 
 class CircuitBuilder:
@@ -42,7 +38,7 @@ class CircuitBuilder:
     def __init__(self):
         self._gates: list = []
         self._index: dict = {}
-        self._oracles: dict[str, tuple] = {}
+        self._oracle_vars: tuple | None = None
 
     def _intern(self, gate) -> int:
         gid = self._index.get(gate)
@@ -68,22 +64,21 @@ class CircuitBuilder:
             return inputs[0]
         return self._intern(('mul', tuple(inputs)))
 
-    def declare_oracle(self, oracle_id: str, vars: tuple) -> None:
-        known = self._oracles.get(oracle_id)
-        if known is not None and known != tuple(vars):
-            raise ValueError(f"oracle {oracle_id!r} redeclared with different variables")
-        self._oracles[oracle_id] = tuple(vars)
+    def declare_oracle(self, vars: tuple) -> None:
+        vars = tuple(vars)
+        if self._oracle_vars is not None and self._oracle_vars != vars:
+            raise ValueError("oracle redeclared with different variables")
+        self._oracle_vars = vars
 
-    def oracle(self, oracle_id: str, inputs) -> int:
-        if oracle_id not in self._oracles:
-            raise ValueError(f"oracle {oracle_id!r} not declared")
-        if len(inputs) != len(self._oracles[oracle_id]):
-            raise ValueError(f"oracle {oracle_id!r} arity mismatch")
-        return self._intern(('oracle', oracle_id, tuple(inputs)))
+    def oracle(self, inputs) -> int:
+        if self._oracle_vars is None:
+            raise ValueError("oracle not declared")
+        if len(inputs) != len(self._oracle_vars):
+            raise ValueError("oracle arity mismatch")
+        return self._intern(('oracle', tuple(inputs)))
 
     def freeze(self, output: int) -> Circuit:
-        return Circuit(tuple(self._gates), output,
-                       tuple(sorted(self._oracles.items())))
+        return Circuit(tuple(self._gates), output, self._oracle_vars)
 
 
 def _reachable(c: Circuit) -> set:
@@ -95,10 +90,8 @@ def _reachable(c: Circuit) -> set:
             continue
         seen.add(gid)
         g = c.gates[gid]
-        if g[0] in ('add', 'mul'):
+        if g[0] in ('add', 'mul', 'oracle'):
             stack.extend(g[1])
-        elif g[0] == 'oracle':
-            stack.extend(g[2])
     return seen
 
 
@@ -108,11 +101,11 @@ def size(c: Circuit) -> int:
                if c.gates[gid][0] in ('add', 'mul', 'oracle'))
 
 
-def eval_symbolic(c: Circuit,
-                  oracles: dict[str, Polynomial] | None = None) -> Polynomial:
+def eval_symbolic(c: Circuit, oracle: Polynomial | None = None) -> Polynomial:
     """Polynomial computed by the circuit; oracle gates are expanded by
-    substituting their input polynomials into the bound oracle polynomial."""
-    oracles = oracles or {}
+    substituting their input polynomials for c.oracle_vars in the bound
+    oracle polynomial.  KeyError if an oracle gate is reached while no
+    polynomial is bound."""
     values: dict[int, Polynomial] = {}
     order = _topo_order(c)
     for gid in order:
@@ -133,12 +126,10 @@ def eval_symbolic(c: Circuit,
                 acc = acc * values[i]
             values[gid] = acc
         else:
-            oid = g[1]
-            if oid not in oracles:
-                raise KeyError(f"oracle {oid!r} is not bound")
-            inputs = [values[i] for i in g[2]]
-            values[gid] = oracles[oid].substitute(
-                dict(zip(c.declared_vars(oid), inputs)))
+            if oracle is None:
+                raise KeyError("no oracle polynomial is bound")
+            values[gid] = oracle.substitute(
+                dict(zip(c.oracle_vars, [values[i] for i in g[1]])))
     return values[c.output]
 
 
@@ -173,9 +164,9 @@ def lagrange_weights(k: int, delta: int) -> list[Fraction]:
     return weights
 
 
-def extract_homc(oracle_id: str, oracle_vars, vars, k: int, delta: int) -> Circuit:
+def extract_homc(oracle_vars, vars, k: int, delta: int) -> Circuit:
     """Interpolation circuit whose value is the degree-k slice, in the given
-    variable subset, of the polynomial bound to oracle_id.
+    variable subset, of the oracle polynomial over oracle_vars.
 
     interpolate_homc around the one-gate oracle call: the oracle is called
     at delta+1 points with each selected variable v replaced by v*t_j for
@@ -183,16 +174,15 @@ def extract_homc(oracle_id: str, oracle_vars, vars, k: int, delta: int) -> Circu
     Lagrange weights for the coefficient of t^k.  Gate count is
     (delta+1)*(|vars|+2) + 1.
     """
-    return interpolate_homc(oracle_call_circuit(oracle_id, oracle_vars),
-                            vars, k, delta)
+    return interpolate_homc(oracle_call_circuit(oracle_vars), vars, k, delta)
 
 
 def _rebuild(b: CircuitBuilder, c: Circuit, var_gate) -> int:
     """Copy c's reachable gates into b in topological order, with each
     Var(v) gate replaced by the gate id var_gate(v) returns; the id of the
     copied output."""
-    for oid, vs in c.oracle_vars:
-        b.declare_oracle(oid, vs)
+    if c.oracle_vars is not None:
+        b.declare_oracle(c.oracle_vars)
     new_id: dict[int, int] = {}
     for gid in _topo_order(c):
         g = c.gates[gid]
@@ -206,7 +196,7 @@ def _rebuild(b: CircuitBuilder, c: Circuit, var_gate) -> int:
         elif kind == 'mul':
             new_id[gid] = b.mul(*(new_id[i] for i in g[1]))
         else:
-            new_id[gid] = b.oracle(g[1], [new_id[i] for i in g[2]])
+            new_id[gid] = b.oracle([new_id[i] for i in g[1]])
     return new_id[c.output]
 
 
@@ -256,9 +246,9 @@ def scale_circuit(c: Circuit, w: Coeff) -> Circuit:
     return b.freeze(b.mul(b.const(w), out))
 
 
-def oracle_call_circuit(oracle_id: str, oracle_vars) -> Circuit:
+def oracle_call_circuit(vars) -> Circuit:
     """The identity circuit: one oracle gate applied to its own variables."""
-    oracle_vars = tuple(oracle_vars)
+    vars = tuple(vars)
     b = CircuitBuilder()
-    b.declare_oracle(oracle_id, oracle_vars)
-    return b.freeze(b.oracle(oracle_id, [b.var(v) for v in oracle_vars]))
+    b.declare_oracle(vars)
+    return b.freeze(b.oracle([b.var(v) for v in vars]))

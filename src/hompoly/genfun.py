@@ -23,9 +23,7 @@ path.
 from __future__ import annotations
 
 import enum
-import hashlib
 import itertools
-import json
 import operator
 
 from .errors import BudgetExceededError
@@ -225,14 +223,3 @@ def oracle_matching(g: Graph) -> Polynomial:
     extend(list(range(g.n)), [])
     return Polynomial(terms)
 
-
-# -- oracle naming for circuit bindings ----------------------------------------
-
-def graph_key(g: Graph) -> str:
-    blob = json.dumps(g.to_json_obj(), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
-
-
-def hom_poly_oracle_id(h: Graph, n: int, cls: GraphClass,
-                       model: VariableModel = VariableModel.EDGE_ONLY) -> str:
-    return f"F:{cls}:{model.value}:n{n}:h{graph_key(h)}"

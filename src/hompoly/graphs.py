@@ -300,7 +300,8 @@ def is_homomorphic(g: Graph, h: Graph, budget: int = DEFAULT_HOM_BUDGET) -> bool
     Nesetril 1990).  Only the remaining cases run the backtracking search:
     isolated vertices of g are skipped, the others are assigned in
     degree-descending order with adjacency pruning, and the node budget
-    guards against blowup.
+    guards against blowup.  Each assigned vertex has an edge and h has no
+    loop, so only the vertices of h with an edge are tried as images.
     """
     if h.n == 0:
         return g.n == 0
@@ -315,13 +316,13 @@ def is_homomorphic(g: Graph, h: Graph, budget: int = DEFAULT_HOM_BUDGET) -> bool
     gadj = g.adjacency()
     if _two_colourable(gadj):
         return True
-    if _two_colourable(h.adjacency()):
+    hlists = h.adjacency()
+    if _two_colourable(hlists):
         return False
 
     active = sorted((v for v in range(g.n) if gadj[v]), key=lambda v: -len(gadj[v]))
-    hadj = [[False] * h.n for _ in range(h.n)]
-    for a, b in h.edges:
-        hadj[a][b] = hadj[b][a] = True
+    hadj = [set(ws) for ws in hlists]
+    images = [x for x, ws in enumerate(hadj) if ws]
 
     pos = {v: i for i, v in enumerate(active)}
     assignment = [-1] * len(active)
@@ -333,11 +334,11 @@ def is_homomorphic(g: Graph, h: Graph, budget: int = DEFAULT_HOM_BUDGET) -> bool
             return True
         v = active[i]
         earlier = [u for u in gadj[v] if pos[u] < i]
-        for img in range(h.n):
+        for img in images:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError("homomorphism search budget exceeded")
-            if all(hadj[img][assignment[pos[u]]] for u in earlier):
+            if all(assignment[pos[u]] in hadj[img] for u in earlier):
                 assignment[i] = img
                 if backtrack(i + 1):
                     return True

@@ -28,9 +28,8 @@ from .errors import BudgetExceededError, PipelineIntegrityError
 from .gadgets import (amalgam_chain, buddy_transform, end_edges,
                       genus_block, planar_gadget, star_gadget,
                       subdivide_and_buddy_planar, fold_block_to_edge_certificate)
-from .genfun import (clique_poly, graph_key, hamiltonian_orders, hom_poly,
-                     hom_poly_oracle_id, oracle_matching, oracle_uhc,
-                     subsets_to_poly)
+from .genfun import (clique_poly, hamiltonian_orders, hom_poly,
+                     oracle_matching, oracle_uhc, subsets_to_poly)
 from .graphs import (CYCLE, OUTERPLANAR, PLANAR, TREE, Graph,
                      GraphClass, all_edges, canonical_edge, genus_class,
                      hom_to_single_edge, is_homomorphic, recognize)
@@ -232,16 +231,17 @@ def _edge_vars_at(v: int, others) -> list:
     return [edge_var(v, w) for w in others if w != v]
 
 
-def _slice(p: Polynomial, filters, oracle_id: str, check: bool,
+def _slice(p: Polynomial, filters, check: bool,
            details: dict) -> tuple[Polynomial, int | None]:
     """Apply the (vars, k) homogeneous-component filters to p in order; the
     sliced polynomial and the circuit size (None when check is false).
 
-    The same filter list is re-run through interpolation circuits: p is
-    bound to an oracle gate and one interpolation is nested per filter, each
-    of degree max(k, degree of p in vars).  The evaluated circuit must equal
-    the direct slices, else PipelineIntegrityError; records the sizes per
-    nesting level and returns the final one.  check is only the
+    The same filter list is re-run through interpolation circuits: p is the
+    circuit's one oracle, over p's own variables (none for a constant p),
+    and one interpolation is nested per filter, each of degree max(k,
+    degree of p in vars).  The evaluated circuit must equal the direct
+    slices, else PipelineIntegrityError; records the sizes per nesting
+    level and returns the final one.  check is only the
     empty-polynomial guard: the gadget pipelines pass bool(p), so a
     mis-calibrated budget with no survivors adds no circuit keys, while the
     tree pipeline always passes True and checks an empty p too.
@@ -251,12 +251,12 @@ def _slice(p: Polynomial, filters, oracle_id: str, check: bool,
         sliced = sliced.homogeneous_component(vars, k)
     if not check:
         return sliced, None
-    c = circ.oracle_call_circuit(oracle_id, tuple(sorted(p.variables())))
+    c = circ.oracle_call_circuit(sorted(p.variables()))
     sizes = [circ.size(c)]
     for vars, k in filters:
         c = circ.interpolate_homc(c, vars, k, max(k, p.degree_in(vars)))
         sizes.append(circ.size(c))
-    if circ.eval_symbolic(c, {oracle_id: p}) != sliced:
+    if circ.eval_symbolic(c, p) != sliced:
         raise PipelineIntegrityError("circuit route disagrees with direct route")
     details["circuit_sizes"] = sizes
     details["circuit_agrees"] = True
@@ -292,9 +292,8 @@ def reduce_cycles(h: Graph, n: int) -> ReductionReport:
         details["branch"] = "odd-contraction"
     expected = oracle_uhc(n)
 
-    oid = hom_poly_oracle_id(h, host, CYCLE)
     k = n if details["branch"] != "odd-contraction" else host
-    c = circ.extract_homc(oid, evars, evars, k, host)
+    c = circ.extract_homc(evars, evars, k, host)
     sizes = [circ.size(c)]
     if details["branch"] == "odd-contraction":
         c = circ.interpolate_homc(c, [edge_var(0, n)], 1, 1)
@@ -303,7 +302,7 @@ def reduce_cycles(h: Graph, n: int) -> ReductionReport:
         mapping[edge_var(0, n)] = 1
         c = circ.substitute_vars(c, mapping)
         c = circ.scale_circuit(c, Fraction(1, 2))
-    if circ.eval_symbolic(c, {oid: F}) != produced:
+    if circ.eval_symbolic(c, F) != produced:
         raise PipelineIntegrityError("circuit route disagrees with direct route")
     details["circuit_sizes"] = sizes
     details["circuit_agrees"] = True
@@ -475,8 +474,7 @@ def reduce_trees(h: Graph, target: Graph,
         filters = [([vertex_var(tn + k) for k in range(len(tedges))], tn // 2),
                    ([vertex_var(v) for v in range(tn)], tn),
                    ([vertex_var(s)], 1)]
-        sliced, csize = _slice(P, filters, f"trees:{graph_key(target)}", True,
-                               details)
+        sliced, csize = _slice(P, filters, True, details)
 
     # every tree is bipartite, hence homomorphic to any H with an edge; the
     # class polynomial's homomorphism filter is checked on the survivors
@@ -536,10 +534,8 @@ def reduce_outerplanar(h: Graph, n: int, budget: int | None = None
                 return out
             ends = [pair_conn_vars(v) for v in (a, b)]
             details["support_bipartite"] = hom_to_single_edge(gadget.graph)
-        p_pts, csize = _slice(
-            p_budget, [(vs, 1) for vs in ends],
-            f"{'star' if direct else 'buddy'}-budget:n{n}:h{graph_key(h)}",
-            bool(p_budget), details)
+        p_pts, csize = _slice(p_budget, [(vs, 1) for vs in ends],
+                              bool(p_budget), details)
         details["endpoint_valid"] = len(p_pts)
         if direct:
             _verify_star_survivors(p_pts, n, center, a, b, outer)
@@ -635,8 +631,7 @@ def reduce_planar(h: Graph, m: int, budget: int | None = None) -> ReductionRepor
         filters = [([edge_var(*e_left)], 1), ([edge_var(*e_right)], 1),
                    (_edge_vars_at(lo, mids), 1), (_edge_vars_at(ro, mids), 1)]
         glued, uhc, csize = _glue_into_uhc(
-            survivors, filters, f"planar-budget:m{m}:h{graph_key(h)}",
-            sorted(gadget.enforced) + [e_left, e_right], ga, gb,
+            survivors, filters, sorted(gadget.enforced) + [e_left, e_right], ga, gb,
             [v for v in mids if v not in (lo, ro, gb)], details)
         return ReductionReport("planar-permutation", params, glued, uhc,
                                equal and glued == uhc, csize, details=details)
@@ -666,13 +661,13 @@ def _path_lemma(survivors, mids, details: dict) -> tuple[set, set]:
     return got, expected
 
 
-def _glue_into_uhc(survivors, filters, oracle_id: str, drop_to_one, a: int, b: int,
+def _glue_into_uhc(survivors, filters, drop_to_one, a: int, b: int,
                    final_vertices, details: dict) -> tuple:
     """Slice the survivors' polynomial by the filters, glue b onto a, and
     compare with the Hamiltonian cycles on the final vertices; returns the
     glued polynomial, oracle_uhc and the circuit size."""
     p = subsets_to_poly(survivors)
-    p_glue, csize = _slice(p, filters, oracle_id, bool(p), details)
+    p_glue, csize = _slice(p, filters, bool(p), details)
     details["glue_survivors"] = len(p_glue)
     glued = _glue_endpoints(p_glue, drop_to_one, a, b, final_vertices)
     uhc = oracle_uhc(len(final_vertices))
@@ -824,8 +819,7 @@ def reduce_genus(h: Graph, k: int, m: int) -> ReductionReport:
         pb = g.label("planar-end-right-outer")
         glued, uhc, csize = _glue_into_uhc(
             survivors, [(_edge_vars_at(pa, mids), 1), (_edge_vars_at(pb, mids), 1)],
-            f"genus-budget:k{k}:m{m}:h{graph_key(h)}", sorted(gadget.enforced),
-            pa, pb, [v for v in mids if v != pb], details)
+            sorted(gadget.enforced), pa, pb, [v for v in mids if v != pb], details)
 
         if not triangle_branch:
             folded = amalgam_chain(k, subdivide=True)

@@ -152,8 +152,8 @@ def test_criterion_09_interpolation_vs_direct():
             sub = [v for v in vs if rng.random() < 0.5] or vs[:1]
             delta = max(1, p.degree_in(sub))
             k = rng.randint(0, delta)
-            c = extract_homc("g", tuple(vs), sub, k, delta)
-            assert eval_symbolic(c, {"g": p}) == p.homogeneous_component(sub, k)
+            c = extract_homc(tuple(vs), sub, k, delta)
+            assert eval_symbolic(c, p) == p.homogeneous_component(sub, k)
             gates = size(c)
             assert gates == (delta + 1) * (len(sub) + 2) + 1
             assert gates <= 3 * (len(sub) + 1) * (delta + 1)

@@ -42,16 +42,16 @@ def test_oracle_gate_substitutes_inputs():
     a, bvar = aux_var("a"), aux_var("b")
     x, y = aux_var("x"), aux_var("y")
     b = CircuitBuilder()
-    b.declare_oracle("g", (a, bvar))
-    call = b.oracle("g", [b.var(x), b.add(b.var(y), b.const(1))])
+    b.declare_oracle((a, bvar))
+    call = b.oracle([b.var(x), b.add(b.var(y), b.const(1))])
     c = b.freeze(call)
     g = Polynomial.from_monomial(monomial({a: 1, bvar: 1}))
     xp, yp = Polynomial.variable(x), Polynomial.variable(y)
-    assert eval_symbolic(c, {"g": g}) == xp * yp + xp
+    assert eval_symbolic(c, g) == xp * yp + xp
 
 
 def test_unbound_oracle_errors():
-    c = oracle_call_circuit("g", (aux_var("a"),))
+    c = oracle_call_circuit((aux_var("a"),))
     with pytest.raises(KeyError):
         eval_symbolic(c)
 
@@ -77,10 +77,10 @@ def random_multilinear(rng, nvars, max_terms, tag="z"):
 def test_extract_homc_linear_slice():
     x1, x2 = aux_var("x1"), aux_var("x2")
     g = Polynomial({monomial({x1: 1, x2: 1}): 1, monomial({x1: 1}): 1, (): 1})
-    c = extract_homc("g", (x1, x2), [x1, x2], 1, 2)
-    assert eval_symbolic(c, {"g": g}) == Polynomial.variable(x1)
-    c0 = extract_homc("g", (x1, x2), [x1, x2], 0, 2)
-    assert eval_symbolic(c0, {"g": g}) == Polynomial.constant(1)
+    c = extract_homc((x1, x2), [x1, x2], 1, 2)
+    assert eval_symbolic(c, g) == Polynomial.variable(x1)
+    c0 = extract_homc((x1, x2), [x1, x2], 0, 2)
+    assert eval_symbolic(c0, g) == Polynomial.constant(1)
 
 
 def test_extract_homc_equals_direct_slice_on_random_inputs():
@@ -90,13 +90,13 @@ def test_extract_homc_equals_direct_slice_on_random_inputs():
         sub = [v for v in vs if rng.random() < 0.6]
         delta = max(1, p.degree_in(sub))
         k = rng.randint(0, delta)
-        c = extract_homc("g", tuple(vs), sub, k, delta)
-        assert eval_symbolic(c, {"g": p}) == p.homogeneous_component(sub, k)
+        c = extract_homc(tuple(vs), sub, k, delta)
+        assert eval_symbolic(c, p) == p.homogeneous_component(sub, k)
 
 
 def test_extract_homc_size_formula():
     vs = tuple(aux_var(f"v{i}") for i in range(7))
-    c = extract_homc("g", vs, vs[:4], 2, 5)
+    c = extract_homc(vs, vs[:4], 2, 5)
     assert size(c) == (5 + 1) * (4 + 2) + 1
 
 
@@ -105,13 +105,13 @@ def test_extract_homc_cycle_slice():
     from hompoly.graphs import all_edges
     F = hom_poly(Graph.single_edge(), 4, CYCLE)
     evars = [edge_var(i, j) for i, j in all_edges(4)]
-    c = extract_homc("F", tuple(evars), evars, 4, 6)
-    assert eval_symbolic(c, {"F": F}) == oracle_uhc(4)
+    c = extract_homc(tuple(evars), evars, 4, 6)
+    assert eval_symbolic(c, F) == oracle_uhc(4)
 
 
 def test_nested_interpolation_grows_linearly():
     vs = tuple(aux_var(f"v{i}") for i in range(5))
-    base = extract_homc("g", vs, vs, 2, 4)
+    base = extract_homc(vs, vs, 2, 4)
     nested = interpolate_homc(base, vs[:2], 1, 2)
     assert size(nested) <= 4 * size(base)  # delta+1 copies plus combination
     # every gate's inputs precede it, which circuit._topo_order relies on
@@ -121,7 +121,7 @@ def test_nested_interpolation_grows_linearly():
     rng = random.Random(1)
     p, _ = random_multilinear(rng, 5, 6, tag="v")
     direct = p.homogeneous_component(vs, 2).homogeneous_component(vs[:2], 1)
-    assert eval_symbolic(nested, {"g": p}) == direct
+    assert eval_symbolic(nested, p) == direct
 
 
 def test_substitute_vars_projects_and_relabels():
@@ -142,22 +142,47 @@ def test_scale_circuit():
 
 def test_oracle_arity_checked():
     b = CircuitBuilder()
-    b.declare_oracle("g", (aux_var("a"), aux_var("b")))
+    b.declare_oracle((aux_var("a"), aux_var("b")))
     with pytest.raises(ValueError):
-        b.oracle("g", [b.const(1)])
+        b.oracle([b.const(1)])
+
+
+def test_oracle_redeclared_with_other_variables():
+    b = CircuitBuilder()
+    b.declare_oracle((aux_var("a"),))
+    b.declare_oracle((aux_var("a"),))  # the same variables again are fine
+    with pytest.raises(ValueError):
+        b.declare_oracle((aux_var("b"),))
+
+
+def test_oracle_called_before_declared():
+    b = CircuitBuilder()
+    with pytest.raises(ValueError):
+        b.oracle([])
+
+
+def test_oracle_over_no_variables():
+    # a constant polynomial is an oracle over no variables, still declared
+    # when the circuit is rebuilt
+    b = CircuitBuilder()
+    b.declare_oracle(())
+    c = b.freeze(b.oracle([]))
+    three = Polynomial.constant(3)
+    assert eval_symbolic(c, three) == three
+    assert eval_symbolic(substitute_vars(c, {}), three) == three
 
 
 def test_nested_oracle_inputs_allowed():
     a = aux_var("a")
     x = aux_var("x")
     b = CircuitBuilder()
-    b.declare_oracle("g", (a,))
-    inner = b.oracle("g", [b.var(x)])
-    outer = b.oracle("g", [inner])
+    b.declare_oracle((a,))
+    inner = b.oracle([b.var(x)])
+    outer = b.oracle([inner])
     c = b.freeze(outer)
     g = Polynomial.from_monomial(monomial({a: 2}))  # g(a) = a^2
     xp = Polynomial.variable(x)
-    assert eval_symbolic(c, {"g": g}) == xp * xp * xp * xp
+    assert eval_symbolic(c, g) == xp * xp * xp * xp
 
 
 CVARS = [aux_var("a"), aux_var("b"), aux_var("c")]
@@ -171,7 +196,7 @@ def small_circuits(draw, max_degree=4):
     """Random circuits over CVARS with add, mul and oracle gates (oracle g
     bound to ORACLE), with total degree at most max_degree."""
     b = CircuitBuilder()
-    b.declare_oracle("g", (ORACLE_ARG,))
+    b.declare_oracle((ORACLE_ARG,))
     gates = [(b.var(v), 1) for v in CVARS]
     gates += [(b.const(draw(st.integers(-3, 3))), 0) for _ in range(2)]
     for _ in range(draw(st.integers(1, 5))):
@@ -179,7 +204,7 @@ def small_circuits(draw, max_degree=4):
         (i, di), (j, dj) = draw(st.lists(st.sampled_from(gates), min_size=2,
                                          max_size=2))
         if kind == "oracle" and 2 * di <= max_degree:
-            gates.append((b.oracle("g", [i]), 2 * di))
+            gates.append((b.oracle([i]), 2 * di))
         elif kind == "mul" and di + dj <= max_degree:
             gates.append((b.mul(i, j), di + dj))
         else:
@@ -188,7 +213,7 @@ def small_circuits(draw, max_degree=4):
 
 
 def evaluate(c):
-    return eval_symbolic(c, {"g": ORACLE})
+    return eval_symbolic(c, ORACLE)
 
 
 VAR_TARGETS = st.one_of(st.none(), st.integers(-2, 2),

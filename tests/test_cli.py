@@ -234,6 +234,16 @@ def test_genus_command_ignores_isolated_vertices(tmp_path, capsys):
     assert outs[1]["genus"] == 1 and outs[1] == outs[0]
 
 
+def test_verify_with_isolated_vertices_in_h(tmp_path, capsys):
+    # C5 plus 1,500 isolated vertices: the triangle check of the star
+    # pipeline must not try the isolated vertices as images
+    p = tmp_path / "h.json"
+    h = Graph.make(1505, sorted(Graph.cycle(5).edges))
+    p.write_text(json.dumps(h.to_json_obj()))
+    assert main(["verify", "--lemma", "outerplanar-star", "--n", "5",
+                 "--h-file", str(p)]) == 0
+
+
 def test_genus_command(tmp_path, capsys):
     p = tmp_path / "k5.json"
     p.write_text(json.dumps(Graph.complete(5).to_json_obj()))

@@ -84,6 +84,14 @@ def test_hom_search_runs_only_when_no_certificate_decides():
     assert not is_homomorphic(Graph.cycle(5), Graph.path(3), budget=0)
 
 
+def test_hom_search_skips_isolated_vertices_of_h():
+    # a vertex of g with an edge never maps to an isolated vertex of h;
+    # trying each of them as an image exceeded the node budget here
+    h = Graph.make(1505, sorted(Graph.cycle(5).edges))
+    assert not is_homomorphic(Graph.complete(3), h)
+    assert is_homomorphic(Graph.cycle(7), h)
+
+
 def test_hom_is_reflexive_and_composes():
     rng = random.Random(11)
     graphs = []

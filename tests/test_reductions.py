@@ -239,6 +239,14 @@ def test_tree_pipeline_rejects_empty_target():
         reduce_trees(K2, Graph.empty(0))
 
 
+def test_tree_pipeline_edgeless_target():
+    # the tree polynomial is the constant zero: an oracle over no variables
+    r = reduce_trees(K2, Graph.empty(2))
+    assert r.equal
+    assert r.details["circuit_sizes"] == [1, 4, 7, 10]
+    assert r.details["circuit_agrees"]
+
+
 def test_outerplanar_pipeline_counts():
     r = reduce_outerplanar(K3, 6)
     assert r.equal
@@ -321,8 +329,8 @@ def test_gadget_pipelines_make_no_networkx_call(planarity_calls):
 def test_circuit_disagreement_is_caught(monkeypatch):
     real = reductions.circ.eval_symbolic
 
-    def off_by_one(c, oracles=None):
-        return real(c, oracles) + Polynomial.constant(1)
+    def off_by_one(c, oracle=None):
+        return real(c, oracle) + Polynomial.constant(1)
 
     monkeypatch.setattr(reductions.circ, "eval_symbolic", off_by_one)
     with pytest.raises(PipelineIntegrityError, match="circuit route"):
