@@ -206,7 +206,7 @@ def oracle_matching(g: Graph) -> Polynomial:
         raise ValueError("matching oracle needs a loopless graph")
     if g.n % 2:
         return Polynomial.zero()
-    adj = g.adjacency()
+    adj = g.adjacency
     terms = {}
 
     def extend(unmatched, chosen):

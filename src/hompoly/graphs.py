@@ -3,7 +3,9 @@
 Vertices are 0..n-1.  Edges are canonical pairs (i, j) with i < j; self-loops
 live in a separate vertex set (loops are legal in homomorphism targets H but
 never selected by class enumerations).  Labels attach role names to vertices
-for gadget bookkeeping.
+for gadget bookkeeping.  A Graph's adjacency (one ascending tuple of
+neighbours per vertex) and its components are computed once, on first use,
+and shared by every reader, so both are immutable.
 
 Class enumeration keeps each edge subset as an int bitmask over the host's
 edges in canonical order (class_edge_masks); class_edge_subsets is the
@@ -12,7 +14,9 @@ frozenset view for callers that want edge sets.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -20,6 +24,7 @@ from .errors import BudgetExceededError
 
 DEFAULT_HOM_BUDGET = 2_000_000
 SUBSET_FILTER_MAX_EDGES = 21  # K7; class_edge_subsets filters 2^edges subsets
+SHAPE_MAX_MASKS = 1_000_000  # K8's 441,204 trees fit; K9's 7,874,235 do not
 
 Edge = tuple
 
@@ -99,24 +104,17 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return canonical_edge(u, v) in self.edges
 
-    def neighbors(self, v: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(out)
-
-    def adjacency(self) -> list[list[int]]:
+    @functools.cached_property
+    def adjacency(self) -> tuple:
+        """One ascending tuple of neighbours per vertex."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
-        return adj
+        return tuple(tuple(sorted(ns)) for ns in adj)
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
+        return len(self.adjacency[v])
 
     def label(self, role: str) -> int:
         for r, v in self.labels:
@@ -129,8 +127,10 @@ class Graph:
         merged.update(labels)
         return Graph.make(self.n, self.edges, self.loops, merged)
 
-    def components(self) -> list[frozenset]:
-        adj = self.adjacency()
+    @functools.cached_property
+    def components(self) -> tuple:
+        """The vertex sets of the connected components, by least vertex."""
+        adj = self.adjacency
         seen = [False] * self.n
         comps = []
         for s in range(self.n):
@@ -146,10 +146,10 @@ class Graph:
                         seen[w] = True
                         stack.append(w)
             comps.append(frozenset(comp))
-        return comps
+        return tuple(comps)
 
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        return len(self.components) <= 1
 
     def induced(self, vertices) -> "Graph":
         """Induced subgraph relabeled to 0..k-1 in sorted (so canonical) order."""
@@ -235,44 +235,36 @@ def parse_class(name: str, k: int | None = None) -> GraphClass:
     raise ValueError(f"unknown graph class {name!r}")
 
 
-def _component_shape_ok(comp: Graph, cls: GraphClass) -> bool:
-    # comp is connected with >= 2 vertices and no loops
-    v, m = comp.n, len(comp.edges)
+def recognize(g: Graph, cls: GraphClass) -> bool:
+    """Exactly one component has the class shape; the rest are single vertices.
+    g is checked in place: isolated vertices change no verdict of topo's.
+    A genus class past topo.DEFAULT_GENUS_BUDGET raises BudgetExceededError."""
+    if g.loops:
+        return False
+    nontrivial = [c for c in g.components if len(c) > 1]
+    if len(nontrivial) != 1:
+        return False
+    v, m = len(nontrivial[0]), len(g.edges)
     if cls.kind == "cycle":
-        return v >= 3 and m == v and all(comp.degree(x) == 2 for x in range(v))
+        return m == v and all(len(ns) in (0, 2) for ns in g.adjacency)
     if cls.kind == "clique":
         return m == v * (v - 1) // 2
     if cls.kind == "tree":
         return m == v - 1
     from . import topo
     if cls.kind == "outerplanar":
-        return topo.is_outerplanar(comp)
-    if cls.kind == "planar":
-        return topo.is_planar(comp)
+        return topo.is_outerplanar(g)
+    if cls.kind == "planar" or cls.kind == "genus" and cls.genus == 0:
+        return topo.is_planar(g)
     if cls.kind == "genus":
-        if cls.genus == 0:
-            return topo.is_planar(comp)
-        if topo.is_planar(comp):
-            return False
-        return topo.min_genus(comp) == cls.genus
+        return not topo.is_planar(g) and topo.min_genus(g) == cls.genus
     raise ValueError(f"unknown class kind {cls.kind}")
-
-
-def recognize(g: Graph, cls: GraphClass) -> bool:
-    """Exactly one component has the class shape; the rest are single vertices.
-    A genus class past topo.DEFAULT_GENUS_BUDGET raises BudgetExceededError."""
-    if g.loops:
-        return False
-    nontrivial = [c for c in g.components() if len(c) > 1]
-    if len(nontrivial) != 1:
-        return False
-    return _component_shape_ok(g.induced(nontrivial[0]), cls)
 
 
 # -- homomorphism search ------------------------------------------------------
 
-def _two_colourable(adj: list[list[int]]) -> bool:
-    """Whether the loopless graph with adjacency lists adj is bipartite."""
+def _two_colourable(adj: tuple) -> bool:
+    """Whether the loopless graph with adjacency adj is bipartite."""
     color = [-1] * len(adj)
     for s in range(len(adj)):
         if color[s] >= 0:
@@ -313,10 +305,10 @@ def is_homomorphic(g: Graph, h: Graph, budget: int = DEFAULT_HOM_BUDGET) -> bool
         return True
     if not h.edges:
         return False
-    gadj = g.adjacency()
+    gadj = g.adjacency
     if _two_colourable(gadj):
         return True
-    hlists = h.adjacency()
+    hlists = h.adjacency
     if _two_colourable(hlists):
         return False
 
@@ -353,7 +345,7 @@ def hom_to_single_edge(g: Graph) -> bool:
     edge exactly when it is bipartite."""
     if g.loops:
         raise ValueError("hom_to_single_edge needs a loopless graph")
-    return _two_colourable(g.adjacency())
+    return _two_colourable(g.adjacency)
 
 
 # -- class-restricted subgraph enumeration ------------------------------------
@@ -410,7 +402,15 @@ def _shape_masks(n: int, kind: str) -> list[int]:
 
     Each shape on k >= 3 vertices is a template over positions 0..k-1,
     placed on every k-subset of the vertices through that subset's bit[a][b]
-    entries; the edge of K2 is a clique and a tree."""
+    entries; the edge of K2 is a clique and a tree.  Before any is placed,
+    their count in closed form, C(n,k) times k^(k-2) trees (Cayley),
+    (k-1)!/2 cycles or one clique per k, must not pass SHAPE_MAX_MASKS."""
+    per_k = {"tree": lambda k: k ** (k - 2), "clique": lambda k: 1,
+             "cycle": lambda k: math.factorial(k - 1) // 2}[kind]  # 0 at k = 2
+    count = sum(math.comb(n, k) * per_k(k) for k in range(2, n + 1))
+    if count > SHAPE_MAX_MASKS:
+        raise BudgetExceededError(f"{count} {kind} subsets of K{n} exceed the "
+                                  f"shape enumeration budget {SHAPE_MAX_MASKS}")
     bit = [[0] * n for _ in range(n)]
     for idx, (a, b) in enumerate(all_edges(n)):
         bit[a][b] = 1 << idx
@@ -444,10 +444,11 @@ def class_edge_masks(g: Graph, cls: GraphClass) -> list[int]:
     i selects the i-th edge of g in canonical order (sorted(g.edges)).
 
     Over a complete host the SHAPE_KINDS (cycle, clique, tree) are built
-    from templates (_shape_masks); every other case filters the bitmasks of
-    g's edges through subset_in_class (recognize on each subset) and raises
-    BudgetExceededError when g has more than SUBSET_FILTER_MAX_EDGES edges
-    (read at call time).
+    from templates (_shape_masks), which raises BudgetExceededError past
+    SHAPE_MAX_MASKS masks; every other case filters the bitmasks of g's
+    edges through subset_in_class (recognize on each subset's graph, in
+    place) and raises BudgetExceededError when g has more than
+    SUBSET_FILTER_MAX_EDGES edges.  Both limits are read at call time.
 
     Two members of one shape kind with equal edge counts are homomorphically
     equivalent, so they map to the same targets (Hell and Nesetril, "The core

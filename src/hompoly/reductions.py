@@ -580,7 +580,7 @@ def _verify_star_survivors(p_pts: Polynomial, n, center, a, b, outer) -> None:
         if g.degree(center) != n - 1:
             raise PipelineIntegrityError("survivor lost a star edge")
         for v in outer:
-            outdeg = sum(1 for (x, y) in es if center not in (x, y) and v in (x, y))
+            outdeg = g.degree(v) - 1  # the star edge to the center, checked above
             want = 1 if v in (a, b) else 2
             if outdeg != want:
                 raise PipelineIntegrityError(
@@ -797,8 +797,7 @@ def reduce_genus(h: Graph, k: int, m: int) -> ReductionReport:
         gadget = amalgam_chain(k, attach_planar=m, subdivide=use_subdivided)
         g = gadget.graph
         apex_a, apex_b = g.label("planar-apex-a"), g.label("planar-apex-b")
-        mids = sorted(w for (u, v) in g.edges if apex_a in (u, v)
-                      for w in (u, v) if w != apex_a)
+        mids = list(g.adjacency[apex_a])
         planar_part_vertices = set(mids) | {apex_a, apex_b}
 
         def class_check(cand: Graph) -> bool:

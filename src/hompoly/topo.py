@@ -3,6 +3,9 @@
 Only orientable embeddings are modeled.  A rotation system assigns each
 vertex a cyclic order of its neighbors; tracing the face orbits of the
 induced dart permutation gives the Euler genus via V - E + F = 2 - 2g.
+Neighbors and components are read from the graph's Graph.adjacency and
+Graph.components, computed once per graph; the peels below delete vertices
+from set copies of the adjacency, never from the shared tuples.
 
 Class membership is decided by exact certificates first.  is_outerplanar
 never calls networkx: edge counts, then a peel of vertices of degree <= 2
@@ -42,14 +45,6 @@ def _to_nx(g: Graph) -> nx.Graph:
     out.add_nodes_from(range(g.n))
     out.add_edges_from(g.edges)
     return out
-
-
-def _adjacency_sets(g: Graph) -> list[set]:
-    adj = [set() for _ in range(g.n)]
-    for a, b in g.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
 
 
 def _delete_vertex(adj: list[set], alive: set, v: int) -> set:
@@ -151,7 +146,7 @@ def is_planar(g: Graph) -> bool:
         return True
     if g.n >= 3 and m > 3 * g.n - 6:
         return False
-    adj = _adjacency_sets(g)
+    adj = list(map(set, g.adjacency))  # the peel mutates its own copy
     alive = set(range(g.n))
     stack = [v for v in alive if len(adj[v]) <= 1]
     while stack:
@@ -205,7 +200,7 @@ def is_outerplanar(g: Graph) -> bool:
         return True
     if g.n >= 2 and m > 2 * g.n - 3:
         return False
-    return _peel_outerplanar(_adjacency_sets(g), set(range(g.n)))
+    return _peel_outerplanar(list(map(set, g.adjacency)), set(range(g.n)))
 
 
 def planar_rotation(g: Graph) -> RotationSystem:
@@ -221,7 +216,7 @@ def validate_rotation(g: Graph, rot: RotationSystem) -> None:
     if set(rot) != support:
         raise ValueError("rotation system must cover exactly the non-isolated vertices")
     for v, ring in rot.items():
-        if sorted(ring) != g.neighbors(v):
+        if tuple(sorted(ring)) != g.adjacency[v]:
             raise ValueError(f"rotation at {v} is not a permutation of its neighbors")
 
 
@@ -250,7 +245,7 @@ def trace_faces(g: Graph, rot: RotationSystem) -> int:
 
 
 def _require_one_edge_component(g: Graph, what: str) -> None:
-    if sum(1 for comp in g.components() if len(comp) > 1) != 1:
+    if sum(1 for comp in g.components if len(comp) > 1) != 1:
         raise ValueError(f"{what} needs exactly one component with edges")
 
 
@@ -280,12 +275,11 @@ def _rotation_choices(g: Graph):
     """
     choices = []
     reflection_done = False
-    for v in range(g.n):
-        ns = g.neighbors(v)
+    for v, ns in enumerate(g.adjacency):
         if not ns:
             continue
         if len(ns) <= 2:
-            choices.append((v, [tuple(ns)]))
+            choices.append((v, [ns]))
             continue
         perms = [(ns[0],) + p for p in itertools.permutations(ns[1:])]
         if not reflection_done:
@@ -361,7 +355,7 @@ def contains_subgraph(g_adj: dict, h: Graph):
         if i == len(hverts):
             return dict(assignment)
         v = hverts[i]
-        need = [assignment[u] for u in h.neighbors(v) if u in assignment]
+        need = [assignment[u] for u in h.adjacency[v] if u in assignment]
         for img in gverts:
             if img in used:
                 continue
@@ -387,11 +381,8 @@ def find_minor(g: Graph, target: Graph, budget: int = DEFAULT_MINOR_BUDGET):
     subgraph containment at every level; states are memoized on adjacency
     structure.  Found witnesses are re-validated before returning.
     """
-    base_adj: dict[frozenset, set] = {frozenset([v]): set() for v in range(g.n)}
-    key = {frozenset([v]): v for v in range(g.n)}
-    for a, b in g.edges:
-        base_adj[frozenset([a])].add(frozenset([b]))
-        base_adj[frozenset([b])].add(frozenset([a]))
+    base_adj = {frozenset([v]): {frozenset([w]) for w in ns}
+                for v, ns in enumerate(g.adjacency)}
 
     seen = set()
     work = 0

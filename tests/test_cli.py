@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hompoly import Graph
-from hompoly.cli import _dump_poly, main
+from hompoly.cli import LEMMAS, _dump_poly, main
+from hompoly.graphs import SHAPE_KINDS
 from hompoly.poly import Polynomial, edge_var, loop_var, monomial, vertex_var
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -158,6 +159,33 @@ def test_poly_has_no_budget_flag(graph_files, capsys):
     assert main(["poly", graph_files["k3"], "planar", "--n", "5",
                  "--budget", "30"]) == 2
     assert "--budget" in capsys.readouterr().err
+
+
+def test_poly_shape_enumeration_budget(graph_files, monkeypatch, capsys):
+    from hompoly import graphs
+    argv = ["poly", graph_files["k3"], "tree", "--n", "5"]
+    # K5 has 10 + 30 + 80 + 125 = 245 trees with an edge; the limit is read
+    # at call time, before any template is placed
+    monkeypatch.setattr(graphs, "SHAPE_MAX_MASKS", 244)
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "245 tree subsets of K5" in out.err
+    monkeypatch.setattr(graphs, "SHAPE_MAX_MASKS", 245)
+    assert main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 245
+
+
+def test_cli_sweep_covers_every_lemma_and_class_kind():
+    import cli_sweep
+    argvs = cli_sweep.commands()
+    assert len(argvs) >= 200
+    verify = [a for a in argvs if a[0] == "verify" and "--lemma" in a]
+    assert {a[a.index("--lemma") + 1] for a in verify} == set(LEMMAS)
+    for lemma in LEMMAS:
+        assert {a[a.index("--h-file") + 1] for a in verify if lemma in a} == \
+            {f"{h}.json" for h in cli_sweep.TARGETS_H}
+    kinds = {a[2] for a in argvs if a[0] in ("poly", "classify")}
+    assert kinds == set(SHAPE_KINDS) | {"outerplanar", "planar", "genus"}
 
 
 @pytest.mark.parametrize("argv,bad,good", [

@@ -6,11 +6,11 @@ import random
 
 import pytest
 
-from conftest import (brute_class_subsets, brute_is_homomorphic,
+from conftest import (brute_class_subsets, brute_is_homomorphic, nx_in_class,
                       reference_clique_sets, reference_cycle_sets,
                       reference_tree_sets)
 from hompoly import (Graph, class_edge_subsets, hom_to_single_edge, is_homomorphic,
-                     recognize)
+                     recognize, topo)
 from hompoly.graphs import (CLIQUE, CYCLE, OUTERPLANAR, PLANAR, TREE,
                             all_edges, class_edge_masks, genus_class,
                             subset_in_class)
@@ -140,6 +140,72 @@ def test_recognize_examples():
 def test_recognize_rejects_extra_components():
     g = Graph.make(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
     assert not recognize(g, CYCLE)
+
+
+def test_recognize_with_isolated_vertices_matches_networkx():
+    rng = random.Random(1412)
+    accepted_with_isolated = set()
+    for _ in range(1500):
+        n = rng.randint(1, 7)
+        live = [v for v in range(n) if rng.random() < 0.7]
+        density = rng.random()
+        g = Graph.make(n, [e for e in itertools.combinations(live, 2)
+                           if rng.random() < density])
+        classes = [CYCLE, CLIQUE, TREE, OUTERPLANAR, PLANAR, genus_class(0)]
+        classes += [genus_class(1)] if n <= 5 else []
+        for cls in classes:
+            got = recognize(g, cls)
+            assert got == nx_in_class(n, sorted(g.edges), cls.kind, cls.genus), \
+                (n, sorted(g.edges), cls)
+            if got and 0 in map(len, g.adjacency):
+                accepted_with_isolated.add(str(cls))
+    assert accepted_with_isolated == {"cycle", "clique", "tree", "outerplanar",
+                                      "planar", "genus(0)"}
+
+
+def _brute_adjacency(g):
+    return tuple(tuple(sorted(w for e in g.edges if v in e for w in e if w != v))
+                 for v in range(g.n))
+
+
+def _brute_components(g):
+    """Each vertex's reachable set, grown edge by edge, once per component."""
+    def reach(v):
+        comp = {v}
+        while True:
+            grown = comp | {w for e in g.edges if comp & set(e) for w in e}
+            if grown == comp:
+                return frozenset(comp)
+            comp = grown
+    return tuple(dict.fromkeys(reach(v) for v in range(g.n)))
+
+
+def test_adjacency_and_components_are_computed_once():
+    rng = random.Random(15)
+    for _ in range(200):
+        n = rng.randint(0, 8)
+        g = Graph.make(n, [e for e in all_edges(n) if rng.random() < 0.3])
+        assert g.adjacency is g.adjacency and g.components is g.components
+        assert g.adjacency == _brute_adjacency(g)
+        assert g.components == _brute_components(g)
+        assert [g.degree(v) for v in range(n)] == list(map(len, _brute_adjacency(g)))
+        fresh = Graph.make(n, g.edges)
+        assert "adjacency" not in vars(fresh)
+        assert fresh == g and hash(fresh) == hash(g) and {g: n}[fresh] == n
+
+
+def test_planarity_tests_leave_the_cached_adjacency_alone():
+    # each graph reaches a peel, which mutates its own copy of the adjacency
+    wheel = Graph.make(8, [(i, (i + 1) % 6) for i in range(6)] +
+                       [(6, i) for i in range(6)])
+    double_apex = Graph.make(7, [(i, (i + 1) % 5) for i in range(5)] +
+                             [(a, i) for a in (5, 6) for i in range(5)])
+    for g in (wheel, double_apex, Graph.complete_bipartite(2, 3),
+              Graph.complete_bipartite(3, 3)):
+        adjacency = g.adjacency
+        topo.is_planar(g)
+        topo.is_outerplanar(g)
+        assert g.adjacency is adjacency and adjacency == _brute_adjacency(g)
 
 
 def collect(n, cls):

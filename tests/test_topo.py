@@ -135,7 +135,7 @@ def _random_graphs():
 
 def test_three_way_planarity_agreement():
     for g in _random_graphs():
-        comps = [c for c in g.components() if len(c) > 1]
+        comps = [c for c in g.components if len(c) > 1]
         planar = is_planar(g)
         minor = find_k33_or_k5_minor(g)
         assert planar == (minor is None)
@@ -189,7 +189,7 @@ DIAMOND = Graph.make(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])  # base 1-2
 
 def _peel(g):
     """The peel alone, without the edge counts in front of it."""
-    return topo._peel_outerplanar(topo._adjacency_sets(g), set(range(g.n)))
+    return topo._peel_outerplanar(list(map(set, g.adjacency)), set(range(g.n)))
 
 
 def _join(g, apexes):
