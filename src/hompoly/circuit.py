@@ -121,9 +121,10 @@ def eval_symbolic(c: Circuit, oracle: Polynomial | None = None) -> Polynomial:
                 acc = acc + values[i]
             values[gid] = acc
         elif kind == 'mul':
-            acc = Polynomial.constant(1)
-            for i in g[1]:
-                acc = acc * values[i]
+            factors = [values[i] for i in g[1]] or [Polynomial.constant(1)]
+            acc = factors[0]
+            for f in factors[1:]:
+                acc = _times(acc, f)
             values[gid] = acc
         else:
             if oracle is None:
@@ -131,6 +132,15 @@ def eval_symbolic(c: Circuit, oracle: Polynomial | None = None) -> Polynomial:
             values[gid] = oracle.substitute(
                 dict(zip(c.oracle_vars, [values[i] for i in g[1]])))
     return values[c.output]
+
+
+def _times(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a * b, by Polynomial.scale when either factor is a constant."""
+    for p, q in ((a, b), (b, a)):
+        c = q.coefficient(())
+        if len(q) == (1 if c else 0):  # q is the constant c
+            return p.scale(c)
+    return a * b
 
 
 def _topo_order(c: Circuit) -> list[int]:

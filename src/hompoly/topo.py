@@ -8,28 +8,30 @@ Graph.components, computed once per graph; the peels below delete vertices
 from set copies of the adjacency, never from the shared tuples.
 
 Class membership is decided by exact certificates first.  is_outerplanar
-never calls networkx: edge counts, then a peel of vertices of degree <= 2
-(Mitchell 1979).  is_planar uses edge counts, deletes vertices of degree
-<= 1 and reduces a graph with one or two dominating vertices to that peel or
-to a path-and-cycle test (Chartrand and Harary 1967); only a graph none of
-these decides goes to networkx's linear-time test.  networkx also supplies
-planar_rotation's embedding and kuratowski_witness's subgraph.  The rotation
-search and the minor finder below are independent code paths, so the three
-agree-or-fail cross checks in the test suite are meaningful.
+uses edge counts, then a peel of vertices of degree <= 2 (Mitchell 1979).
+is_planar uses edge counts, deletes vertices of degree <= 1 and reduces a
+graph with one or two dominating vertices to that peel or to a
+path-and-cycle test (Chartrand and Harary 1967); only a graph none of these
+decides goes to the general test, planar_rotation.  That one embeds each
+biconnected block (Hopcroft and Tarjan 1973) by path addition (Demoucron,
+Malgrange and Pertuiset 1964) and traces the merged rotation, so every
+planar verdict it gives is a checked plane embedding.  kuratowski_witness
+deletes edges while the rest stays non-planar, down to a subdivided K5 or
+K3,3.  The rotation search and the minor finder below are independent code
+paths, so the three agree-or-fail cross checks in the test suite are
+meaningful.
 
 The rotation search stops at the first genus-one rotation once a Kuratowski
-subgraph from networkx, read as K5 or K3,3 branch sets, has passed the same
-branch-set validation as the minor finder.  The cross checks stay
-independent: a genus-0 verdict is still a rotation found and traced by the
-search, and a genus >= 1 verdict either comes from the exhaustive search or
-rests on a validated minor, never on networkx's planarity bit alone.
+subgraph, read as K5 or K3,3 branch sets, has passed the same branch-set
+validation as the minor finder.  The cross checks stay independent: a
+genus-0 verdict is still a rotation found and traced by the search, and a
+genus >= 1 verdict either comes from the exhaustive search or rests on a
+validated minor, never on a planarity bit alone.
 """
 
 from __future__ import annotations
 
 import itertools
-
-import networkx as nx
 
 from .errors import BudgetExceededError
 from .graphs import Graph
@@ -38,13 +40,6 @@ DEFAULT_GENUS_BUDGET = 1_000_000
 DEFAULT_MINOR_BUDGET = 2_000_000
 
 RotationSystem = dict  # vertex -> tuple of neighbors in cyclic order
-
-
-def _to_nx(g: Graph) -> nx.Graph:
-    out = nx.Graph()
-    out.add_nodes_from(range(g.n))
-    out.add_edges_from(g.edges)
-    return out
 
 
 def _delete_vertex(adj: list[set], alive: set, v: int) -> set:
@@ -119,7 +114,8 @@ def _is_path_forest_or_cycle(adj: list[set], alive: set) -> bool:
 
 
 def is_planar(g: Graph) -> bool:
-    """Planarity, by exact certificates first and networkx for the rest.
+    """Planarity, by exact certificates first and planar_rotation for the
+    rest.
 
     - Edge counts: a non-planar graph contains a subdivided K5 (10 edges) or
       K3,3 (9 edges) (Kuratowski 1930), so at most 8 edges is planar; Euler's
@@ -139,7 +135,8 @@ def is_planar(g: Graph) -> bool:
       two vertices of C.  So any other vertex of H, being adjacent to both a
       and b, would have to cross C.
 
-    Only a graph none of these decides goes to networkx's linear-time test.
+    Only a graph none of these decides goes to the general test: planar
+    exactly when planar_rotation finds a plane embedding of g.
     """
     m = len(g.edges)
     if m <= 8:
@@ -165,11 +162,11 @@ def is_planar(g: Graph) -> bool:
             _delete_vertex(adj, alive, a)
             _delete_vertex(adj, alive, b)
             return _is_path_forest_or_cycle(adj, alive)
-    return nx.check_planarity(_to_nx(g), counterexample=False)[0]
+    return planar_rotation(g) is not None
 
 
 def is_outerplanar(g: Graph) -> bool:
-    """Outerplanarity, decided exactly without networkx.
+    """Outerplanarity, decided exactly by certificates.
 
     Edge counts decide first: K4 and K2,3 have 6 edges, so fewer are
     outerplanar, and an outerplanar graph on n >= 2 vertices has at most
@@ -203,12 +200,219 @@ def is_outerplanar(g: Graph) -> bool:
     return _peel_outerplanar(list(map(set, g.adjacency)), set(range(g.n)))
 
 
-def planar_rotation(g: Graph) -> RotationSystem:
-    """A rotation system realizing a planar embedding (graph must be planar)."""
-    ok, emb = nx.check_planarity(_to_nx(g))
-    if not ok:
-        raise ValueError("graph is not planar")
-    return {v: tuple(emb.neighbors_cw_order(v)) for v in range(g.n) if g.degree(v)}
+# -- planar embedding ---------------------------------------------------------
+
+def _blocks(adjacency) -> list[list[tuple]]:
+    """Edge lists of the biconnected components (Hopcroft and Tarjan 1973).
+
+    An iterative depth-first search keeps the tree and back edges on a
+    stack; when a child's low point does not reach above its parent, the
+    edges from the tree edge parent-child up are one block.
+    """
+    disc = [0] * len(adjacency)  # discovery time, 0 while unvisited
+    low = [0] * len(adjacency)
+    blocks = []
+    time = 0
+    for root, root_ns in enumerate(adjacency):
+        if disc[root] or not root_ns:
+            continue
+        time += 1
+        disc[root] = low[root] = time
+        walk = [(root, -1, iter(root_ns))]
+        edges = []
+        while walk:
+            v, parent, it = walk[-1]
+            for w in it:
+                if not disc[w]:
+                    edges.append((v, w))
+                    time += 1
+                    disc[w] = low[w] = time
+                    walk.append((w, v, iter(adjacency[w])))
+                    break
+                if w != parent and disc[w] < disc[v]:
+                    edges.append((v, w))
+                    low[v] = min(low[v], disc[w])
+            else:
+                walk.pop()
+                if walk:
+                    u = walk[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= disc[u]:
+                        block = [edges.pop()]
+                        while block[-1] != (u, v):
+                            block.append(edges.pop())
+                        blocks.append(block)
+    return blocks
+
+
+def _fragments(adj: dict, placed: set, rest: dict):
+    """The fragments of a block left over by its drawn part, as pairs
+    (attachments, inner vertices).  rest maps each vertex to its neighbours
+    across undrawn edges.  A chord between drawn vertices has no inner
+    vertex; any other fragment is a component of the undrawn vertices,
+    attached by its edges to the drawn ones."""
+    for v in placed:
+        for w in rest[v]:
+            if v < w and w in placed:
+                yield (v, w), ()
+    seen = set()
+    for s in adj:
+        if s in placed or s in seen:
+            continue
+        seen.add(s)
+        comp = [s]
+        att = set()
+        for x in comp:
+            for y in adj[x]:
+                if y in placed:
+                    att.add(y)
+                elif y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+        yield att, comp
+
+
+def _fragment_path(adj: dict, placed: set, att, inner) -> list:
+    """A path through the fragment between two of its attachments."""
+    if not inner:
+        return list(att)
+    inner = set(inner)
+    a = next(iter(att))
+    start = next(x for x in adj[a] if x in inner)
+    prev = {start: None}
+    queue = [start]
+    for x in queue:
+        b = next((y for y in adj[x] if y in placed and y != a), None)
+        if b is not None:
+            path = [b]
+            while x is not None:
+                path.append(x)
+                x = prev[x]
+            path.append(a)
+            return path
+        for y in adj[x]:
+            if y in inner and y not in prev:
+                prev[y] = x
+                queue.append(y)
+    raise AssertionError("a fragment of a biconnected block has one attachment")
+
+
+def _embed_block(adj: dict) -> list | None:
+    """Faces of a plane embedding of a biconnected block that has a cycle,
+    or None if the block is not planar.
+
+    Path addition (Demoucron, Malgrange and Pertuiset 1964): a cycle is
+    drawn first, as two faces.  While edges are left, each fragment of the
+    undrawn part (see _fragments) is matched with the faces that hold all of
+    its attachments.  A fragment with no such face proves the block
+    non-planar.  Otherwise a fragment with the fewest such faces has a path
+    between two attachments drawn across the first of them, which splits
+    that face in two; DMP showed this choice never blocks the embedding of a
+    planar block.  adj maps each vertex to its neighbours in the block.
+    Each face is a list of vertices, oriented so that every edge is walked
+    once in each direction.
+    """
+    s = next(iter(adj))
+    t = adj[s][0]
+    # a path from s to t that avoids the edge st closes a cycle with it
+    prev = {s: None}
+    queue = [s]
+    for x in queue:
+        for y in adj[x]:
+            if y not in prev and (x, y) != (s, t):
+                prev[y] = x
+                queue.append(y)
+    cycle = []
+    x = t
+    while x is not None:
+        cycle.append(x)
+        x = prev[x]
+    faces = [cycle, cycle[::-1]]
+    face_sets = [set(cycle), set(cycle)]
+    placed = set(cycle)
+    rest = {v: set(ns) for v, ns in adj.items()}
+    left = sum(map(len, adj.values())) // 2
+    path = cycle + cycle[:1]
+    while True:
+        for u, w in zip(path, path[1:]):
+            rest[u].discard(w)
+            rest[w].discard(u)
+        left -= len(path) - 1
+        if not left:
+            return faces
+        best = None
+        for att, inner in _fragments(adj, placed, rest):
+            fits = [k for k, fs in enumerate(face_sets) if fs.issuperset(att)]
+            if not fits:
+                return None
+            if best is None or len(fits) < len(best[2]):
+                best = att, inner, fits
+                if len(fits) == 1:
+                    break
+        att, inner, fits = best
+        path = _fragment_path(adj, placed, att, inner)
+        k = fits[0]
+        f = faces[k]
+        i, j = f.index(path[0]), f.index(path[-1])
+        middle = path[1:-1]
+        if i < j:
+            one, other = f[i:j + 1], f[j:] + f[:i + 1]
+        else:
+            one, other = f[i:] + f[:j + 1], f[j:i + 1]
+        faces[k] = one + middle[::-1]
+        faces.append(other + middle)
+        face_sets[k] = set(faces[k])
+        face_sets.append(set(faces[-1]))
+        placed.update(middle)
+
+
+def planar_rotation(g: Graph) -> RotationSystem | None:
+    """A rotation system of a plane embedding of g, or None if g is not
+    planar.
+
+    Each block (biconnected component, see _blocks) is embedded by path
+    addition (_embed_block), and a vertex's cyclic order in the block is read
+    off the oriented faces: a face walked a, v, b puts b right after a in v's
+    ring.  At a cut vertex the block rings are concatenated, which places
+    each block in a face of the others and adds their genera, so the result
+    is plane on every component.  Isolated vertices get no entry.  Before it
+    is returned the rotation is traced: each component with edges must have
+    Euler characteristic 2, so every planar verdict is certified.
+    """
+    rings: dict = {}
+    for block in _blocks(g.adjacency):
+        adj: dict = {}
+        for u, w in block:
+            adj.setdefault(u, []).append(w)
+            adj.setdefault(w, []).append(u)
+        if len(block) == 1:
+            for v, ns in adj.items():
+                rings.setdefault(v, []).extend(ns)
+            continue
+        if len(block) > 3 * len(adj) - 6:  # Euler's bound, as in is_planar
+            return None
+        faces = _embed_block(adj)
+        if faces is None:
+            return None
+        after: dict = {v: {} for v in adj}
+        for f in faces:
+            a, v = f[-2], f[-1]
+            for b in f:
+                after[v][a] = b
+                a, v = v, b
+        for v, ns in adj.items():
+            ring = rings.setdefault(v, [])
+            x = ns[0]
+            for _ in ns:
+                ring.append(x)
+                x = after[v][x]
+    rot = {v: tuple(ring) for v, ring in sorted(rings.items())}
+    edged = sum(1 for comp in g.components if len(comp) > 1)
+    chi = len(rot) - len(g.edges) + trace_faces(g, rot)
+    if chi != 2 * edged:
+        raise AssertionError(f"embedding has Euler characteristic {chi} "
+                             f"on {edged} components with edges")
+    return rot
 
 
 def validate_rotation(g: Graph, rot: RotationSystem) -> None:
@@ -445,15 +649,27 @@ def _validate_branch_sets(g: Graph, target: Graph, sets) -> None:
 
 
 def kuratowski_witness(g: Graph):
-    """("k5"|"k33", branch sets) read off networkx's Kuratowski subgraph.
+    """("k5"|"k33", branch sets) of a Kuratowski subgraph of g, or None.
 
-    None for a planar graph, and also when the branch sets fail
+    None for a planar graph.  Otherwise the edges of g are deleted one at a
+    time, in canonical order, and a deletion is kept only if the rest stays
+    non-planar (is_planar).  What is left is edge-minimal non-planar, so by
+    Kuratowski's theorem a subdivided K5 or K3,3, whose branch sets
+    _kuratowski_branch_sets reads off.  None also when they fail
     _validate_branch_sets, so that a faulty witness can only make the genus
     search exhaustive, never end it early.
     """
-    planar, sub = nx.check_planarity(_to_nx(g), counterexample=True)
-    if planar:
+    if is_planar(g):
         return None
+    keep = set(g.edges)
+    for e in sorted(g.edges):
+        keep.discard(e)
+        if is_planar(Graph(g.n, frozenset(keep))):
+            keep.add(e)
+    sub: dict = {}
+    for u, w in sorted(keep):
+        sub.setdefault(u, []).append(w)
+        sub.setdefault(w, []).append(u)
     witness = _kuratowski_branch_sets(sub)
     if witness is None:
         return None
@@ -465,13 +681,14 @@ def kuratowski_witness(g: Graph):
     return witness
 
 
-def _kuratowski_branch_sets(sub: nx.Graph):
-    """Contract a subdivided K5 or K3,3 onto its branch vertices.
+def _kuratowski_branch_sets(sub: dict):
+    """Contract a subdivided K5 or K3,3, given as the neighbour lists of its
+    vertices, onto its branch vertices.
 
     The inner vertices of each subdivided path join the branch set of the end
     the walk started from; K3,3 sets are ordered side by side as in K33.
     """
-    branch = sorted(v for v in sub if sub.degree(v) >= 3)
+    branch = sorted(v for v, ns in sub.items() if len(ns) >= 3)
     if len(branch) not in (5, 6):
         return None
     owner = {b: b for b in branch}

@@ -243,17 +243,17 @@ def poly_term_edge_sets(p):
 
 @pytest.fixture()
 def planarity_calls(monkeypatch):
-    """Count networkx planarity tests from then on, by graph order.
-
-    topo.nx is the networkx module, so the oracles above are counted too."""
+    """Count the general planarity tests from then on, by graph order: the
+    calls of topo.planar_rotation, which is_planar reaches only when no
+    certificate decides."""
     calls = []
-    real = nx.check_planarity
+    real = topo.planar_rotation
 
-    def counting(g, counterexample=False):
-        calls.append(g.number_of_nodes())
-        return real(g, counterexample=counterexample)
+    def counting(g):
+        calls.append(g.n)
+        return real(g)
 
-    monkeypatch.setattr(topo.nx, "check_planarity", counting)
+    monkeypatch.setattr(topo, "planar_rotation", counting)
     return calls
 
 

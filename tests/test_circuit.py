@@ -216,6 +216,51 @@ def evaluate(c):
     return eval_symbolic(c, ORACLE)
 
 
+def generic_eval(c, oracle):
+    """eval_symbolic's walk with every product by the generic __mul__,
+    starting from the constant 1."""
+    values = {}
+    for gid, (kind, arg) in enumerate(c.gates):  # inputs precede their gate
+        if kind == "const":
+            values[gid] = Polynomial.constant(arg)
+        elif kind == "var":
+            values[gid] = Polynomial.variable(arg)
+        elif kind == "add":
+            values[gid] = sum((values[i] for i in arg), Polynomial.zero())
+        elif kind == "mul":
+            acc = Polynomial.constant(1)
+            for i in arg:
+                acc = acc * values[i]
+            values[gid] = acc
+        else:
+            values[gid] = oracle.substitute(
+                dict(zip(c.oracle_vars, [values[i] for i in arg])))
+    return values[c.output]
+
+
+@st.composite
+def product_circuits(draw):
+    """Products of three or four factors drawn from constants (zero
+    included), variables, oracle calls and small sums."""
+    b = CircuitBuilder()
+    b.declare_oracle((ORACLE_ARG,))
+    leaves = [b.var(v) for v in CVARS]
+    leaves += [b.const(c) for c in draw(st.lists(st.fractions(-2, 2, max_denominator=3),
+                                                 min_size=1, max_size=3))]
+    leaves.append(b.oracle([draw(st.sampled_from(leaves))]))
+    leaves.append(b.add(*draw(st.lists(st.sampled_from(leaves), min_size=2, max_size=2))))
+    factors = draw(st.lists(st.sampled_from(leaves), min_size=3, max_size=4))
+    return b.freeze(b.mul(*factors))
+
+
+@given(st.one_of(small_circuits(), product_circuits()))
+@settings(max_examples=100, deadline=None)
+def test_mul_gates_agree_with_generic_products(c):
+    got, want = evaluate(c), generic_eval(c, ORACLE)
+    assert got == want
+    assert list(got.terms()) == list(want.terms())
+
+
 VAR_TARGETS = st.one_of(st.none(), st.integers(-2, 2),
                         st.sampled_from(CVARS + [aux_var("d")]))
 

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -382,3 +385,30 @@ def test_block_certificate_searched_once_per_process(tmp_path, capsys,
     capsys.readouterr()
     assert len(block_searches) == 1
     assert json.loads(out.read_text())["all_equal"] is True
+
+
+NO_NETWORKX = """
+import json, sys
+sys.modules["networkx"] = None  # any import of networkx now fails
+from hompoly import Graph, cli
+from hompoly.gadgets import genus_block
+for name, g in (("block", genus_block().graph), ("k3", Graph.complete(3))):
+    with open(name + ".json", "w") as f:
+        json.dump(g.to_json_obj(), f)
+for argv in (["genus", "block.json"],
+             ["verify", "--lemma", "genus-block", "--lemma", "genus-chain",
+              "--k", "2", "--m", "5"],
+             ["poly", "k3.json", "planar", "--n", "5"]):
+    code = cli.main(argv)
+    if code:
+        sys.exit(f"{argv} exited {code}")
+"""
+
+
+def test_commands_run_without_networkx(tmp_path):
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-c", NO_NETWORKX], cwd=tmp_path,
+                       env={**os.environ, "PYTHONPATH": path},
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr

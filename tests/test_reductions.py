@@ -317,7 +317,7 @@ def test_planar_bipartite_variant():
     assert r.details["bipartite_variant"]
 
 
-def test_gadget_pipelines_make_no_networkx_call(planarity_calls):
+def test_gadget_pipelines_make_no_general_planarity_test(planarity_calls):
     # every class check of the star, buddy and apex gadgets, survivor
     # checks included, is settled by a certificate in topo
     assert reduce_outerplanar(K3, 6).details["branch"] == "triangle"

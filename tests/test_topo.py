@@ -6,6 +6,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import find_k33_or_k5_minor, nx_outerplanar, nx_planar, to_nx
 from hompoly import Graph, topo
@@ -18,7 +20,7 @@ from hompoly.topo import (K5, K33, _rotation_choices, _validate_branch_sets,
                           is_outerplanar, is_planar, kuratowski_witness,
                           min_genus, min_genus_rotation, planar_rotation,
                           rotation_from_json_obj, rotation_search_space,
-                          rotation_to_json_obj, trace_faces)
+                          rotation_to_json_obj, trace_faces, validate_rotation)
 
 CUBE = Graph.make(8, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7),
                       (4, 7), (0, 4), (1, 5), (2, 6), (3, 7)])
@@ -167,17 +169,17 @@ def test_counting_certificates_agree_with_networkx_on_random_graphs():
             Graph.make(n, [e for e in all_edges(n) if rng.random() < p]))
 
 
-def test_counting_certificates_skip_networkx(planarity_calls):
-    # at most 8 edges, or more than 3V - 6 edges: no networkx call
+def test_counting_certificates_skip_the_general_test(planarity_calls):
+    # at most 8 edges, or more than 3V - 6 edges: no general test
     assert is_planar(Graph.cycle(8)) and is_planar(Graph.complete_bipartite(2, 4))
     assert not is_planar(Graph.complete(5)) and not is_planar(Graph.complete(6))
     assert planarity_calls == []
-    # outerplanarity never reaches networkx
+    # outerplanarity never reaches the general test
     for h in nx.graph_atlas_g():
         is_outerplanar(Graph.make(h.number_of_nodes(), h.edges()))
     assert planarity_calls == []
     # K3,3 has 9 <= 3V - 6 edges, minimum degree 3 and no vertex adjacent to
-    # all others: networkx decides
+    # all others: the general test decides
     assert not is_planar(K33)
     assert planarity_calls == [6]
 
@@ -276,6 +278,97 @@ def test_certificates_agree_with_networkx_on_gadget_candidates():
         for combo in itertools.combinations(sorted(gadget.free_edges()), pick):
             g = Graph.make(gadget.graph.n, base + list(combo))
             _check_counting_certificates(g)
+
+
+# -- the embedding and the Kuratowski witness against networkx ----------------
+
+
+def _check_embedding(g):
+    """planar_rotation, is_planar and kuratowski_witness against networkx.
+
+    A planar graph's rotation must trace to genus 0 on each component with
+    edges; a non-planar graph must yield a valid K5 or K3,3 minor."""
+    planar = nx_planar(g.n, sorted(g.edges))
+    rot = planar_rotation(g)
+    assert (rot is not None) == is_planar(g) == planar, sorted(g.edges)
+    if planar:
+        validate_rotation(g, rot)
+        for comp in g.components:
+            if len(comp) > 1:
+                part = Graph(g.n, frozenset(e for e in g.edges if e[0] in comp))
+                assert genus_of_rotation(part, {v: rot[v] for v in comp}) == 0
+        assert kuratowski_witness(g) is None
+    else:
+        kind, sets = kuratowski_witness(g)
+        _validate_branch_sets(g, K5 if kind == "k5" else K33, sets)
+
+
+def test_embedding_agrees_with_networkx_on_small_graphs():
+    for h in nx.graph_atlas_g():
+        _check_embedding(Graph.make(h.number_of_nodes(), h.edges()))
+
+
+def test_embedding_agrees_with_networkx_on_random_graphs():
+    rng = random.Random(1964)
+    for _ in range(3000):
+        n = rng.randint(5, 12)
+        p = rng.choice((0.2, 0.35, 0.5, 0.7))
+        _check_embedding(Graph.make(n, [e for e in all_edges(n) if rng.random() < p]))
+
+
+def _disjoint(*parts):
+    n, edges = 0, []
+    for g in parts:
+        edges += [(u + n, w + n) for u, w in g.edges]
+        n += g.n
+    return Graph.make(n, edges)
+
+
+def _glued(g, h):
+    """g and h sharing their last and first vertex."""
+    shift = g.n - 1
+    return Graph.make(shift + h.n,
+                      list(g.edges) + [(u + shift, w + shift) for u, w in h.edges])
+
+
+BOWTIE = _glued(Graph.complete(3), Graph.complete(3))
+
+
+@pytest.mark.parametrize("g,planar", [
+    (_disjoint(K5, Graph.empty(1)), False),
+    (_disjoint(K33, K33), False),
+    (_disjoint(K33, Graph.cycle(4)), False),
+    (_glued(Graph.complete(4), K5), False),
+    (_glued(Graph.complete(4), Graph.complete(4)), True),
+    (BOWTIE, True),
+    (_glued(BOWTIE, Graph.path(3)), True),
+    (_disjoint(Graph.complete(4), CUBE, Graph.empty(1), BOWTIE), True),
+], ids=["K5+K1", "K33+K33", "K33+C4", "K4.K5", "K4.K4", "bowtie",
+        "bowtie.pendant", "K4+cube+K1+bowtie"])
+def test_embedding_on_disconnected_and_cut_vertex_graphs(g, planar):
+    assert is_planar(g) == planar
+    _check_embedding(g)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 10))
+    edges = all_edges(n)
+    keep = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return Graph.make(n, [e for e, k in zip(edges, keep) if k])
+
+
+@given(small_graphs())
+@settings(max_examples=150, deadline=None)
+def test_embedding_agrees_with_networkx(g):
+    _check_embedding(g)
+
+
+def test_planar_rotation_certifies_its_embedding(monkeypatch):
+    assert planar_rotation(K5) is None and planar_rotation(K33) is None
+    monkeypatch.setattr(topo, "trace_faces", lambda g, rot: 1)
+    with pytest.raises(AssertionError, match="Euler characteristic"):
+        planar_rotation(CUBE)
 
 
 def test_rotation_json_roundtrip():
