@@ -161,15 +161,20 @@ def cmd_report(args) -> int:
     if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
         raise ValueError("a report file is a JSON object whose reports are a "
                          "list of objects")
-    for key in ("lemma", "equal", "produced_terms", "expected_terms"):
+    for key, kind in (("lemma", str), ("equal", bool), ("produced_terms", int),
+                      ("expected_terms", int)):
         if not all(key in r for r in rows):
             raise ValueError(f"a report row has no {key!r}")
+        if not all(type(r[key]) is kind for r in rows):  # a bool is no count
+            raise ValueError(f"a report row's {key!r} is not a {kind.__name__}")
+    if data.get("all_equal") is not all(r["equal"] for r in rows):  # bools only
+        raise ValueError("'all_equal' is not the bool the rows' 'equal' give")
     print("lemma                 equal  produced  expected")
     print("-" * 48)
     for r in rows:
         print(f"{r['lemma']:<22}{str(r['equal']):<7}"
               f"{r['produced_terms']:<10}{r['expected_terms']}")
-    return 0 if data.get("all_equal") else 1
+    return 0 if data["all_equal"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

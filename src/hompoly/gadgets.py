@@ -2,10 +2,9 @@
 
 Each Gadget bundles the support graph (edges that may carry weight), the
 edges a pipeline enforces, the edges it explicitly zeroes out, and the total
-edge budget the surviving subgraphs must meet.  Role labels (center, apexes,
+edge budget the surviving subgraphs must meet, fixed by each constructor
+(2n-3 for the star, 3m-1 for the apex gadget).  Role labels (center, apexes,
 glue endpoints, buddies) live on the graph so transforms can relabel them.
-Budgets are data, not constants baked into pipelines, so the calibration
-sweeps in the test suite can vary them.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ class Gadget:
 
 # -- outerplanar star ------------------------------------------------------------
 
-def star_gadget(n: int, budget: int | None = None) -> Gadget:
+def star_gadget(n: int) -> Gadget:
     """Complete graph on a center plus n-1 outer vertices.
 
     The center's star is enforced; surviving subgraphs must meet the total
@@ -58,7 +57,7 @@ def star_gadget(n: int, budget: int | None = None) -> Gadget:
         raise ValueError("star gadget needs n >= 5")
     g = Graph.complete(n).with_labels({"center": 0, "glue-a": 1, "glue-b": 2})
     star = frozenset((0, i) for i in range(1, n))
-    return Gadget(g, star, frozenset(), 2 * n - 3 if budget is None else budget)
+    return Gadget(g, star, frozenset(), 2 * n - 3)
 
 
 def buddy_transform(gadget: Gadget) -> Gadget:
@@ -99,7 +98,7 @@ def buddy_transform(gadget: Gadget) -> Gadget:
 
 # -- planar gadget ----------------------------------------------------------------
 
-def planar_gadget(m: int, budget: int | None = None) -> Gadget:
+def planar_gadget(m: int) -> Gadget:
     """Middle clique K_m plus two apexes adjacent to every middle vertex.
 
     All apex edges are enforced and the budget leaves room for m-1 middle
@@ -118,8 +117,7 @@ def planar_gadget(m: int, budget: int | None = None) -> Gadget:
     g = Graph.make(m + 2, edges, labels=labels)
     enforced = frozenset([canonical_edge(v, a) for v in range(m)] +
                          [canonical_edge(v, b) for v in range(m)])
-    return Gadget(g, enforced, frozenset(),
-                  2 * m + (m - 1) if budget is None else budget)
+    return Gadget(g, enforced, frozenset(), 2 * m + (m - 1))
 
 
 def end_edges(gadget: Gadget) -> tuple:

@@ -22,7 +22,7 @@ from operator import itemgetter
 
 from .errors import BudgetExceededError
 
-DEFAULT_HOM_BUDGET = 2_000_000
+HOM_BUDGET = 2_000_000  # search nodes of one is_homomorphic call
 SUBSET_FILTER_MAX_EDGES = 21  # K7; class_edge_subsets filters 2^edges subsets
 SHAPE_MAX_MASKS = 1_000_000  # K8's 441,204 trees fit; K9's 7,874,235 do not
 
@@ -227,6 +227,8 @@ def genus_class(k: int) -> GraphClass:
 def parse_class(name: str, k: int | None = None) -> GraphClass:
     name = name.lower()
     if name in SHAPE_KINDS + ("outerplanar", "planar"):
+        if k is not None:
+            raise ValueError(f"class {name!r} takes no genus k")
         return GraphClass(name)
     if name == "genus":
         if k is None:
@@ -282,7 +284,7 @@ def _two_colourable(adj: tuple) -> bool:
     return True
 
 
-def is_homomorphic(g: Graph, h: Graph, budget: int = DEFAULT_HOM_BUDGET) -> bool:
+def is_homomorphic(g: Graph, h: Graph) -> bool:
     """Whether some map f sends every edge of g to an edge or loop of h and
     every loop of g to a loop of h.
 
@@ -291,9 +293,9 @@ def is_homomorphic(g: Graph, h: Graph, budget: int = DEFAULT_HOM_BUDGET) -> bool
     that is not 2-colourable maps into no loopless bipartite h (Hell and
     Nesetril 1990).  Only the remaining cases run the backtracking search:
     isolated vertices of g are skipped, the others are assigned in
-    degree-descending order with adjacency pruning, and the node budget
-    guards against blowup.  Each assigned vertex has an edge and h has no
-    loop, so only the vertices of h with an edge are tried as images.
+    degree-descending order with adjacency pruning, and past HOM_BUDGET
+    nodes it raises BudgetExceededError.  Each assigned vertex has an edge
+    and h has no loop, so only h's vertices with an edge are tried as images.
     """
     if h.n == 0:
         return g.n == 0
@@ -318,7 +320,7 @@ def is_homomorphic(g: Graph, h: Graph, budget: int = DEFAULT_HOM_BUDGET) -> bool
 
     pos = {v: i for i, v in enumerate(active)}
     assignment = [-1] * len(active)
-    nodes = 0
+    nodes, budget = 0, HOM_BUDGET
 
     def backtrack(i: int) -> bool:
         nonlocal nodes

@@ -356,11 +356,10 @@ def tree_gadget_edges(target: Graph) -> tuple[list, int]:
     return sorted(canonical_edge(*e) for e in out), tn + len(tedges) + 1
 
 
-DEFAULT_TREE_NODE_BUDGET = 2_000_000
+TREE_NODE_BUDGET = 2_000_000
 
 
-def gadget_tree_poly(target: Graph, node_budget: int = DEFAULT_TREE_NODE_BUDGET
-                     ) -> tuple[Polynomial, int]:
+def gadget_tree_poly(target: Graph) -> tuple[Polynomial, int]:
     """Size-restricted tree polynomial of the matching gadget of an even
     target, in the edge-and-vertex model, and the number of search nodes.
 
@@ -373,7 +372,7 @@ def gadget_tree_poly(target: Graph, node_budget: int = DEFAULT_TREE_NODE_BUDGET
     root, have exactly 3tn/2 edges.  The 3tn/2 - 1 edge trees each miss one of
     those vertices and never survive the slices.  They are kept on purpose:
     the slices, and the circuit filters that re-run them, have these terms to
-    remove.  Raises BudgetExceededError past node_budget nodes.
+    remove.  Raises BudgetExceededError past TREE_NODE_BUDGET nodes.
     """
     gedges, nvert = tree_gadget_edges(target)
     half = target.n // 2
@@ -383,7 +382,7 @@ def gadget_tree_poly(target: Graph, node_budget: int = DEFAULT_TREE_NODE_BUDGET
     deg = [0] * nvert
     chosen: list = []
     terms: dict = {}
-    nodes = 0
+    nodes, budget = 0, TREE_NODE_BUDGET
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -393,9 +392,9 @@ def gadget_tree_poly(target: Graph, node_budget: int = DEFAULT_TREE_NODE_BUDGET
     def visit(i: int, evs: int, covered: int) -> None:
         nonlocal nodes
         nodes += 1
-        if nodes > node_budget:
+        if nodes > budget:
             raise BudgetExceededError(
-                f"tree search exceeds the node budget {node_budget}")
+                f"tree search exceeds the node budget {budget}")
         k = len(chosen)
         if k == top or i == len(gedges):
             if k >= top - 1 and covered == k + 1:
@@ -426,8 +425,7 @@ def gadget_tree_poly(target: Graph, node_budget: int = DEFAULT_TREE_NODE_BUDGET
     return Polynomial(terms), nodes
 
 
-def reduce_trees(h: Graph, target: Graph,
-                 node_budget: int = DEFAULT_TREE_NODE_BUDGET) -> ReductionReport:
+def reduce_trees(h: Graph, target: Graph) -> ReductionReport:
     """Recover the perfect matchings of the target from the tree polynomial
     of the matching gadget in the edge-and-vertex model.
 
@@ -467,7 +465,7 @@ def reduce_trees(h: Graph, target: Graph,
         sliced = Polynomial.zero()
         details["circuit"] = "skipped: odd target has no perfect matching"
     else:
-        P, details["dfs_nodes"] = gadget_tree_poly(target, node_budget)
+        P, details["dfs_nodes"] = gadget_tree_poly(target)
         details["tree_terms"] = len(P)
         # the root slice only bites on a two-vertex target, whose path u-e-v
         # spans both originals without the root
@@ -501,11 +499,10 @@ def reduce_trees(h: Graph, target: Graph,
 
 # -- outerplanar ---------------------------------------------------------------------
 
-def reduce_outerplanar(h: Graph, n: int, budget: int | None = None
-                       ) -> ReductionReport:
-    """Star-gadget pipeline: enforce the center star and the total edge
-    budget, fix the two designated path endpoints, then glue them to turn
-    the surviving outer paths into the Hamiltonian cycles of K_{n-2}."""
+def reduce_outerplanar(h: Graph, n: int) -> ReductionReport:
+    """Star-gadget pipeline: enforce the center star and star_gadget's edge
+    budget 2n-3, fix the two designated path endpoints, then glue them to
+    turn the surviving outer paths into the Hamiltonian cycles of K_{n-2}."""
     params = {"n": n, "h": h.to_json_obj()}
     if n < 5 or n > 7:
         raise ValueError("outerplanar pipeline supports 5 <= n <= 7")
@@ -517,7 +514,7 @@ def reduce_outerplanar(h: Graph, n: int, budget: int | None = None
         details["branch"] = "triangle" if direct else "buddy"
         if not direct and n > 6:
             raise ValueError("the buddy branch supports n <= 6")
-        star = star_gadget(n, budget)
+        star = star_gadget(n)
         gadget = star if direct else buddy_transform(star)
         center, a, b = star.role("center"), star.role("glue-a"), star.role("glue-b")
         outer = list(range(1, n))
@@ -591,18 +588,18 @@ def _verify_star_survivors(p_pts: Polynomial, n, center, a, b, outer) -> None:
 
 # -- planar --------------------------------------------------------------------------
 
-def reduce_planar(h: Graph, m: int, budget: int | None = None) -> ReductionReport:
-    """Apex-gadget pipeline: with all apex edges enforced and m-1 middle
-    edges allowed, the planar survivors are exactly the Hamiltonian paths on
-    the middle clique (m!/2 of them); for m >= 6 the designated end edges
-    and endpoint degrees are enforced and the second/second-to-last vertices
-    are glued, recovering the Hamiltonian cycles on m-3 vertices."""
+def reduce_planar(h: Graph, m: int) -> ReductionReport:
+    """Apex-gadget pipeline: all apex edges are enforced and planar_gadget's
+    budget 3m-1 leaves m-1 middle edges, so the planar survivors are exactly
+    the Hamiltonian paths on the middle clique (m!/2 of them); for m >= 6 the
+    designated end edges and endpoint degrees are enforced and the second and
+    second-to-last vertices glued, recovering the Hamiltonian cycles on m-3."""
     params = {"m": m, "h": h.to_json_obj()}
     if m < 3 or m > 6:
         raise ValueError("planar pipeline supports 3 <= m <= 6")
 
     def body(details: dict) -> ReductionReport:
-        gadget = planar_gadget(m, budget)
+        gadget = planar_gadget(m)
         triangle_branch = is_homomorphic(K3, h)
         survivors = _gadget_survivors(gadget, lambda g: recognize(g, PLANAR),
                                       h if triangle_branch else None)
@@ -677,8 +674,6 @@ def _glue_into_uhc(survivors, filters, drop_to_one, a: int, b: int,
 
 # -- genus ---------------------------------------------------------------------------
 
-BLOCK_GENUS_BUDGET = 100_000
-
 _block_cache: dict = {}
 
 
@@ -689,7 +684,7 @@ def _block_certificate() -> dict:
         g = genus_block().graph
         planar = topo.is_planar(g)
         witness = topo.kuratowski_witness(g)
-        genus, rot = topo.min_genus_rotation(g, budget=BLOCK_GENUS_BUDGET)
+        genus, rot = topo.min_genus_rotation(g)
         _block_cache.update({
             "planar": planar,
             "minor": None if witness is None else

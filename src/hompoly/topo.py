@@ -37,7 +37,7 @@ from .errors import BudgetExceededError
 from .graphs import Graph
 
 DEFAULT_GENUS_BUDGET = 1_000_000
-DEFAULT_MINOR_BUDGET = 2_000_000
+MINOR_BUDGET = 2_000_000
 
 RotationSystem = dict  # vertex -> tuple of neighbors in cyclic order
 
@@ -500,12 +500,12 @@ def rotation_search_space(g: Graph) -> int:
     return total
 
 
-def min_genus(g: Graph, budget: int = DEFAULT_GENUS_BUDGET) -> int:
+def min_genus(g: Graph) -> int:
     """Exact minimum genus by min_genus_rotation; an edgeless graph on at
     most one vertex has genus 0."""
     if not g.edges and g.is_connected():
         return 0
-    return min_genus_rotation(g, budget=budget)[0]
+    return min_genus_rotation(g)[0]
 
 
 def min_genus_rotation(g: Graph, budget: int = DEFAULT_GENUS_BUDGET):
@@ -578,18 +578,18 @@ def contains_subgraph(g_adj: dict, h: Graph):
     return backtrack(0)
 
 
-def find_minor(g: Graph, target: Graph, budget: int = DEFAULT_MINOR_BUDGET):
+def find_minor(g: Graph, target: Graph):
     """Branch sets witnessing target as a minor of g, or None.
 
     Searches contraction sequences down to |V(target)| vertices, testing
     subgraph containment at every level; states are memoized on adjacency
-    structure.  Found witnesses are re-validated before returning.
+    structure.  Found witnesses are re-validated before returning.  Raises
+    BudgetExceededError past MINOR_BUDGET search states.
     """
     base_adj = {frozenset([v]): {frozenset([w]) for w in ns}
                 for v, ns in enumerate(g.adjacency)}
 
-    seen = set()
-    work = 0
+    seen, work, budget = set(), 0, MINOR_BUDGET
 
     def canon(adj):
         return frozenset((bs, frozenset(ns)) for bs, ns in adj.items())

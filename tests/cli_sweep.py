@@ -1,8 +1,8 @@
 """Byte-identity sweep over the hompoly command line.
 
-Runs a fixed list of verify, poly, genus and classify commands through
-hompoly.cli.main in one process and prints one line per command: the sha256
-of its exit code, stdout, stderr and --out file, then the command.  Two
+Runs a fixed list of verify, poly, genus, classify and report commands
+through hompoly.cli.main in one process and prints one line per command: the
+sha256 of its exit code, stdout, stderr and --out file, then the command.  Two
 checkouts behave the same on the list when their printouts are identical:
 
     PYTHONPATH=src python tests/cli_sweep.py > after.txt
@@ -10,8 +10,10 @@ checkouts behave the same on the list when their printouts are identical:
     diff before.txt after.txt
 
 The commands run in a temporary directory and name their files relatively,
-so no path reaches an output.  pytest does not collect this file; a test in
-test_cli.py checks that the list covers every lemma and every class kind.
+so no path reaches an output.  An exception that escapes cli.main ends the
+sweep with a traceback and a nonzero exit, so a plain run is also a crash
+check.  pytest does not collect this file; a test in test_cli.py checks that
+the list covers every subcommand, lemma and class kind.
 """
 
 from __future__ import annotations
@@ -66,6 +68,19 @@ LEMMA_SIZES = {
                     [("--k", "3", "--m", "4"), ("--k", "1", "--m", "6")]),
 }
 
+# report files besides the one verify writes: a failed run, then one
+# malformed field each (exit 2)
+ROW = {"lemma": "cycles-even", "equal": True, "produced_terms": 3,
+       "expected_terms": 3}
+REPORTS = {
+    "report-failed": {"reports": [dict(ROW, equal=False)], "all_equal": False},
+    "report-lemma-null": {"reports": [dict(ROW, lemma=None)], "all_equal": True},
+    "report-terms-list": {"reports": [dict(ROW, produced_terms=[1])],
+                          "all_equal": True},
+    "report-all-equal-str": {"reports": [ROW], "all_equal": "no"},
+    "report-equal-str": {"reports": [dict(ROW, equal="yes")], "all_equal": True},
+}
+
 CLASSES = [("cycle",), ("clique",), ("tree",), ("outerplanar",), ("planar",),
            ("genus", "--k", "0"), ("genus", "--k", "1")]
 
@@ -95,6 +110,12 @@ def commands() -> list[tuple]:
             ("classify", "K3.json", "genus", "--k", "-1")]
     out += [("genus", f"{g}.json") for g in GENUS_GRAPHS]
     out.append(("genus", "K5.json", "--budget", "10"))
+    out += [("classify", "K3.json", "cycle", "--k", "5"),
+            ("poly", "K3.json", "tree", "--n", "4", "--k", "2")]
+    out += [("verify", "--lemma", "cycles-even", "--lemma", "genus-block",
+             "--h-file", "K3.json", "--out", "report.json"),
+            ("report", "report.json")]
+    out += [("report", f"{name}.json") for name in REPORTS]
     return out
 
 
@@ -117,9 +138,11 @@ def main() -> int:
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
-        for name, g in {**TARGETS_H, **GENUS_GRAPHS}.items():
+        files = {name: g.to_json_obj()
+                 for name, g in {**TARGETS_H, **GENUS_GRAPHS}.items()}
+        for name, obj in {**files, **REPORTS}.items():
             with open(f"{name}.json", "w") as fh:
-                json.dump(g.to_json_obj(), fh)
+                json.dump(obj, fh)
         for argv in commands():
             print(run(argv), " ".join(argv), flush=True)
         os.chdir(home)

@@ -89,13 +89,13 @@ def nx_in_class(n: int, edges, kind: str, genus_k: int | None = None) -> bool:
     raise ValueError(kind)
 
 
-def find_k33_or_k5_minor(g: Graph, budget: int = topo.DEFAULT_MINOR_BUDGET):
+def find_k33_or_k5_minor(g: Graph):
     """Kuratowski-style witness from the library's minor finder, independent
     of networkx: ("k5"|"k33", branch sets) or None."""
-    w = topo.find_minor(g, topo.K5, budget=budget)
+    w = topo.find_minor(g, topo.K5)
     if w is not None:
         return ("k5", w)
-    w = topo.find_minor(g, topo.K33, budget=budget)
+    w = topo.find_minor(g, topo.K33)
     if w is not None:
         return ("k33", w)
     return None

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, report determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hompoly import Graph
-from hompoly.cli import LEMMAS, _dump_poly, main
+from hompoly.cli import LEMMAS, _dump_poly, build_parser, main
 from hompoly.graphs import SHAPE_KINDS
 from hompoly.poly import Polynomial, edge_var, loop_var, monomial, vertex_var
 
@@ -153,6 +154,17 @@ def test_verify_zero_size_is_not_the_default(argv, capsys):
     assert "supports" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "k3", "cycle", "--k", "5"],
+    ["poly", "k3", "tree", "--n", "4", "--k", "2"],
+    ["poly", "k3", "planar", "--n", "4", "--k", "0"],
+])
+def test_k_on_a_non_genus_class_exits_2(argv, graph_files, capsys):
+    assert main([argv[0], graph_files[argv[1]], *argv[2:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "genus" in err
+
+
 def test_poly_negative_n_exits_2(graph_files, capsys):
     assert main(["poly", graph_files["k2"], "cycle", "--n", "-1"]) == 2
     assert "negative" in capsys.readouterr().err
@@ -182,6 +194,10 @@ def test_cli_sweep_covers_every_lemma_and_class_kind():
     import cli_sweep
     argvs = cli_sweep.commands()
     assert len(argvs) >= 200
+    # argparse keeps its subcommands on the one _SubParsersAction
+    sub, = (a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    assert {a[0] for a in argvs} == set(sub.choices)
     verify = [a for a in argvs if a[0] == "verify" and "--lemma" in a]
     assert {a[a.index("--lemma") + 1] for a in verify} == set(LEMMAS)
     for lemma in LEMMAS:
@@ -232,23 +248,46 @@ def test_malformed_graph_file_exits_2(obj, tmp_path, capsys):
     assert err.count("error: ") == 2 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("obj", [[], {"reports": [1]}, {"reports": 5}])
+REPORT_ROW = {"lemma": "cycles-even", "equal": True, "produced_terms": 3,
+              "expected_terms": 3}
+
+
+@pytest.mark.parametrize("obj", [
+    [], {"reports": [1]}, {"reports": 5},
+    {"reports": [dict(REPORT_ROW, lemma=None)], "all_equal": True},
+    {"reports": [dict(REPORT_ROW, equal="yes")], "all_equal": True},
+    {"reports": [dict(REPORT_ROW, produced_terms=[1])], "all_equal": True},
+    {"reports": [dict(REPORT_ROW, expected_terms=True)], "all_equal": True},
+    {"reports": [dict(REPORT_ROW, produced_terms=2.5)], "all_equal": True},
+    {"reports": [REPORT_ROW], "all_equal": "no"},
+    {"reports": [REPORT_ROW], "all_equal": 1},
+    {"reports": [REPORT_ROW], "all_equal": False},
+    {"reports": [dict(REPORT_ROW, equal=False)], "all_equal": True},
+    {"reports": [REPORT_ROW]},
+])
 def test_malformed_report_file_exits_2(obj, tmp_path, capsys):
     path = tmp_path / "r.json"
     path.write_text(json.dumps(obj))
     assert main(["report", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_report_of_a_failed_verify_exits_1(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"reports": [dict(REPORT_ROW, equal=False)],
+                                "all_equal": False}))
+    assert main(["report", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines()[2].split() == \
+        ["cycles-even", "False", "3", "3"]
 
 
 @pytest.mark.parametrize("missing", ["lemma", "equal", "produced_terms",
                                      "expected_terms"])
 def test_report_row_missing_key_prints_nothing(missing, tmp_path, capsys):
-    row = {"lemma": "cycles-even", "equal": True, "produced_terms": 3,
-           "expected_terms": 3}
-    bad = {k: v for k, v in row.items() if k != missing}
+    bad = {k: v for k, v in REPORT_ROW.items() if k != missing}
     path = tmp_path / "r.json"
-    path.write_text(json.dumps({"reports": [row, bad], "all_equal": True}))
+    path.write_text(json.dumps({"reports": [REPORT_ROW, bad], "all_equal": True}))
     assert main(["report", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: a report row has no {missing!r}\n"

@@ -11,6 +11,7 @@ from conftest import (brute_class_subsets, brute_is_homomorphic, nx_in_class,
                       reference_tree_sets)
 from hompoly import (Graph, class_edge_subsets, hom_to_single_edge, is_homomorphic,
                      recognize, topo)
+from hompoly.errors import BudgetExceededError
 from hompoly.graphs import (CLIQUE, CYCLE, OUTERPLANAR, PLANAR, TREE,
                             all_edges, class_edge_masks, genus_class,
                             subset_in_class)
@@ -72,7 +73,7 @@ def test_hom_matches_brute_force_on_samples():
             assert is_homomorphic(g, h) == brute_is_homomorphic(g, h)
 
 
-def test_hom_search_runs_only_when_no_certificate_decides():
+def test_hom_search_runs_only_when_no_certificate_decides(monkeypatch):
     # an odd cycle into a loopless non-bipartite target needs the search;
     # C5 maps to K3 but K3 does not map to C5
     assert is_homomorphic(Graph.cycle(5), Graph.complete(3))
@@ -80,8 +81,11 @@ def test_hom_search_runs_only_when_no_certificate_decides():
     assert is_homomorphic(Graph.cycle(7), Graph.cycle(5))
     assert not is_homomorphic(Graph.complete(4), Graph.complete(3))
     # bipartite g maps to any edge, also beyond the search budget
-    assert is_homomorphic(Graph.complete_bipartite(3, 4), Graph.complete(5), budget=0)
-    assert not is_homomorphic(Graph.cycle(5), Graph.path(3), budget=0)
+    monkeypatch.setattr("hompoly.graphs.HOM_BUDGET", 0)
+    assert is_homomorphic(Graph.complete_bipartite(3, 4), Graph.complete(5))
+    assert not is_homomorphic(Graph.cycle(5), Graph.path(3))
+    with pytest.raises(BudgetExceededError):
+        is_homomorphic(Graph.cycle(5), Graph.complete(3))
 
 
 def test_hom_search_skips_isolated_vertices_of_h():

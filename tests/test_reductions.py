@@ -1,5 +1,6 @@
 """Filtering operations, pipelines and the dichotomy classifier."""
 
+import dataclasses
 import itertools
 
 import networkx as nx
@@ -13,7 +14,7 @@ from hompoly import (CLIQUE, CYCLE, OUTERPLANAR, PLANAR, TREE, Graph,
                      enforce_edges, hom_poly, oracle_matching, oracle_uhc,
                      reduce_cliques_vac0, reduce_cycles, reduce_genus,
                      reduce_outerplanar, reduce_planar, reduce_trees)
-from hompoly import reductions, topo
+from hompoly import gadgets, reductions, topo
 from hompoly.errors import BudgetExceededError, PipelineIntegrityError
 from hompoly.gadgets import genus_block
 from hompoly.graphs import genus_class
@@ -228,9 +229,10 @@ def test_tree_pipeline_recovers_matchings(target):
     assert r.details["circuit_agrees"]
 
 
-def test_tree_search_budget_fails_loudly():
+def test_tree_search_budget_fails_loudly(monkeypatch):
+    monkeypatch.setattr(reductions, "TREE_NODE_BUDGET", 100)
     with pytest.raises(BudgetExceededError):
-        reduce_trees(K2, Graph.cycle(6), node_budget=100)
+        reduce_trees(K2, Graph.cycle(6))
 
 
 def test_tree_pipeline_rejects_empty_target():
@@ -255,13 +257,22 @@ def test_outerplanar_pipeline_counts():
     assert r.produced == oracle_uhc(4)
 
 
-def test_outerplanar_budget_calibration():
+def _gadget_budget(monkeypatch, constructor: str, budget: int) -> None:
+    """Make the pipelines build the named gadget with the given budget;
+    dataclasses.replace re-runs the gadget's checks."""
+    real = getattr(gadgets, constructor)
+    monkeypatch.setattr(reductions, constructor,
+                        lambda size: dataclasses.replace(real(size), budget=budget))
+
+
+def test_outerplanar_budget_calibration(monkeypatch):
     # only the recorded budget matches the oracle; one more or one fewer
     # total edge gives a different survivor set
-    good = reduce_outerplanar(K3, 6, budget=9)
+    good = reduce_outerplanar(K3, 6)
     assert good.equal and good.details["budget"] == 9
     for off in (8, 10):
-        r = reduce_outerplanar(K3, 6, budget=off)
+        _gadget_budget(monkeypatch, "star_gadget", off)
+        r = reduce_outerplanar(K3, 6)
         assert not r.equal
         assert r.details.get("calibration_failure")
     # budget 10 leaves no survivor, so no circuit check runs or is reported
@@ -297,11 +308,13 @@ def test_planar_glue_phase():
     assert r.produced == oracle_uhc(3)
 
 
-def test_planar_budget_calibration():
+def test_planar_budget_calibration(monkeypatch):
     # one middle edge too few leaves survivors with the glue pair joined
     # by an edge; gluing them is reported, not raised
+    assert reduce_planar(K3, 6).details["budget"] == 17
     for off in (16, 18):
-        r = reduce_planar(K3, 6, budget=off)
+        _gadget_budget(monkeypatch, "planar_gadget", off)
+        r = reduce_planar(K3, 6)
         assert not r.equal
         assert r.details.get("calibration_failure")
         # the details recorded before the failure are kept

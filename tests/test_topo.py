@@ -80,7 +80,7 @@ def test_genus_block_certificate():
 
 def test_min_genus_budget():
     with pytest.raises(BudgetExceededError):
-        min_genus(Graph.complete(8), budget=10)
+        min_genus_rotation(Graph.complete(8), budget=10)
 
 
 def test_rotation_validation():
