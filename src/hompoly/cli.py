@@ -17,12 +17,11 @@ from fractions import Fraction
 
 from . import reductions, topo
 from .errors import BudgetExceededError, PipelineIntegrityError
-from .genfun import VariableModel, hom_poly, parse_model
+from .genfun import VariableModel, hom_poly
 from .graphs import Graph, parse_class
 from .poly import Polynomial, var_to_str
 
-LEMMAS = ("cycles-even", "tree-matching", "outerplanar-star",
-          "planar-permutation", "genus-block", "genus-chain")
+LEMMAS = tuple(reductions.LEMMA_SIZES)
 
 TARGETS = {
     "c4": Graph.cycle(4),
@@ -79,7 +78,7 @@ def cmd_classify(args) -> int:
 def cmd_poly(args) -> int:
     h = _load_graph(args.h_file)
     cls = parse_class(args.graph_class, args.k)
-    p = hom_poly(h, args.n, cls, parse_model(args.model))
+    p = hom_poly(h, args.n, cls, VariableModel(args.model))
     print(_dump_poly(p))
     return 0
 
@@ -96,26 +95,23 @@ def cmd_genus(args) -> int:
     return 0
 
 
-def _or(value, default):
-    return default if value is None else value  # an explicit 0 stays 0
-
-
 def _run_lemma(lemma: str, args) -> reductions.ReductionReport:
     h = _load_graph(args.h_file) if args.h_file else None
+    sizes = {key: default if vars(args)[key] is None else vars(args)[key]
+             for key, (default, _) in reductions.LEMMA_SIZES[lemma].items()}
     if lemma == "cycles-even":
-        return reductions.reduce_cycles(h or Graph.single_edge(), _or(args.n, 4))
+        return reductions.reduce_cycles(h or Graph.single_edge(), **sizes)
     if lemma == "tree-matching":
         return reductions.reduce_trees(h or Graph.single_edge(),
-                                       TARGETS[args.target])
+                                       TARGETS[args.target or "k4"])
     if lemma == "outerplanar-star":
-        return reductions.reduce_outerplanar(h or Graph.complete(3), _or(args.n, 6))
+        return reductions.reduce_outerplanar(h or Graph.complete(3), **sizes)
     if lemma == "planar-permutation":
-        return reductions.reduce_planar(h or Graph.complete(3), _or(args.m, 4))
+        return reductions.reduce_planar(h or Graph.complete(3), **sizes)
     if lemma == "genus-block":
         return reductions.genus_block_report()
     if lemma == "genus-chain":
-        return reductions.reduce_genus(h or Graph.complete(3),
-                                       _or(args.k, 1), _or(args.m, 4))
+        return reductions.reduce_genus(h or Graph.complete(3), **sizes)
     raise ValueError(lemma)
 
 
@@ -132,6 +128,13 @@ def _report_table(reports) -> str:
 def cmd_verify(args) -> int:
     # argparse's choices rejected unknown ids; a repeated id runs once
     lemmas = list(dict.fromkeys(args.lemma or LEMMAS))
+    read = {key for name in lemmas for key in reductions.LEMMA_SIZES[name]}
+    read |= {"target"} if "tree-matching" in lemmas else set()
+    for key in ("n", "k", "m", "target"):
+        if vars(args)[key] is not None and key not in read:
+            raise ValueError(f"no selected lemma reads --{key}")
+    if args.timings and not args.out:
+        raise ValueError("--timings adds wall times to the --out file; give --out")
 
     def run(name: str) -> reductions.ReductionReport:
         t0 = time.perf_counter()
@@ -203,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--target", choices=sorted(TARGETS), default="k4")
+    p.add_argument("--target", choices=sorted(TARGETS), help="default: k4")
     p.add_argument("--h-file", default=None, help="graph JSON for H")
     p.add_argument("--timings", action="store_true",
                    help="include wall times in the report file")

@@ -40,13 +40,6 @@ class VariableModel(enum.Enum):
     EDGE_AND_VERTEX = "edge-vertex"
 
 
-def parse_model(name: str) -> VariableModel:
-    for m in VariableModel:
-        if m.value == name:
-            return m
-    raise ValueError(f"unknown variable model {name!r}")
-
-
 def _chunk_tables(values: list, empty, op) -> list[list]:
     """For each run of 8 values, a table indexed by a byte: entry b folds
     op over the run's values at the set bits of b, lowest bit first."""

@@ -38,6 +38,24 @@ from .poly import Polynomial, edge_var, vertex_var
 K2 = Graph.single_edge()
 K3 = Graph.complete(3)
 
+# lemma id -> size keyword -> (verify default, (least, greatest) supported)
+LEMMA_SIZES = {
+    "cycles-even": {"n": (4, (3, 6))},
+    "tree-matching": {},
+    "outerplanar-star": {"n": (6, (5, 7))},
+    "planar-permutation": {"m": (4, (3, 6))},
+    "genus-block": {},
+    "genus-chain": {"k": (1, (1, 2)), "m": (4, (4, 5))},
+}
+
+
+def _params(lemma_id: str, h: Graph, **sizes) -> dict:
+    for key, value in sizes.items():
+        lo, hi = LEMMA_SIZES[lemma_id][key][1]
+        if not lo <= value <= hi:
+            raise ValueError(f"{lemma_id} supports {lo} <= {key} <= {hi}")
+    return {**sizes, "h": h.to_json_obj()}
+
 
 # -- core filtering operations ---------------------------------------------------
 
@@ -269,9 +287,7 @@ def reduce_cycles(h: Graph, n: int) -> ReductionReport:
     """Slice the cycle polynomial at the even length and, for odd n, contract
     one enforced edge of the one-larger host; compare with the Hamiltonian
     cycle oracle."""
-    params = {"n": n, "h": h.to_json_obj()}
-    if n < 3 or n > 6:
-        raise ValueError("cycle pipeline supports 3 <= n <= 6")
+    params = _params("cycles-even", h, n=n)
     cls = classify(h, CYCLE)
     if cls.kind != "VNPComplete":
         return _vac0_report("cycles-even", params, cls.witness)
@@ -503,9 +519,7 @@ def reduce_outerplanar(h: Graph, n: int) -> ReductionReport:
     """Star-gadget pipeline: enforce the center star and star_gadget's edge
     budget 2n-3, fix the two designated path endpoints, then glue them to
     turn the surviving outer paths into the Hamiltonian cycles of K_{n-2}."""
-    params = {"n": n, "h": h.to_json_obj()}
-    if n < 5 or n > 7:
-        raise ValueError("outerplanar pipeline supports 5 <= n <= 7")
+    params = _params("outerplanar-star", h, n=n)
 
     def body(details: dict) -> ReductionReport:
         # without a triangle in H, the buddy transform of the star gadget is
@@ -594,9 +608,7 @@ def reduce_planar(h: Graph, m: int) -> ReductionReport:
     the Hamiltonian paths on the middle clique (m!/2 of them); for m >= 6 the
     designated end edges and endpoint degrees are enforced and the second and
     second-to-last vertices glued, recovering the Hamiltonian cycles on m-3."""
-    params = {"m": m, "h": h.to_json_obj()}
-    if m < 3 or m > 6:
-        raise ValueError("planar pipeline supports 3 <= m <= 6")
+    params = _params("planar-permutation", h, m=m)
 
     def body(details: dict) -> ReductionReport:
         gadget = planar_gadget(m)
@@ -762,9 +774,7 @@ def reduce_genus(h: Graph, k: int, m: int) -> ReductionReport:
     of genus k; genus additivity over one-vertex amalgams then pins the class
     test down to planarity of the apex portion, which reruns the permutation
     lemma and the endpoint glue under the genus-k budget."""
-    params = {"k": k, "m": m, "h": h.to_json_obj()}
-    if k < 1 or k > 2 or m < 4 or m > 5:
-        raise ValueError("genus pipeline supports k in {1,2}, 4 <= m <= 5")
+    params = _params("genus-chain", h, k=k, m=m)
 
     def body(details: dict) -> ReductionReport:
         block = genus_block_report()

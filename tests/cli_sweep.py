@@ -21,12 +21,13 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
 import tempfile
 
-from hompoly import Graph, cli
+from hompoly import Graph, cli, reductions
 from hompoly.gadgets import genus_block
 
 TARGETS_H = {
@@ -53,20 +54,27 @@ GENUS_GRAPHS = {
     "edgeless": Graph.empty(3),
 }
 
-# each lemma's supported sizes, then sizes just outside them (exit 2)
-LEMMA_SIZES = {
-    "cycles-even": ([("--n", str(n)) for n in range(3, 7)],
-                    [("--n", "2"), ("--n", "7")]),
-    "tree-matching": ([("--target", t) for t in sorted(cli.TARGETS)],
-                      [("--target", "k5")]),
-    "outerplanar-star": ([("--n", str(n)) for n in range(5, 8)],
-                         [("--n", "4"), ("--n", "8")]),
-    "planar-permutation": ([("--m", str(m)) for m in range(3, 7)],
-                           [("--m", "2"), ("--m", "7")]),
-    "genus-block": ([()], []),
-    "genus-chain": ([("--k", str(k), "--m", str(m)) for k in (1, 2) for m in (4, 5)],
-                    [("--k", "3", "--m", "4"), ("--k", "1", "--m", "6")]),
-}
+
+def size_argvs(lemma: str) -> tuple[list, list, list]:
+    """The size arguments of a lemma, read from reductions.LEMMA_SIZES: every
+    supported combination, then one step below and one step above each
+    size's range with the other sizes at their verify defaults.  The
+    tree-matching lemma takes each target instead, and an unknown one."""
+    if lemma == "tree-matching":
+        return [("--target", t) for t in sorted(cli.TARGETS)], [], [("--target", "k5")]
+    sizes = reductions.LEMMA_SIZES[lemma]
+
+    def argv(values) -> tuple:
+        return tuple(a for key, v in zip(sizes, values) for a in (f"--{key}", str(v)))
+
+    def at(key, value) -> tuple:
+        return argv(value if k == key else default for k, (default, _) in sizes.items())
+
+    ranges = (range(lo, hi + 1) for _, (lo, hi) in sizes.values())
+    return ([argv(values) for values in itertools.product(*ranges)],
+            [at(key, lo - 1) for key, (_, (lo, _)) in sizes.items()],
+            [at(key, hi + 1) for key, (_, (_, hi)) in sizes.items()])
+
 
 # report files besides the one verify writes: a failed run, then one
 # malformed field each (exit 2)
@@ -88,15 +96,27 @@ CLASSES = [("cycle",), ("clique",), ("tree",), ("outerplanar",), ("planar",),
 def commands() -> list[tuple]:
     """The argv of every command; "H.json" names a file written from
     TARGETS_H or GENUS_GRAPHS, "out.json" the --out file."""
-    out = []
-    for lemma, (supported, unsupported) in LEMMA_SIZES.items():
+    def on_k3(lemma: str, *args: str) -> tuple:
+        return ("verify", "--lemma", lemma, *args, "--h-file", "K3.json", "--out", "out.json")
+
+    out, appended = [], []
+    for lemma in cli.LEMMAS:
+        supported, below, above = size_argvs(lemma)
         for h in TARGETS_H:
             for size in supported:
                 out.append(("verify", "--lemma", lemma, *size, "--h-file", f"{h}.json",
                             "--out", "out.json"))
-        for size in unsupported:
-            out.append(("verify", "--lemma", lemma, *size, "--h-file", "K3.json",
-                        "--out", "out.json"))
+        # sizes out of range (exit 2); a lemma with two sizes runs its
+        # below-range commands with the appended ones
+        early = below + above if len(below) == 1 else above
+        out += [on_k3(lemma, *size) for size in early]
+        appended += [on_k3(lemma, *size) for size in below if size not in early]
+        # a flag that the lemma does not read (exit 2)
+        read = {f"--{key}" for key in reductions.LEMMA_SIZES[lemma]}
+        read |= {"--target"} if lemma == "tree-matching" else set()
+        appended += [on_k3(lemma, flag, value) for flag, value in
+                     (("--n", "5"), ("--k", "2"), ("--m", "5"), ("--target", "k33"))
+                     if flag not in read]
     out.append(("verify", "--out", "out.json"))
     for h in TARGETS_H:
         for cls in CLASSES:
@@ -116,6 +136,13 @@ def commands() -> list[tuple]:
              "--h-file", "K3.json", "--out", "report.json"),
             ("report", "report.json")]
     out += [("report", f"{name}.json") for name in REPORTS]
+    # commands are only appended after this line, so that two printouts of
+    # different ages still compare line by line
+    out += appended
+    out += [("verify", "--lemma", "genus-block", "--timings", "--h-file", "K3.json"),
+            ("verify", "--lemma", "genus-block", "--lemma", "genus-chain", "--k", "2",
+             "--m", "5", "--h-file", "K3.json", "--out", "out.json"),
+            ("verify", "--n", "5", "--out", "out.json")]
     return out
 
 

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from hompoly import Graph
 from hompoly.cli import LEMMAS, _dump_poly, build_parser, main
+from hompoly.reductions import LEMMA_SIZES
 from hompoly.graphs import SHAPE_KINDS
 from hompoly.poly import Polynomial, edge_var, loop_var, monomial, vertex_var
 
@@ -152,6 +154,22 @@ def test_verify_zero_size_is_not_the_default(argv, capsys):
     # an explicit 0 reaches the pipeline, which rejects it
     assert main(["verify"] + argv) == 2
     assert "supports" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["--lemma", "cycles-even", "--k", "5", "--m", "9"], "--k"),
+    (["--lemma", "tree-matching", "--n", "99"], "--n"),
+    (["--lemma", "cycles-even", "--target", "k33"], "--target"),
+    (["--lemma", "genus-block", "--timings"], "--timings"),
+    # a flag counts as read when any selected lemma reads it
+    (["--lemma", "genus-block", "--lemma", "genus-chain", "--k", "2", "--m", "5"],
+     None),
+    (["--n", "5"], None),
+])
+def test_verify_flag_no_selected_lemma_reads_exits_2(argv, flag, capsys):
+    assert main(["verify"] + argv) == (2 if flag else 0)
+    err = capsys.readouterr().err
+    assert (err.startswith("error: ") and flag in err) if flag else err == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -451,3 +469,38 @@ def test_commands_run_without_networkx(tmp_path):
                        env={**os.environ, "PYTHONPATH": path},
                        capture_output=True, text=True, timeout=300)
     assert r.returncode == 0, r.stderr
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    """Every line in the README's code blocks runs in a fresh directory: an
+    `echo '...' > file` line writes the file, and a `python -m hompoly.cli`
+    line goes through main and exits 0.  The verify table names each lemma's
+    size flags with their defaults and supported ranges."""
+    text = README.read_text()
+    lines, fenced = [], False
+    for line in text.splitlines():
+        if line.strip() == "```":
+            fenced = not fenced
+        elif fenced and line.strip():
+            lines.append(shlex.split(line))
+    monkeypatch.chdir(tmp_path)
+    for words in lines:
+        if words[0] == "echo":
+            assert words[2] == ">" and len(words) == 4, words
+            pathlib.Path(words[3]).write_text(words[1] + "\n")
+        else:
+            assert words[:4] == ["PYTHONPATH=src", "python", "-m", "hompoly.cli"], words
+            assert main(words[4:]) == 0, words
+    capsys.readouterr()
+    assert sum(words[0] != "echo" for words in lines) >= 6
+    rows = {line.split("|")[1].strip(" `"): line for line in text.splitlines()
+            if line.strip().startswith("| `")}
+    assert set(LEMMAS) <= set(rows)
+    for lemma, sizes in LEMMA_SIZES.items():
+        for key, (default, (lo, hi)) in sizes.items():
+            cells = [c.strip() for c in rows[lemma].split("|")]
+            assert f"`--{key}`" in cells[2] and str(default) in cells[3], lemma
+            assert f"{lo}–{hi}" in cells[4], lemma
