@@ -407,8 +407,12 @@ def _shape_masks(n: int, kind: str) -> list[int]:
     entries; the edge of K2 is a clique and a tree.  Before any is placed,
     their count in closed form, C(n,k) times k^(k-2) trees (Cayley),
     (k-1)!/2 cycles or one clique per k, must not pass SHAPE_MAX_MASKS."""
-    per_k = {"tree": lambda k: k ** (k - 2), "clique": lambda k: 1,
-             "cycle": lambda k: math.factorial(k - 1) // 2}[kind]  # 0 at k = 2
+    # kind -> (its shapes on k labeled vertices, its templates for k >= 3)
+    per_k, templates = {
+        "cycle": (lambda k: math.factorial(k - 1) // 2, _cycle_templates),  # 0 at k = 2
+        "clique": (lambda k: 1, lambda k: [tuple(range(k * (k - 1) // 2))]),
+        "tree": (lambda k: k ** (k - 2), _prufer_templates),
+    }[kind]
     count = sum(math.comb(n, k) * per_k(k) for k in range(2, n + 1))
     if count > SHAPE_MAX_MASKS:
         raise BudgetExceededError(f"{count} {kind} subsets of K{n} exceed the "
@@ -418,13 +422,7 @@ def _shape_masks(n: int, kind: str) -> list[int]:
         bit[a][b] = 1 << idx
     out = [] if kind == "cycle" else [1 << i for i in range(n * (n - 1) // 2)]
     for k in range(3, n + 1):
-        if kind == "cycle":
-            templates = _cycle_templates(k)
-        elif kind == "tree":
-            templates = _prufer_templates(k)
-        else:
-            templates = [tuple(range(k * (k - 1) // 2))]
-        getters = [itemgetter(*t) for t in templates]
+        getters = [itemgetter(*t) for t in templates(k)]
         for verts in itertools.combinations(range(n), k):
             placed = [bit[a][b] for a, b in itertools.combinations(verts, 2)]
             out += [sum(get(placed)) for get in getters]  # disjoint bits: sum is OR

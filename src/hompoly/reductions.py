@@ -198,10 +198,11 @@ def _vac0_report(lemma_id: str, params: dict, reason: str) -> ReductionReport:
 
 
 def _gadget_lemma(lemma_id: str, h: Graph, cls: GraphClass, params: dict,
-                  expected, body) -> ReductionReport:
+                  expected: Polynomial, body) -> ReductionReport:
     """The classifier's skip, then body(details), which returns the report.
     A PipelineIntegrityError from the body becomes a failed report against
-    expected(), keeping the details the body recorded before it."""
+    expected, the polynomial the body compares with, keeping the details
+    the body recorded before it."""
     verdict = classify(h, cls)
     if verdict.kind != "VNPComplete" or not h.edges:
         reason = verdict.witness if verdict.kind != "VNPComplete" else LOOP_ONLY_CAVEAT
@@ -211,7 +212,7 @@ def _gadget_lemma(lemma_id: str, h: Graph, cls: GraphClass, params: dict,
         return body(details)
     except PipelineIntegrityError as exc:
         details["calibration_failure"] = str(exc)
-        return ReductionReport(lemma_id, params, Polynomial.zero(), expected(), False,
+        return ReductionReport(lemma_id, params, Polynomial.zero(), expected, False,
                                details=details)
 
 
@@ -292,37 +293,25 @@ def reduce_cycles(h: Graph, n: int) -> ReductionReport:
     if cls.kind != "VNPComplete":
         return _vac0_report("cycles-even", params, cls.witness)
 
-    details: dict = {}
-    if h.loops or n % 2 == 0:
-        host = n
-        F = hom_poly(h, host, CYCLE)
-        evars = [edge_var(i, j) for i, j in all_edges(host)]
-        produced = F.homogeneous_component(evars, n)
-        details["branch"] = "loop" if h.loops else "even"
-    else:
-        host = n + 1
-        F = hom_poly(h, host, CYCLE)
-        evars = [edge_var(i, j) for i, j in all_edges(host)]
-        sliced = F.homogeneous_component(evars, host)
-        produced = contract_enforced_edge(sliced, (0, n))
-        details["branch"] = "odd-contraction"
-    expected = oracle_uhc(n)
-
-    k = n if details["branch"] != "odd-contraction" else host
-    c = circ.extract_homc(evars, evars, k, host)
+    odd = not h.loops and n % 2 == 1
+    host = n + 1 if odd else n
+    F = hom_poly(h, host, CYCLE)
+    evars = [edge_var(i, j) for i, j in all_edges(host)]
+    produced = F.homogeneous_component(evars, host)
+    c = circ.extract_homc(evars, evars, host, host)
     sizes = [circ.size(c)]
-    if details["branch"] == "odd-contraction":
+    if odd:
+        produced = contract_enforced_edge(produced, (0, n))
         c = circ.interpolate_homc(c, [edge_var(0, n)], 1, 1)
         sizes.append(circ.size(c))
         mapping = {edge_var(i, n): edge_var(0, i) for i in range(1, n)}
         mapping[edge_var(0, n)] = 1
-        c = circ.substitute_vars(c, mapping)
-        c = circ.scale_circuit(c, Fraction(1, 2))
+        c = circ.scale_circuit(circ.substitute_vars(c, mapping), Fraction(1, 2))
     if circ.eval_symbolic(c, F) != produced:
         raise PipelineIntegrityError("circuit route disagrees with direct route")
-    details["circuit_sizes"] = sizes
-    details["circuit_agrees"] = True
-
+    details = {"branch": "odd-contraction" if odd else "loop" if h.loops else "even",
+               "circuit_sizes": sizes, "circuit_agrees": True}
+    expected = oracle_uhc(n)
     return ReductionReport("cycles-even", params, produced, expected,
                            produced == expected, circ.size(c), details=details)
 
@@ -520,35 +509,38 @@ def reduce_outerplanar(h: Graph, n: int) -> ReductionReport:
     budget 2n-3, fix the two designated path endpoints, then glue them to
     turn the surviving outer paths into the Hamiltonian cycles of K_{n-2}."""
     params = _params("outerplanar-star", h, n=n)
+    expected = oracle_uhc(n - 2)
 
     def body(details: dict) -> ReductionReport:
-        # without a triangle in H, the buddy transform of the star gadget is
-        # bipartite and its buddy pairs contract back onto the star's edges
-        direct = is_homomorphic(K3, h)
-        details["branch"] = "triangle" if direct else "buddy"
-        if not direct and n > 6:
-            raise ValueError("the buddy branch supports n <= 6")
         star = star_gadget(n)
-        gadget = star if direct else buddy_transform(star)
         center, a, b = star.role("center"), star.role("glue-a"), star.role("glue-b")
         outer = list(range(1, n))
         k = len(outer)
-        survivors = _gadget_survivors(gadget, lambda g: recognize(g, OUTERPLANAR), h)
-        p_budget = subsets_to_poly(survivors)
-        details.update(budget_valid=len(p_budget), budget=gadget.budget)
-        if direct:
+        # without a triangle in H, the buddy transform of the star gadget is
+        # bipartite and its buddy pairs contract back onto the star's edges
+        if is_homomorphic(K3, h):
+            details["branch"] = "triangle"
+            gadget = star
             ends = [_edge_vars_at(v, outer) for v in (a, b)]
         else:
+            details["branch"] = "buddy"
+            if n > 6:
+                raise ValueError("the buddy branch supports n <= 6")
+            gadget = buddy_transform(star)
+
             def pair_conn_vars(v):
                 out = [edge_var(*canonical_edge(v, w + k)) for w in outer if w != v]
                 out += [edge_var(*canonical_edge(w, v + k)) for w in outer if w != v]
                 return out
             ends = [pair_conn_vars(v) for v in (a, b)]
             details["support_bipartite"] = hom_to_single_edge(gadget.graph)
+        survivors = _gadget_survivors(gadget, lambda g: recognize(g, OUTERPLANAR), h)
+        p_budget = subsets_to_poly(survivors)
+        details.update(budget_valid=len(p_budget), budget=gadget.budget)
         p_pts, csize = _slice(p_budget, [(vs, 1) for vs in ends],
                               bool(p_budget), details)
         details["endpoint_valid"] = len(p_pts)
-        if direct:
+        if gadget is star:
             _verify_star_survivors(p_pts, n, center, a, b, outer)
         else:
             # contract the buddy pairs: pair edges to one, buddies relabeled
@@ -561,15 +553,13 @@ def reduce_outerplanar(h: Graph, n: int) -> ReductionReport:
                 p_pts, "contracting buddy pairs")
         glued = _glue_endpoints(p_pts, sorted(star.enforced), a, b,
                                 [v for v in outer if v != b])
-        expected = oracle_uhc(n - 2)
         equal = glued == expected
         if not equal:
             details["calibration_failure"] = True
         return ReductionReport("outerplanar-star", params, glued, expected, equal,
                                csize, details=details)
 
-    return _gadget_lemma("outerplanar-star", h, OUTERPLANAR, params,
-                         lambda: oracle_uhc(n - 2), body)
+    return _gadget_lemma("outerplanar-star", h, OUTERPLANAR, params, expected, body)
 
 
 def _glue_endpoints(p: Polynomial, drop_to_one, a: int, b: int,
@@ -609,6 +599,9 @@ def reduce_planar(h: Graph, m: int) -> ReductionReport:
     designated end edges and endpoint degrees are enforced and the second and
     second-to-last vertices glued, recovering the Hamiltonian cycles on m-3."""
     params = _params("planar-permutation", h, m=m)
+    glue = m >= 6
+    expected = (oracle_uhc(m - 3) if glue
+                else subsets_to_poly(_ham_path_sets(range(m))))
 
     def body(details: dict) -> ReductionReport:
         gadget = planar_gadget(m)
@@ -626,10 +619,9 @@ def reduce_planar(h: Graph, m: int) -> ReductionReport:
             details["bipartite_variant"] = hom_to_single_edge(variant.graph)
             details["hom_certificate"] = "subdivided+buddy support is bipartite"
             equal = equal and details["bipartite_variant"]
-        if m < 6:
+        if not glue:
             return ReductionReport("planar-permutation", params,
-                                   subsets_to_poly(got_middle),
-                                   subsets_to_poly(expected_paths), equal,
+                                   subsets_to_poly(got_middle), expected, equal,
                                    details=details)
         e_left, e_right = end_edges(gadget)
         lo = gadget.graph.label("end-left-outer")
@@ -639,18 +631,11 @@ def reduce_planar(h: Graph, m: int) -> ReductionReport:
         # enforces e
         filters = [([edge_var(*e_left)], 1), ([edge_var(*e_right)], 1),
                    (_edge_vars_at(lo, mids), 1), (_edge_vars_at(ro, mids), 1)]
-        glued, uhc, csize = _glue_into_uhc(
+        glued, csize = _glue_into_uhc(
             survivors, filters, sorted(gadget.enforced) + [e_left, e_right], ga, gb,
-            [v for v in mids if v not in (lo, ro, gb)], details)
-        return ReductionReport("planar-permutation", params, glued, uhc,
-                               equal and glued == uhc, csize, details=details)
-
-    def expected() -> Polynomial:
-        # what body compares its result with: the glued cycles at m = 6,
-        # the middle Hamiltonian paths below
-        if m == 6:
-            return oracle_uhc(m - 3)
-        return subsets_to_poly(_ham_path_sets(range(m)))
+            [v for v in mids if v not in (lo, ro, gb)], expected, details)
+        return ReductionReport("planar-permutation", params, glued, expected,
+                               equal and glued == expected, csize, details=details)
 
     return _gadget_lemma("planar-permutation", h, PLANAR, params, expected, body)
 
@@ -671,17 +656,16 @@ def _path_lemma(survivors, mids, details: dict) -> tuple[set, set]:
 
 
 def _glue_into_uhc(survivors, filters, drop_to_one, a: int, b: int,
-                   final_vertices, details: dict) -> tuple:
+                   final_vertices, uhc: Polynomial, details: dict) -> tuple:
     """Slice the survivors' polynomial by the filters, glue b onto a, and
-    compare with the Hamiltonian cycles on the final vertices; returns the
-    glued polynomial, oracle_uhc and the circuit size."""
+    compare with uhc, the Hamiltonian cycles on the final vertices; returns
+    the glued polynomial and the circuit size."""
     p = subsets_to_poly(survivors)
     p_glue, csize = _slice(p, filters, bool(p), details)
     details["glue_survivors"] = len(p_glue)
     glued = _glue_endpoints(p_glue, drop_to_one, a, b, final_vertices)
-    uhc = oracle_uhc(len(final_vertices))
     details["glued_equal_uhc"] = glued == uhc
-    return glued, uhc, csize
+    return glued, csize
 
 
 # -- genus ---------------------------------------------------------------------------
@@ -775,6 +759,7 @@ def reduce_genus(h: Graph, k: int, m: int) -> ReductionReport:
     test down to planarity of the apex portion, which reruns the permutation
     lemma and the endpoint glue under the genus-k budget."""
     params = _params("genus-chain", h, k=k, m=m)
+    expected = oracle_uhc(m - 1)
 
     def body(details: dict) -> ReductionReport:
         block = genus_block_report()
@@ -821,9 +806,10 @@ def reduce_genus(h: Graph, k: int, m: int) -> ReductionReport:
         # one and identifying them turns each path into a cycle on m-1 vertices
         pa = g.label("planar-end-left-outer")
         pb = g.label("planar-end-right-outer")
-        glued, uhc, csize = _glue_into_uhc(
+        glued, csize = _glue_into_uhc(
             survivors, [(_edge_vars_at(pa, mids), 1), (_edge_vars_at(pb, mids), 1)],
-            sorted(gadget.enforced), pa, pb, [v for v in mids if v != pb], details)
+            sorted(gadget.enforced), pa, pb, [v for v in mids if v != pb], expected,
+            details)
 
         if not triangle_branch:
             folded = amalgam_chain(k, subdivide=True)
@@ -833,10 +819,9 @@ def reduce_genus(h: Graph, k: int, m: int) -> ReductionReport:
             structural_ok = structural_ok and details["chain_folds_to_edge"] \
                 and details["planar_variant_bipartite"]
 
-        equal = structural_ok and got_middle == expected_paths and glued == uhc
+        equal = structural_ok and got_middle == expected_paths and glued == expected
         caveat = None if structural_ok else "embedding or certificate search failed"
-        return ReductionReport("genus-chain", params, glued, uhc, equal, csize,
+        return ReductionReport("genus-chain", params, glued, expected, equal, csize,
                                details=details, caveat=caveat)
 
-    return _gadget_lemma("genus-chain", h, genus_class(k), params,
-                         lambda: oracle_uhc(m - 1), body)
+    return _gadget_lemma("genus-chain", h, genus_class(k), params, expected, body)
