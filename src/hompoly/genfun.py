@@ -27,8 +27,8 @@ import itertools
 import operator
 
 from .errors import BudgetExceededError
-from .graphs import (SHAPE_KINDS, Graph, GraphClass, all_edges, class_edge_masks,
-                     is_homomorphic, mask_edges)
+from .graphs import (SHAPE_KINDS, Graph, GraphClass, all_edges, check_enumeration,
+                     class_edge_masks, is_homomorphic, mask_edges)
 from .poly import Polynomial, edge_var, vertex_var
 
 UHC_ORACLE_MAX_N = 9
@@ -87,11 +87,9 @@ def _assemble(masks, evars: list, model: VariableModel) -> Polynomial:
     return Polynomial(terms)
 
 
-def subsets_to_poly(subsets, model: VariableModel = VariableModel.EDGE_ONLY
-                    ) -> Polynomial:
-    """Sum over the edge subsets of the product of their edge variables
-    (and, in the edge-and-vertex model, the vertex variables of every
-    endpoint); a subset listed twice counts twice.
+def subsets_to_poly(subsets) -> Polynomial:
+    """Sum over the edge subsets of the product of their edge variables; a
+    subset listed twice counts twice.
 
     An adapter for callers that hold edge sets: the union of their edges is
     indexed in variable order and each subset becomes a mask for _assemble,
@@ -101,13 +99,13 @@ def subsets_to_poly(subsets, model: VariableModel = VariableModel.EDGE_ONLY
     edges = sorted({e for es in subsets for e in es}, key=lambda e: edge_var(*e))
     bits = {e: 1 << i for i, e in enumerate(edges)}
     return _assemble([sum(map(bits.__getitem__, es)) for es in subsets],
-                     [edge_var(*e) for e in edges], model)
+                     [edge_var(*e) for e in edges], VariableModel.EDGE_ONLY)
 
 
 def generating_function(g: Graph, cls: GraphClass,
                         model: VariableModel = VariableModel.EDGE_ONLY) -> Polynomial:
-    """Sum over the edge subsets of g in the class (class_edge_masks, limit
-    graphs.SUBSET_FILTER_MAX_EDGES) of their monomials; a weighted g is this
+    """Sum over the edge subsets of g in the class (class_edge_masks, limits
+    by graphs.check_enumeration) of their monomials; a weighted g is this
     polynomial with its weights substituted."""
     return _assemble(class_edge_masks(g, cls),
                      [edge_var(*e) for e in sorted(g.edges)], model)
@@ -118,9 +116,10 @@ def hom_poly(h: Graph, n: int, cls: GraphClass,
     """Class generating function over K_n restricted to subgraphs whose
     nontrivial component is homomorphic to h; a weighted host is a
     substitution into it.  The subsets stay bitmasks over K_n's edges from
-    class_edge_masks (limit graphs.SUBSET_FILTER_MAX_EDGES) to _assemble;
-    only a mask handed to is_homomorphic is decoded, into a canonical
-    edge set whose graph skips Graph.make's validation.
+    class_edge_masks to _assemble; only a mask handed to is_homomorphic is
+    decoded, into a canonical edge set whose graph skips Graph.make's
+    validation.  The enumeration's limits are checked from n alone
+    (graphs.check_enumeration) before K_n is built.
 
     Whether g maps to h depends only on the homomorphic-equivalence class
     of g, that is on its core (Hell and Nesetril, "The core of a graph",
@@ -132,6 +131,7 @@ def hom_poly(h: Graph, n: int, cls: GraphClass,
     bit count is checked and its verdict holds for the rest; every other
     class is checked mask by mask.
     """
+    check_enumeration(n, n * (n - 1) // 2, cls.kind)
     edges = all_edges(n)
     masks = class_edge_masks(Graph.complete(n), cls)
     if cls.kind not in SHAPE_KINDS:

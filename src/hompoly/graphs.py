@@ -20,10 +20,10 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, count_bound, count_text
 
 HOM_BUDGET = 2_000_000  # search nodes of one is_homomorphic call
-SUBSET_FILTER_MAX_EDGES = 21  # K7; class_edge_subsets filters 2^edges subsets
+SUBSET_FILTER_MAX_EDGES = 21  # K7; class_edge_masks filters 2^edges subsets
 SHAPE_MAX_MASKS = 1_000_000  # K8's 441,204 trees fit; K9's 7,874,235 do not
 
 Edge = tuple
@@ -399,24 +399,54 @@ def _cycle_templates(k: int) -> list[tuple]:
     return out
 
 
+def _shape_kind(kind: str) -> tuple:
+    """The kind's shape count on k labeled vertices and its template builder
+    for k >= 3; a function, not a module table, so the builders are looked
+    up at call time."""
+    return {
+        "cycle": (lambda k: math.factorial(k - 1) // 2, _cycle_templates),  # 0 at k = 2
+        "clique": (lambda k: 1, lambda k: [tuple(range(k * (k - 1) // 2))]),
+        "tree": (lambda k: k ** (k - 2), _prufer_templates),
+    }[kind]
+
+
+def check_enumeration(n: int, m: int, kind: str) -> bool:
+    """Whether the class subsets of a host with n vertices and m edges come
+    from shape templates (a complete host and a SHAPE_KINDS class) rather
+    than from filtering every edge subset, decided from n and m alone.
+
+    Raises BudgetExceededError, before anything is built, when the shapes,
+    counted in closed form (C(n,k) times k^(k-2) trees by Cayley, (k-1)!/2
+    cycles or one clique per k), pass SHAPE_MAX_MASKS, or when a filtered
+    host has more than SUBSET_FILTER_MAX_EDGES edges.  Both limits are read
+    at call time; the count stops once past count_bound."""
+    if m != n * (n - 1) // 2 or kind not in SHAPE_KINDS:
+        if m > SUBSET_FILTER_MAX_EDGES:
+            raise BudgetExceededError(
+                f"{count_text(m, SUBSET_FILTER_MAX_EDGES)} candidate edges exceed "
+                f"the enumeration budget {SUBSET_FILTER_MAX_EDGES}")
+        return False
+    per_k = _shape_kind(kind)[0]
+    count = 0
+    for k in range(2, n + 1):
+        count += math.comb(n, k) * per_k(k)
+        if count > count_bound(SHAPE_MAX_MASKS):
+            break
+    if count > SHAPE_MAX_MASKS:
+        raise BudgetExceededError(
+            f"{count_text(count, SHAPE_MAX_MASKS)} {kind} subsets of K{n} exceed "
+            f"the shape enumeration budget {SHAPE_MAX_MASKS}")
+    return True
+
+
 def _shape_masks(n: int, kind: str) -> list[int]:
     """The masks of K_n's cycles, cliques or trees, unsorted.
 
     Each shape on k >= 3 vertices is a template over positions 0..k-1,
     placed on every k-subset of the vertices through that subset's bit[a][b]
-    entries; the edge of K2 is a clique and a tree.  Before any is placed,
-    their count in closed form, C(n,k) times k^(k-2) trees (Cayley),
-    (k-1)!/2 cycles or one clique per k, must not pass SHAPE_MAX_MASKS."""
-    # kind -> (its shapes on k labeled vertices, its templates for k >= 3)
-    per_k, templates = {
-        "cycle": (lambda k: math.factorial(k - 1) // 2, _cycle_templates),  # 0 at k = 2
-        "clique": (lambda k: 1, lambda k: [tuple(range(k * (k - 1) // 2))]),
-        "tree": (lambda k: k ** (k - 2), _prufer_templates),
-    }[kind]
-    count = sum(math.comb(n, k) * per_k(k) for k in range(2, n + 1))
-    if count > SHAPE_MAX_MASKS:
-        raise BudgetExceededError(f"{count} {kind} subsets of K{n} exceed the "
-                                  f"shape enumeration budget {SHAPE_MAX_MASKS}")
+    entries; the edge of K2 is a clique and a tree.  check_enumeration has
+    bounded their count."""
+    templates = _shape_kind(kind)[1]
     bit = [[0] * n for _ in range(n)]
     for idx, (a, b) in enumerate(all_edges(n)):
         bit[a][b] = 1 << idx
@@ -444,11 +474,10 @@ def class_edge_masks(g: Graph, cls: GraphClass) -> list[int]:
     i selects the i-th edge of g in canonical order (sorted(g.edges)).
 
     Over a complete host the SHAPE_KINDS (cycle, clique, tree) are built
-    from templates (_shape_masks), which raises BudgetExceededError past
-    SHAPE_MAX_MASKS masks; every other case filters the bitmasks of g's
-    edges through subset_in_class (recognize on each subset's graph, in
-    place) and raises BudgetExceededError when g has more than
-    SUBSET_FILTER_MAX_EDGES edges.  Both limits are read at call time.
+    from templates (_shape_masks); every other case filters the bitmasks of
+    g's edges through subset_in_class (recognize on each subset's graph, in
+    place).  check_enumeration picks the route and raises
+    BudgetExceededError past its limit, before either runs.
 
     Two members of one shape kind with equal edge counts are homomorphically
     equivalent, so they map to the same targets (Hell and Nesetril, "The core
@@ -457,11 +486,8 @@ def class_edge_masks(g: Graph, cls: GraphClass) -> list[int]:
     change no verdict.  genfun.hom_poly relies on this.
     """
     edges = sorted(g.edges)
-    if len(edges) == g.n * (g.n - 1) // 2 and cls.kind in SHAPE_KINDS:
+    if check_enumeration(g.n, len(edges), cls.kind):
         return sorted(_shape_masks(g.n, cls.kind))
-    if len(edges) > SUBSET_FILTER_MAX_EDGES:
-        raise BudgetExceededError(f"{len(edges)} candidate edges exceed the "
-                                  f"enumeration budget {SUBSET_FILTER_MAX_EDGES}")
     return [mask for mask in range(1, 1 << len(edges))
             if subset_in_class(g.n, [e for i, e in enumerate(edges) if mask >> i & 1],
                                cls)]

@@ -32,8 +32,9 @@ validated minor, never on a planarity bit alone.
 from __future__ import annotations
 
 import itertools
+import math
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, count_bound, count_text
 from .graphs import Graph
 
 DEFAULT_GENUS_BUDGET = 1_000_000
@@ -493,11 +494,19 @@ def _rotation_choices(g: Graph):
     return choices
 
 
-def rotation_search_space(g: Graph) -> int:
-    total = 1
-    for _, perms in _rotation_choices(g):
-        total *= len(perms)
-    return total
+def rotation_search_space(g: Graph, cap: int | None = None) -> int:
+    """The number of rotation systems _rotation_choices gives, in closed
+    form from the degrees: (d-1)! cyclic orders at each vertex of degree
+    d >= 3, halved once for the reflection.  With a cap, the product stops
+    as soon as the count is known to pass cap, and a result above cap is
+    only a lower bound."""
+    space = 1
+    for ns in g.adjacency:
+        space *= math.factorial(max(len(ns) - 1, 0))
+        if cap is not None and space > 2 * cap:
+            break
+    # the product is even once a vertex of degree >= 3 is in it, else 1
+    return max(space // 2, 1)
 
 
 def min_genus(g: Graph) -> int:
@@ -522,10 +531,11 @@ def min_genus_rotation(g: Graph, budget: int = DEFAULT_GENUS_BUDGET):
     is larger than budget.
     """
     _require_one_edge_component(g, "min_genus")
-    choices = _rotation_choices(g)
-    space = rotation_search_space(g)
+    space = rotation_search_space(g, count_bound(budget))
     if space > budget:
-        raise BudgetExceededError(f"rotation space {space} exceeds budget {budget}")
+        raise BudgetExceededError(
+            f"rotation space {count_text(space, budget)} exceeds budget {budget}")
+    choices = _rotation_choices(g)
     verts = [v for v, _ in choices]
     best = None
     best_rot = None

@@ -54,6 +54,9 @@ GENUS_GRAPHS = {
     "edgeless": Graph.empty(3),
 }
 
+# graphs whose genus search the budget refuses from the count alone
+OVER_BUDGET_GRAPHS = {"K12": Graph.complete(12)}
+
 
 def size_argvs(lemma: str) -> tuple[list, list, list]:
     """The size arguments of a lemma, read from reductions.LEMMA_SIZES: every
@@ -143,6 +146,9 @@ def commands() -> list[tuple]:
             ("verify", "--lemma", "genus-block", "--lemma", "genus-chain", "--k", "2",
              "--m", "5", "--h-file", "K3.json", "--out", "out.json"),
             ("verify", "--n", "5", "--out", "out.json")]
+    # limits decided from the input's size, before anything is built
+    out += [("genus", f"{g}.json") for g in OVER_BUDGET_GRAPHS]
+    out += [("poly", "K3.json", cls, "--n", "2000") for cls in ("tree", "planar")]
     return out
 
 
@@ -165,8 +171,8 @@ def main() -> int:
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
-        files = {name: g.to_json_obj()
-                 for name, g in {**TARGETS_H, **GENUS_GRAPHS}.items()}
+        files = {name: g.to_json_obj() for name, g in
+                 {**TARGETS_H, **GENUS_GRAPHS, **OVER_BUDGET_GRAPHS}.items()}
         for name, obj in {**files, **REPORTS}.items():
             with open(f"{name}.json", "w") as fh:
                 json.dump(obj, fh)

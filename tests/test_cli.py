@@ -208,6 +208,28 @@ def test_poly_shape_enumeration_budget(graph_files, monkeypatch, capsys):
     assert len(json.loads(capsys.readouterr().out)) == 245
 
 
+@pytest.mark.parametrize("graph_class,message", [
+    ("tree", "over 1000000000000000000 tree subsets of K100000 exceed the shape "
+             "enumeration budget 1000000"),
+    ("planar", "4999950000 candidate edges exceed the enumeration budget 21"),
+], ids=["tree", "planar"])
+def test_poly_limits_are_decided_from_n(graph_files, monkeypatch, capsys,
+                                        graph_class, message):
+    # K100000 has 5e9 edges: the limit must refuse it before any is built,
+    # and the message must not state a count too long to print
+    from hompoly import genfun
+    real = genfun.all_edges
+
+    def small_only(n):
+        assert n <= 100, f"all_edges({n}) built before the limits were checked"
+        return real(n)
+
+    monkeypatch.setattr(genfun, "all_edges", small_only)
+    assert main(["poly", graph_files["k3"], graph_class, "--n", "100000"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
+
+
 def test_cli_sweep_covers_every_lemma_and_class_kind():
     import cli_sweep
     argvs = cli_sweep.commands()

@@ -340,6 +340,12 @@ def test_gadget_pipelines_make_no_general_planarity_test(planarity_calls):
 
 
 def test_circuit_disagreement_is_caught(monkeypatch):
+    runs = [(reduce_outerplanar, (K3, 6), "triangle", "budget_valid"),
+            (reduce_outerplanar, (K2, 5), "buddy", "support_bipartite"),
+            (reduce_planar, (K2, 6), None, "expected_paths"),
+            (reduce_genus, (K3, 1, 4), None, "middle_valid")]
+    passing = [lemma(*args) for lemma, args, _, _ in runs]
+    assert all(r.equal for r in passing)
     real = reductions.circ.eval_symbolic
 
     def off_by_one(c, oracle=None):
@@ -348,14 +354,30 @@ def test_circuit_disagreement_is_caught(monkeypatch):
     monkeypatch.setattr(reductions.circ, "eval_symbolic", off_by_one)
     with pytest.raises(PipelineIntegrityError, match="circuit route"):
         reduce_trees(K2, K4)
-    # each report keeps a detail recorded before the circuit check
-    for r, branch, kept in ((reduce_outerplanar(K3, 6), "triangle", "budget_valid"),
-                            (reduce_outerplanar(K2, 5), "buddy", "support_bipartite"),
-                            (reduce_planar(K2, 6), None, "expected_paths"),
-                            (reduce_genus(K3, 1, 4), None, "middle_valid")):
+    # each report keeps a detail recorded before the circuit check, and
+    # names the polynomial the passing run compared with
+    for (lemma, args, branch, kept), ok in zip(runs, passing):
+        r = lemma(*args)
         assert not r.equal
         assert "circuit route" in r.details["calibration_failure"]
         assert r.details.get("branch") == branch and kept in r.details
+        assert r.expected == ok.expected
+
+
+def test_failed_planar_report_past_m6_names_the_glued_cycles(monkeypatch):
+    # from m = 6 on the lemma glues its paths into cycles, so a failed
+    # report at m = 7 compares against the 3 cycles of K4, not the 2,520
+    # Hamiltonian paths of K7
+    monkeypatch.setitem(reductions.LEMMA_SIZES, "planar-permutation",
+                        {"m": (4, (3, 7))})
+
+    def miscalibrated(*args):
+        raise PipelineIntegrityError("budget mis-calibrated")
+
+    monkeypatch.setattr(reductions, "_gadget_survivors", miscalibrated)
+    r = reduce_planar(K3, 7)
+    assert not r.equal and r.details["calibration_failure"] == "budget mis-calibrated"
+    assert r.expected == oracle_uhc(4)
 
 
 def test_genus_pipeline():

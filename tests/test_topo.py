@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 
 import networkx as nx
@@ -81,6 +82,34 @@ def test_genus_block_certificate():
 def test_min_genus_budget():
     with pytest.raises(BudgetExceededError):
         min_genus_rotation(Graph.complete(8), budget=10)
+
+
+def test_rotation_budget_is_checked_before_any_choice_is_built(monkeypatch):
+    # K12 has 10! cyclic orders at each of its 12 vertices: the count alone
+    # must refuse it, without the choices that would take gigabytes
+    def unbuilt(g):
+        raise AssertionError("rotation choices built before the budget check")
+
+    monkeypatch.setattr(topo, "_rotation_choices", unbuilt)
+    with pytest.raises(BudgetExceededError,
+                       match=r"^rotation space over 10{18} exceeds budget 1000000$"):
+        min_genus_rotation(Graph.complete(12))
+    with pytest.raises(BudgetExceededError,
+                       match=r"^rotation space 95551488 exceeds budget 1000000$"):
+        min_genus_rotation(Graph.complete(6))
+
+
+def _enumerated_space(g: Graph) -> int:
+    return math.prod(len(perms) for _, perms in _rotation_choices(g))
+
+
+def test_rotation_search_space_closed_form_on_the_sweep_graphs():
+    import cli_sweep
+    spaces = {name: rotation_search_space(g)
+              for name, g in cli_sweep.GENUS_GRAPHS.items()}
+    assert spaces == {name: _enumerated_space(g)
+                      for name, g in cli_sweep.GENUS_GRAPHS.items()}
+    assert spaces["block"] == 10368 and spaces["K6"] == 95551488
 
 
 def test_rotation_validation():
@@ -351,8 +380,8 @@ def test_embedding_on_disconnected_and_cut_vertex_graphs(g, planar):
 
 
 @st.composite
-def small_graphs(draw):
-    n = draw(st.integers(1, 10))
+def small_graphs(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
     edges = all_edges(n)
     keep = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
     return Graph.make(n, [e for e, k in zip(edges, keep) if k])
@@ -362,6 +391,16 @@ def small_graphs(draw):
 @settings(max_examples=150, deadline=None)
 def test_embedding_agrees_with_networkx(g):
     _check_embedding(g)
+
+
+@given(small_graphs(max_n=7), st.integers(0, 10 ** 6))
+@settings(max_examples=150, deadline=None)
+def test_rotation_search_space_closed_form(g, cap):
+    exact = _enumerated_space(g)
+    assert rotation_search_space(g) == exact
+    # a capped count is exact up to the cap and past it a bound above the cap
+    capped = rotation_search_space(g, cap)
+    assert capped == exact if exact <= cap else cap < capped <= exact
 
 
 def test_planar_rotation_certifies_its_embedding(monkeypatch):
