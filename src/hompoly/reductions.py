@@ -306,7 +306,8 @@ def reduce_cycles(h: Graph, n: int) -> ReductionReport:
         sizes.append(circ.size(c))
         mapping = {edge_var(i, n): edge_var(0, i) for i in range(1, n)}
         mapping[edge_var(0, n)] = 1
-        c = circ.scale_circuit(circ.substitute_vars(c, mapping), Fraction(1, 2))
+        c = circ.substitute_vars(c, mapping)
+        c = circ.scale_circuit(c, Fraction(1, 2))
     if circ.eval_symbolic(c, F) != produced:
         raise PipelineIntegrityError("circuit route disagrees with direct route")
     details = {"branch": "odd-contraction" if odd else "loop" if h.loops else "even",

@@ -94,9 +94,8 @@ def test_hom_poly_shape_kinds_match_per_subset_reference(h, largest, largest_cyc
     for n in range(2, (largest_cycle if cls is CYCLE else largest) + 1):
         expected = reference_hom_subsets(h, n, cls)
         for model in VariableModel:
-            assert hom_poly(h, n, cls, model) == reference_subsets_to_poly(expected,
-                                                                          model), \
-                (n, model)
+            assert hom_poly(h, n, cls, model) == \
+                reference_subsets_to_poly(expected, model), (n, model)
 
 
 def _count_hom_checks(monkeypatch):
