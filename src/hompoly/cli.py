@@ -42,28 +42,34 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
+class _Texts(dict):
+    """A dict that makes a missing key's text with fmt on its first lookup."""
+
+    def __init__(self, fmt):
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, key):
+        text = self[key] = self.fmt(key)
+        return text
+
+
 def _dump_poly(p: Polynomial) -> str:
     """The text of _dump(p.to_json_obj()), byte for byte.
 
+    The terms come in Polynomial.sorted_terms order; a polynomial from
+    hom_poly already holds them in that order, so nothing is sorted here.
     Each distinct [var, exp] entry and each distinct coefficient is
-    formatted once; the terms are then joined from those pieces.
+    formatted once, on its first lookup, and each term is joined from those
+    texts.
     """
-    entries: dict = {}
-    coeffs: dict = {}
+    entries = _Texts(lambda ve: f"      [\n        {json.dumps(var_to_str(ve[0]))},"
+                                f"\n        {ve[1]}\n      ]")
+    coeffs = _Texts(lambda c: json.dumps(str(Fraction(c))))
     terms = []
     for m, c in p.sorted_terms():
-        ctext = coeffs.get(c)
-        if ctext is None:
-            ctext = coeffs[c] = json.dumps(str(Fraction(c)))
-        parts = []
-        for v, e in m:
-            etext = entries.get((v, e))
-            if etext is None:
-                name = json.dumps(var_to_str(v))
-                etext = entries[v, e] = f"      [\n        {name},\n        {e}\n      ]"
-            parts.append(etext)
-        vtext = "[\n" + ",\n".join(parts) + "\n    ]" if parts else "[]"
-        terms.append(f'  {{\n    "coeff": {ctext},\n    "vars": {vtext}\n  }}')
+        vtext = "[\n" + ",\n".join(map(entries.__getitem__, m)) + "\n    ]" if m else "[]"
+        terms.append(f'  {{\n    "coeff": {coeffs[c]},\n    "vars": {vtext}\n  }}')
     return "[\n" + ",\n".join(terms) + "\n]" if terms else "[]"
 
 

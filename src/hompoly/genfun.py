@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import itertools
 import operator
+from collections import Counter
 
 from .errors import BudgetExceededError
 from .graphs import (SHAPE_KINDS, Graph, GraphClass, all_edges, check_enumeration,
@@ -52,6 +53,10 @@ def _chunk_tables(values: list, empty, op) -> list[list]:
     return tables
 
 
+# byte b -> b with its eight bits in reverse order
+_REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def _assemble(masks, evars: list, model: VariableModel) -> Polynomial:
     """Sum over the masks of the product of their edge variables (and, in
     the edge-and-vertex model, the vertex variables of every endpoint); bit
@@ -60,31 +65,62 @@ def _assemble(masks, evars: list, model: VariableModel) -> Polynomial:
     evars is ascending, so the concatenation of a mask's per-byte tables
     is its monomial already sorted: no sort per term.  The vertex pairs
     follow, since every ('v', x) sorts after every ('e', i, j).
+
+    The terms are stored in graded-lexicographic order, and the polynomial
+    says so, so Polynomial.sorted_terms never sorts them.  The order comes
+    from one integer per term, never from comparing monomials.  Let full
+    be the mask of the term's variables, ascending in bit order: the edge
+    mask, then in the edge-and-vertex model the vertex mask above the edge
+    bytes.  Every exponent is 1, so the degree is full's bit count, and of
+    two terms of one degree the first in tuple order is the one that holds
+    the lowest bit in which they differ.  Reversing the bits of full within
+    a fixed width turns that bit into the highest difference, so the key is
+    the bit count above that width minus the reversed full.  The distinct
+    fulls are sorted by that key first, and each monomial is built and
+    inserted in that order.
     """
     etabs = _chunk_tables([((v, 1),) for v in evars], (), operator.add)
+    counts = Counter(masks)
+    nbytes = len(etabs)  # full's bytes: the edge mask's, then the vertex mask's
+    shift = 8 * nbytes
     with_vertices = model is VariableModel.EDGE_AND_VERTEX
     if with_vertices:
         vtabs = _chunk_tables([1 << v[1] | 1 << v[2] for v in evars], 0,
                               operator.or_)
+        nbytes += (max((v[2] for v in evars), default=0) + 8) // 8
+        fulls = []
+        for mask in counts:
+            vmask, c, rest = 0, 0, mask
+            while rest:
+                vmask |= vtabs[c][rest & 255]
+                rest >>= 8
+                c += 1
+            fulls.append(mask | vmask << shift)
+    else:
+        fulls = list(counts)
+    width = 8 * nbytes
+    fulls.sort(key=lambda full: (full.bit_count() << width) - int.from_bytes(
+        full.to_bytes(nbytes, "little").translate(_REV8), "big"))
+    edge_bits = (1 << shift) - 1
     vpairs: dict = {}  # vertex mask -> its (vertex_var, 1) pairs
     terms: dict = {}
-    for mask in masks:
-        mono, vmask, c = (), 0, 0
-        while mask:
-            mono += etabs[c][mask & 255]
-            if with_vertices:
-                vmask |= vtabs[c][mask & 255]
-            mask >>= 8
+    for full in fulls:
+        mask = full & edge_bits
+        mono, c, rest = (), 0, mask
+        while rest:
+            mono += etabs[c][rest & 255]
+            rest >>= 8
             c += 1
         if with_vertices:
+            vmask = full >> shift
             pairs = vpairs.get(vmask)
             if pairs is None:
                 pairs = vpairs[vmask] = tuple((vertex_var(x), 1)
                                               for x in range(vmask.bit_length())
                                               if vmask >> x & 1)
             mono += pairs
-        terms[mono] = terms.get(mono, 0) + 1
-    return Polynomial(terms)
+        terms[mono] = counts[mask]
+    return Polynomial._graded(terms)
 
 
 def subsets_to_poly(subsets) -> Polynomial:

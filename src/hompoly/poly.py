@@ -11,9 +11,17 @@ indeterminates coexist in one ring:
 The tag characters sort as 'e' < 'l' < 'v' < 'y', which fixes the canonical
 variable order.  A monomial is a tuple of (varid, exponent) pairs sorted by
 varid with all exponents positive; a polynomial maps monomials to nonzero
-exact coefficients (int or Fraction).  Equality is structural equality of
-these canonical forms, so two polynomials are == exactly when they are the
-same polynomial over Q.
+exact coefficients (int or Fraction; anything else is a TypeError).
+Equality is structural equality of these canonical forms, so two polynomials
+are == exactly when they are the same polynomial over Q.
+
+A polynomial also remembers whether its terms are already stored in
+graded-lexicographic order, the order sorted_terms returns.  The generating
+function assembler builds its terms in that order and says so; any other
+polynomial sorts once, on its first sorted_terms call.  Polynomials are
+immutable by convention, so the flag is a memo of the stored order, not a
+mode: equality and arithmetic ignore it, and every result of arithmetic
+starts without it.
 """
 
 from __future__ import annotations
@@ -49,9 +57,16 @@ def var_to_str(v: VarId) -> str:
 
 
 def _norm_coeff(c: Coeff) -> Coeff:
-    if isinstance(c, Fraction) and c.denominator == 1:
+    """c as an exact coefficient: an int, or a Fraction with denominator
+    above 1.  A bool becomes an int; a float or any other type is a
+    TypeError, since it is not an exact rational."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
         return int(c)
-    return c
+    raise TypeError(f"coefficients must be int or Fraction, not {type(c).__name__}")
 
 
 def monomial(pairs: Mapping[VarId, int] | Iterable[tuple[VarId, int]]) -> Monomial:
@@ -78,7 +93,7 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
 class Polynomial:
     """Immutable-by-convention sparse polynomial over exact rationals."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_glex")
 
     def __init__(self, terms: dict[Monomial, Coeff] | None = None):
         cleaned: dict[Monomial, Coeff] = {}
@@ -88,6 +103,7 @@ class Polynomial:
                 if c:
                     cleaned[m] = c
         self._terms = cleaned
+        self._glex = False  # whether _terms is stored in graded-lex order
 
     # -- constructors ---------------------------------------------------
 
@@ -106,6 +122,16 @@ class Polynomial:
     @classmethod
     def from_monomial(cls, m: Monomial, coeff: Coeff = 1) -> "Polynomial":
         return cls({m: coeff})
+
+    @classmethod
+    def _graded(cls, terms: dict[Monomial, Coeff]) -> "Polynomial":
+        """The polynomial that owns terms, which its caller built canonical
+        (nonzero int or Fraction coefficients) and in the order of
+        sorted_terms; it is neither copied nor checked."""
+        p = cls.__new__(cls)
+        p._terms = terms
+        p._glex = True
+        return p
 
     # -- inspection -----------------------------------------------------
 
@@ -182,13 +208,14 @@ class Polynomial:
         return NotImplemented
 
     def scale(self, c: Coeff) -> "Polynomial":
+        c = _norm_coeff(c)
         if not c:
             return Polynomial()
         return Polynomial({m: cc * c for m, cc in self._terms.items()})
 
     def divide_exact(self, c: Coeff) -> "Polynomial":
         """Divide every coefficient by the nonzero constant c, exactly."""
-        if not c:
+        if not _norm_coeff(c):
             raise ZeroDivisionError("divide_exact by zero")
         return self.scale(1 / Fraction(c))
 
@@ -279,9 +306,18 @@ class Polynomial:
     # -- canonical output --------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
-        """Terms in graded-lexicographic order over the canonical VarId order."""
-        return sorted(self._terms.items(),
-                      key=lambda it: (sum(e for _, e in it[0]), it[0]))
+        """Terms in graded-lexicographic order over the canonical VarId order:
+        by total degree, then by the monomial tuples.
+
+        Terms already stored in that order (genfun._assemble builds them so)
+        are returned as stored.  Otherwise the first call sorts them once and
+        stores them in order, which changes no term.
+        """
+        if not self._glex:
+            self._terms = dict(sorted(self._terms.items(),
+                                      key=lambda it: (sum(e for _, e in it[0]), it[0])))
+            self._glex = True
+        return list(self._terms.items())
 
     def to_json_obj(self) -> list:
         return [{"coeff": str(Fraction(c)), "vars": [[var_to_str(v), e] for v, e in m]}

@@ -149,6 +149,10 @@ def commands() -> list[tuple]:
     # limits decided from the input's size, before anything is built
     out += [("genus", f"{g}.json") for g in OVER_BUDGET_GRAPHS]
     out += [("poly", "K3.json", cls, "--n", "2000") for cls in ("tree", "planar")]
+    # the edge-and-vertex model's term order, where edge counts and vertex
+    # counts together make a term's degree
+    out += [("poly", f"{h}.json", cls, "--n", "6", "--model", "edge-vertex")
+            for h in ("K3", "C5") for cls in ("tree", "cycle", "clique")]
     return out
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hompoly import Graph
+from hompoly import CYCLE, OUTERPLANAR, TREE, Graph, VariableModel, hom_poly
 from hompoly.cli import LEMMAS, _dump_poly, build_parser, main
 from hompoly.reductions import LEMMA_SIZES
 from hompoly.graphs import SHAPE_KINDS
@@ -91,6 +91,17 @@ def polynomials(draw):
                      ((loop_var(1), 1),): -1, (): 4}))
 @settings(max_examples=150, deadline=None)
 def test_poly_writer_matches_json_dumps(p):
+    assert _dump_poly(p) == json.dumps(p.to_json_obj(), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("model", list(VariableModel), ids=lambda m: m.value)
+@pytest.mark.parametrize("h,cls,n", [(Graph.complete(3), TREE, 5),
+                                     (Graph.cycle(5), CYCLE, 6),
+                                     (Graph.single_edge(), OUTERPLANAR, 4)])
+def test_poly_writer_matches_json_dumps_on_assembled_polynomials(h, cls, n, model):
+    # hom_poly's terms come in the writer's order without a sort
+    p = hom_poly(h, n, cls, model)
+    assert len(p) > 1
     assert _dump_poly(p) == json.dumps(p.to_json_obj(), indent=2, sort_keys=True)
 
 

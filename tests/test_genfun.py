@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import networkx as nx
 
@@ -17,7 +19,7 @@ from hompoly.gadgets import planar_gadget, star_gadget
 from hompoly.errors import BudgetExceededError
 from hompoly.genfun import subsets_to_poly
 from hompoly.graphs import all_edges
-from hompoly.poly import Polynomial, edge_var, monomial, vertex_var
+from hompoly.poly import Polynomial, aux_var, edge_var, monomial, vertex_var
 
 LOOP = Graph.looped_vertex()
 K2 = Graph.single_edge()
@@ -150,6 +152,65 @@ def test_subsets_to_poly_on_gadget_survivors_equals_assembler(gadget, cls, model
     if model is VariableModel.EDGE_ONLY:  # the adapter's one model
         assert subsets_to_poly(survivors) == expected
         assert subsets_to_poly(survivors * 2) == expected * 2
+
+
+def graded_lex(terms) -> list:
+    """The definition of sorted_terms' order: total degree, then monomial."""
+    return sorted(terms, key=lambda t: (sum(e for _, e in t[0]), t[0]))
+
+
+@st.composite
+def assembler_inputs(draw):
+    """Ascending edge variables of K_n for n <= 12 (up to 66 edges, so a
+    mask spans up to nine bytes and the vertex mask two), masks over them
+    with repeats, and a variable model."""
+    n = draw(st.integers(0, 12))
+    edges = [e for e in all_edges(n) if draw(st.booleans())]
+    top = (1 << len(edges)) - 1
+    masks = draw(st.lists(st.integers(0, top), max_size=12))
+    if masks:
+        masks += draw(st.lists(st.sampled_from(masks), max_size=4))
+    masks = draw(st.permutations(masks))
+    return edges, masks, draw(st.sampled_from(list(VariableModel)))
+
+
+@given(assembler_inputs())
+@example((all_edges(7), [0, 0b11, 0b101, 0b110, 1 << 20, 0b11, 0], VariableModel.EDGE_AND_VERTEX))
+@example(([(0, 1), (0, 9), (8, 9)], [0b110, 0b011, 0b101], VariableModel.EDGE_AND_VERTEX))
+@settings(max_examples=200, deadline=None)
+def test_assembled_terms_are_stored_in_graded_lex_order(inputs):
+    edges, masks, model = inputs
+    p = genfun._assemble(masks, [edge_var(*e) for e in edges], model)
+    subsets = [[e for i, e in enumerate(edges) if m >> i & 1] for m in masks]
+    assert p == reference_subsets_to_poly(subsets, model)
+    assert list(p.terms()) == graded_lex(p.terms())
+    assert p.sorted_terms() == graded_lex(p.terms())
+    # every derived polynomial sorts its own terms
+    vs = sorted(p.variables())
+    other = Polynomial({(): 2, monomial({vertex_var(0): 2}): -1,
+                        monomial({aux_var("t"): 1}): 5})
+    derived = [p + other, other + p, p.scale(3), p.scale(-1) + p * p,
+               p.substitute({v: vs[0] for v in vs[1:]}),
+               p.substitute({v: aux_var(f"z{i}") for i, v in enumerate(reversed(vs))}),
+               p.homogeneous_component(vs[::2], 1)]
+    for q in derived:
+        assert q.sorted_terms() == graded_lex(q.terms())
+
+
+def test_graded_lex_degree_counts_the_vertex_variables():
+    # three disjoint edges have fewer edges than four edges on four vertices,
+    # but with their six vertices the higher degree: the two models order
+    # the same masks oppositely
+    edges = all_edges(6)
+    evars = [edge_var(*e) for e in edges]
+    matching = sum(1 << edges.index(e) for e in [(0, 1), (2, 3), (4, 5)])
+    four = sum(1 << edges.index(e) for e in [(0, 1), (0, 2), (1, 2), (1, 3)])
+    for model, first in ((VariableModel.EDGE_ONLY, matching),
+                         (VariableModel.EDGE_AND_VERTEX, four)):
+        p = genfun._assemble([four, matching], evars, model)
+        assert p.sorted_terms() == graded_lex(p.terms())
+        first_edges = [v for v, _ in p.sorted_terms()[0][0] if v[0] == "e"]
+        assert first_edges == [evars[i] for i in range(len(edges)) if first >> i & 1]
 
 
 def test_gf_outputs_multilinear_unit_coefficients():

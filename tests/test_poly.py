@@ -76,6 +76,23 @@ def test_divide_exact():
         p.divide_exact(0)
 
 
+def test_coefficients_must_be_exact():
+    m = monomial({X: 1})
+    for bad in (0.1, 0.0, 2.0, complex(1), "1", None):
+        with pytest.raises(TypeError):
+            Polynomial({m: bad})
+    one = Polynomial.constant(1)
+    for bad in (0.5, 0.0):
+        with pytest.raises(TypeError):
+            one.scale(bad)
+    with pytest.raises(TypeError):
+        one.divide_exact(0.5)
+    # a bool counts as an int, and a whole Fraction becomes one
+    p = Polynomial({m: True, (): Fraction(6, 3)})
+    assert [(c, type(c)) for _, c in p.sorted_terms()] == [(2, int), (1, int)]
+    assert 3 * Polynomial({m: Fraction(1, 10)}) == Polynomial({m: Fraction(3, 10)})
+
+
 def test_varid_string_roundtrip():
     assert [var_to_str(v) for v in (edge_var(3, 1), loop_var(2), vertex_var(7),
                                     aux_var("t:0"))] == ["e:1:3", "l:2", "v:7", "y:t:0"]
