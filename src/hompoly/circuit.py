@@ -8,14 +8,29 @@ opaque until eval_symbolic binds that polynomial and expands the calls.
 size() counts add, mul and oracle gates only (variable and constant leaves
 are free), which makes the recorded interpolation-circuit size bounds well
 defined.
+
+Constants are exact: an int or a Fraction, never a float.  eval_symbolic
+works in exact integers.  Each value is a dict from monomial ids (monomials
+interned for one call) to ints, with one common int denominator, and only
+the output becomes a Polynomial.  The bound oracle is converted once per
+call, and an oracle gate takes one of three paths by its inputs:
+  - every input is an int times its own variable (the interpolation
+    copies): each term's coefficient is multiplied by
+    s^popcount(mask & class_s) for each scalar s, where mask holds the
+    term's variables and class_s the variables scaled by s;
+  - every input is a single term (constants and other variables, as in a
+    contraction): each oracle monomial is rewritten once per input shape
+    and only the coefficients are recomputed;
+  - anything else: the product expansion of every term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
-from .poly import Coeff, Polynomial, VarId
+from .poly import Coeff, Polynomial, VarId, _norm_coeff, monomial_mul
 
 # gate encodings:
 #   ('const', Coeff)
@@ -49,7 +64,9 @@ class CircuitBuilder:
         return gid
 
     def const(self, c: Coeff) -> int:
-        return self._intern(('const', Fraction(c)))
+        """A constant gate; c must be an int or a Fraction (a bool counts as
+        an int), else TypeError."""
+        return self._intern(('const', Fraction(_norm_coeff(c))))
 
     def var(self, v: VarId) -> int:
         return self._intern(('var', v))
@@ -102,45 +119,265 @@ def size(c: Circuit) -> int:
 
 
 def eval_symbolic(c: Circuit, oracle: Polynomial | None = None) -> Polynomial:
-    """Polynomial computed by the circuit; oracle gates are expanded by
-    substituting their input polynomials for c.oracle_vars in the bound
-    oracle polynomial.  KeyError if an oracle gate is reached while no
-    polynomial is bound."""
-    values: dict[int, Polynomial] = {}
+    """Polynomial computed by the circuit, with every oracle gate expanded
+    by substituting its input values for c.oracle_vars in the bound oracle
+    polynomial.  KeyError if an oracle gate is reached while no polynomial
+    is bound.
+
+    The walk is exact integer arithmetic and uses no float.  Each value is
+    a dict from interned monomial ids to ints over one common int
+    denominator; only the output becomes a Polynomial, with canonical
+    Fraction coefficients.  An add gate sums its inputs in one pass over
+    the lcm of their denominators.  A mul gate by a constant scales the
+    ints; any other mul expands over monomial ids.  A value is dropped
+    after its last reader.  Terms come out in the order that pairwise
+    Polynomial sums, products and substitute give.  An oracle gate takes
+    one of three paths: inputs that are each an int times its own variable
+    (the interpolation copies) rescale each oracle term by the scalars over
+    its variable mask; single-term inputs (constants, other variables)
+    rewrite each oracle monomial once per input shape; any other input is
+    expanded term by term.
+    """
     order = _topo_order(c)
-    for gid in order:
+    last: dict[int, int] = {}  # gate id -> position of its last reader
+    for pos, gid in enumerate(order):
         g = c.gates[gid]
-        kind = g[0]
-        if kind == 'const':
-            values[gid] = Polynomial.constant(g[1])
-        elif kind == 'var':
-            values[gid] = Polynomial.variable(g[1])
-        elif kind == 'add':
-            acc = Polynomial.zero()
+        if g[0] in ('add', 'mul', 'oracle'):
             for i in g[1]:
-                acc = acc + values[i]
-            values[gid] = acc
+                last[i] = pos
+    last.pop(c.output, None)
+    dying: list[list[int]] = [[] for _ in order]
+    for gid, pos in last.items():
+        dying[pos].append(gid)
+
+    mons = _Monomials()
+    bound = None
+    values: dict[int, tuple] = {}
+    for pos, gid in enumerate(order):
+        kind, arg = c.gates[gid]
+        if kind == 'const':
+            value = ({_ONE: arg.numerator}, arg.denominator) if arg else _ZERO
+        elif kind == 'var':
+            value = ({mons.id(((arg, 1),)): 1}, 1)
+        elif kind == 'add':
+            value = _sum([values[i] for i in arg])
         elif kind == 'mul':
-            factors = [values[i] for i in g[1]] or [Polynomial.constant(1)]
-            acc = factors[0]
-            for f in factors[1:]:
-                acc = _times(acc, f)
-            values[gid] = acc
+            value = _UNIT
+            for i in arg:
+                value = _product(mons, value, values[i])
         else:
-            if oracle is None:
-                raise KeyError("no oracle polynomial is bound")
-            values[gid] = oracle.substitute(
-                dict(zip(c.oracle_vars, [values[i] for i in g[1]])))
-    return values[c.output]
+            if bound is None:
+                if oracle is None:
+                    raise KeyError("no oracle polynomial is bound")
+                bound = _BoundOracle(oracle, c.oracle_vars, mons)
+            value = bound.call([values[i] for i in arg])
+        values[gid] = value
+        for i in dying[pos]:
+            del values[i]
+    terms, den = values[c.output]
+    monos = mons.monos
+    if den == 1:
+        return Polynomial({monos[m]: n for m, n in terms.items()})
+    return Polynomial({monos[m]: Fraction(n, den) for m, n in terms.items()})
 
 
-def _times(a: Polynomial, b: Polynomial) -> Polynomial:
-    """a * b, by Polynomial.scale when either factor is a constant."""
-    for p, q in ((a, b), (b, a)):
-        c = q.coefficient(())
-        if len(q) == (1 if c else 0):  # q is the constant c
-            return p.scale(c)
-    return a * b
+# A value is (terms, den): terms maps monomial ids to nonzero ints, and the
+# value is sum(n * monomial) / den with den >= 1.  Values are never mutated,
+# so gates may share them.
+_ONE = 0  # the id of the empty monomial
+_ZERO = ({}, 1)
+_UNIT = ({_ONE: 1}, 1)
+
+
+class _Monomials:
+    """Monomials interned as small ints for one evaluation."""
+
+    def __init__(self):
+        self.ids: dict = {(): _ONE}
+        self.monos: list = [()]
+
+    def id(self, m) -> int:
+        i = self.ids.get(m)
+        if i is None:
+            i = self.ids[m] = len(self.monos)
+            self.monos.append(m)
+        return i
+
+
+def _scaled(terms: dict, s: int) -> dict:
+    return terms if s == 1 else {m: n * s for m, n in terms.items()}
+
+
+def _sum(values: list) -> tuple:
+    """The sum of values in one pass over the lcm of their denominators.  A
+    term that cancels is deleted at once, so a later input re-inserts it
+    last, as a chain of pairwise sums would."""
+    if not values:
+        return _ZERO
+    den = lcm(*(d for _, d in values))
+    terms, d = values[0]
+    acc = dict(terms) if d == den else _scaled(terms, den // d)
+    get = acc.get
+    for terms, d in values[1:]:
+        f = den // d
+        for m, n in terms.items():
+            s = get(m, 0) + n * f
+            if s:
+                acc[m] = s
+            else:
+                del acc[m]
+    if not acc:
+        return _ZERO
+    if den != 1:
+        g = gcd(den, *acc.values())
+        if g != 1:
+            acc = {m: n // g for m, n in acc.items()}
+            den //= g
+    return acc, den
+
+
+def _product(mons: _Monomials, a: tuple, b: tuple) -> tuple:
+    """a * b: a scaling when either factor is a constant, else the expansion
+    over monomial ids in a's order, then b's."""
+    (ta, da), (tb, db) = a, b
+    if not ta or not tb:
+        return _ZERO
+    if len(tb) == 1 and _ONE in tb:
+        return _scaled(ta, tb[_ONE]), da * db
+    if len(ta) == 1 and _ONE in ta:
+        return _scaled(tb, ta[_ONE]), da * db
+    out: dict = {}
+    get, monos = out.get, mons.monos
+    for m1, n1 in ta.items():
+        for m2, n2 in tb.items():
+            m = mons.id(monomial_mul(monos[m1], monos[m2]))
+            out[m] = get(m, 0) + n1 * n2
+    if 0 in out.values():
+        out = {m: n for m, n in out.items() if n}
+    return (out, da * db) if out else _ZERO
+
+
+class _BoundOracle:
+    """The oracle polynomial over its variables, converted once per
+    evaluation into parallel lists, one entry per term: its monomial id,
+    its numerator over self.den, the bit mask of its oracle variables, and
+    its (index, exponent) pairs when one exponent is above 1, else None."""
+
+    def __init__(self, p: Polynomial, vars: tuple, mons: _Monomials):
+        self.mons = mons
+        self.pos = pos = {v: i for i, v in enumerate(vars)}
+        self.own = [mons.id(((v, 1),)) for v in vars]
+        self.den = den = lcm(*(cf.denominator for _, cf in p.terms()))
+        self.ids, self.nums, self.masks, self.exps = [], [], [], []
+        for m, cf in p.terms():
+            mask, flat = 0, True
+            for v, e in m:
+                i = pos.get(v)
+                if i is not None:
+                    mask |= 1 << i
+                    flat = flat and e == 1
+            exps = None if flat else tuple((pos[v], e) for v, e in m if v in pos)
+            self.ids.append(mons.id(m))
+            self.nums.append(cf.numerator * (den // cf.denominator))
+            self.masks.append(mask)
+            self.exps.append(exps)
+        self.nonflat = [(k, exps) for k, exps in enumerate(self.exps) if exps]
+        self._plans: dict = {}
+
+    def call(self, inputs: list) -> tuple:
+        """The oracle at these input values."""
+        if any(len(t) > 1 for t, _ in inputs):
+            return self._expand(inputs)
+        scalars = [next(iter(t.values()), 0) for t, _ in inputs]
+        den = lcm(*(d for _, d in inputs))
+        if den == 1:
+            coefs = self._coefficients(scalars)
+        else:
+            # input i is (scalars[i] * den / d_i) / den times a monomial; a
+            # term of degree k in the oracle variables gains den^(top - k)
+            # over the common denominator den^top
+            coefs = self._coefficients([s * (den // d) for s, (_, d) in zip(scalars, inputs)])
+            degrees = [m.bit_count() if e is None else sum(x for _, x in e)
+                       for m, e in zip(self.masks, self.exps)]
+            top = max(degrees, default=0)
+            coefs = [n * den ** (top - k) for n, k in zip(coefs, degrees)]
+            den **= top
+        shape = tuple(next(iter(t), None) for t, _ in inputs)
+        if all(m is None or m == o for m, o in zip(shape, self.own)):
+            # each term keeps its monomial
+            out = {tid: n for tid, n in zip(self.ids, coefs) if n}
+        else:
+            plan = self._plans.get(shape)
+            if plan is None:
+                plan = self._plans[shape] = self._plan(shape)
+            out = {}
+            get = out.get
+            for tid, n in zip(plan, coefs):
+                if n:
+                    out[tid] = get(tid, 0) + n
+            if 0 in out.values():
+                out = {m: n for m, n in out.items() if n}
+        return (out, self.den * den) if out else _ZERO
+
+    def _coefficients(self, scalars: list) -> list:
+        """Each term's numerator when input i is scalars[i] times a
+        monomial; 0 for a term that a zero input kills.  The inputs with one
+        scalar s form a class, and a multilinear term gains the factor
+        s^popcount(mask & class) in one pass over the terms per class."""
+        classes: dict[int, int] = {}
+        for i, s in enumerate(scalars):
+            classes[s] = classes.get(s, 0) | 1 << i
+        dead = classes.pop(0, 0)
+        classes.pop(1, None)
+        coefs, masks = self.nums, self.masks
+        for s, cls in classes.items():
+            pw = [s ** k for k in range(cls.bit_count() + 1)]
+            coefs = [n * pw[(m & cls).bit_count()] for n, m in zip(coefs, masks)]
+        if dead:
+            coefs = [0 if m & dead else n for n, m in zip(coefs, masks)]
+        if self.nonflat:
+            coefs = list(coefs)
+            for k, exps in self.nonflat:
+                if not masks[k] & dead:
+                    n = self.nums[k]
+                    for i, e in exps:
+                        n *= scalars[i] ** e
+                    coefs[k] = n
+        return coefs
+
+    def _plan(self, shape: tuple) -> list:
+        """Each term's monomial id after substituting the input monomial
+        shape[i] for oracle variable i, or None when a zero input (shape[i]
+        None) kills the term."""
+        monos = self.mons.monos
+        plan = []
+        for tid in self.ids:
+            parts: dict = {}
+            for v, e in monos[tid]:
+                i = self.pos.get(v)
+                if i is not None and shape[i] is None:
+                    plan.append(None)
+                    break
+                for tv, te in ((v, 1),) if i is None else monos[shape[i]]:
+                    parts[tv] = parts.get(tv, 0) + te * e
+            else:
+                plan.append(self.mons.id(tuple(sorted(parts.items()))))
+        return plan
+
+    def _expand(self, inputs: list) -> tuple:
+        """Some input has several terms: each oracle term becomes the product
+        of its variables' values, and the products are summed."""
+        mons = self.mons
+        parts = []
+        for tid, n in zip(self.ids, self.nums):
+            value = ({_ONE: n}, self.den)
+            for v, e in mons.monos[tid]:
+                i = self.pos.get(v)
+                base = inputs[i] if i is not None else ({mons.id(((v, 1),)): 1}, 1)
+                for _ in range(e):
+                    value = _product(mons, value, base)
+            parts.append(value)
+        return _sum(parts)
 
 
 def _topo_order(c: Circuit) -> list[int]:

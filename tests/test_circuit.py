@@ -286,3 +286,131 @@ def test_interpolate_homc_agrees_with_homogeneous_component(c, vs, k, slack):
     delta = max(p.degree_in(vs), k) + slack
     direct = p.homogeneous_component(vs, k)
     assert evaluate(interpolate_homc(c, vs, k, delta)) == direct
+
+
+# -- exact arithmetic and the three oracle-input cases of eval_symbolic ------------
+
+def test_const_rejects_floats_and_takes_bools_as_ints():
+    b = CircuitBuilder()
+    with pytest.raises(TypeError):
+        b.const(0.1)
+    with pytest.raises(TypeError):
+        b.const("1/2")
+    assert eval_symbolic(b.freeze(b.const(True))) == Polynomial.constant(1)
+
+
+def test_scale_circuit_rejects_floats():
+    c = build_square_of_x_plus_one()
+    with pytest.raises(TypeError):
+        scale_circuit(c, 0.5)
+    assert eval_symbolic(scale_circuit(c, False)) == Polynomial.zero()
+
+
+def test_substitute_vars_rejects_float_targets():
+    c = build_square_of_x_plus_one()
+    with pytest.raises(TypeError):
+        substitute_vars(c, {aux_var("x"): 1.5})
+
+
+def assert_same_as_generic(c, oracle):
+    got, want = eval_symbolic(c, oracle), generic_eval(c, oracle)
+    assert got == want
+    assert list(got.terms()) == list(want.terms())
+    for _, coeff in got.terms():
+        assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1)
+    return got
+
+
+MVARS = [aux_var(f"m{i}") for i in range(6)]
+
+
+def test_add_gate_reinserts_a_cancelled_term_last():
+    # as in pairwise sums: x cancels after two inputs and comes back after y
+    x, y, z = MVARS[:3]
+    b = CircuitBuilder()
+    minus_x = b.mul(b.const(-1), b.var(x))
+    c = b.freeze(b.add(b.add(b.var(x), b.var(y)), minus_x, b.add(b.var(x), b.var(z))))
+    got = assert_same_as_generic(c, None)
+    assert [m for m, _ in got.terms()] == [((y, 1),), ((x, 1),), ((z, 1),)]
+
+
+def test_oracle_inputs_scaled_own_variables():
+    # interpolation copies call the oracle at t_j times its own variables
+    x, y, z = MVARS[:3]
+    flat = Polynomial({monomial({x: 1, y: 1}): 3, monomial({y: 1, z: 1}): Fraction(-1, 2),
+                       monomial({x: 1, y: 1, z: 1}): 5, (): 7})
+    powers = Polynomial({monomial({x: 2, y: 1}): 1, monomial({x: 1, z: 3}): Fraction(2, 3),
+                         monomial({y: 1}): -4})
+    for p in (flat, powers):
+        for vs, k in (([x, y], 1), ([x, y, z], 2), ([z], 0)):
+            delta = p.degree_in(vs) + 1
+            got = assert_same_as_generic(extract_homc((x, y, z), vs, k, delta), p)
+            assert got == p.homogeneous_component(vs, k)
+    nested = interpolate_homc(extract_homc((x, y, z), [x, y, z], 2, 4), [x], 1, 3)
+    assert_same_as_generic(nested, powers)
+
+
+def test_oracle_inputs_constants_and_other_variables():
+    # the contraction's shape: each input is one term, a constant (zero
+    # included) or another variable, so monomials merge into squares
+    x, y, z, w = MVARS[:4]
+    p = Polynomial({monomial({x: 1, y: 1}): 1, monomial({x: 1, z: 1}): -1,
+                    monomial({y: 1, z: 1, w: 1}): Fraction(3, 2), monomial({w: 1}): 2})
+    powers = Polynomial({monomial({x: 2, y: 1}): 1, monomial({z: 3}): Fraction(2, 3),
+                         monomial({w: 1}): -4})
+    c = extract_homc((x, y, z, w), [x, y, z, w], 3, 4)
+    for oracle in (p, powers):
+        for mapping in ({x: y}, {x: y, w: 0}, {z: 1, w: x}, {x: Fraction(1, 3), y: z},
+                        {x: aux_var("u"), y: aux_var("u"), z: 2}):
+            got = assert_same_as_generic(substitute_vars(c, mapping), oracle)
+            assert got == oracle.homogeneous_component([x, y, z, w], 3).substitute(mapping)
+    b = CircuitBuilder()
+    b.declare_oracle((x, y))
+    half_y = b.mul(b.var(y), b.const(Fraction(1, 2)))  # a fraction times its own variable
+    assert_same_as_generic(b.freeze(b.oracle([b.var(z), half_y])), p)
+
+
+def test_oracle_inputs_general_sums():
+    x, y, z = MVARS[:3]
+    p = Polynomial({monomial({x: 2}): 1, monomial({x: 1, y: 1}): Fraction(-1, 4),
+                    monomial({y: 1, z: 1}): 3, (): -2})
+    b = CircuitBuilder()
+    b.declare_oracle((x, y))
+    s = b.add(b.var(x), b.mul(b.const(Fraction(2, 3)), b.var(z)), b.const(1))
+    d = b.add(b.var(y), b.mul(b.const(-1), b.var(y)))  # the zero polynomial
+    for inputs in ([s, b.var(y)], [b.var(x), s], [s, s], [s, d]):
+        c = b.freeze(b.oracle(inputs))
+        got = assert_same_as_generic(c, p)
+        vals = [generic_eval(b.freeze(i), p) for i in inputs]
+        assert got == p.substitute(dict(zip((x, y), vals)))
+
+
+@st.composite
+def multilinear_oracles(draw):
+    """A multilinear polynomial over 3-6 of MVARS with int and Fraction
+    coefficients, and its variables."""
+    vs = MVARS[:draw(st.integers(3, 6))]
+    masks = draw(st.lists(st.integers(0, 2 ** len(vs) - 1), min_size=1, max_size=12))
+    coeffs = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=5))
+    terms = {monomial({v: 1 for i, v in enumerate(vs) if mask >> i & 1}): draw(coeffs)
+             for mask in masks}
+    return Polynomial(terms), vs
+
+
+TARGETS = st.one_of(st.sampled_from(MVARS + [aux_var("u")]), st.integers(-2, 2),
+                    st.fractions(-2, 2, max_denominator=3))
+
+
+@given(multilinear_oracles(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_eval_symbolic_agrees_with_generic_eval_on_multilinear_oracles(oracle, data):
+    p, vs = oracle
+    c = oracle_call_circuit(vs)
+    for _ in range(data.draw(st.integers(1, 2))):
+        sub = data.draw(st.lists(st.sampled_from(vs), min_size=1, unique=True))
+        delta = data.draw(st.integers(len(sub), len(sub) + 1))
+        c = interpolate_homc(c, sub, data.draw(st.integers(0, delta)), delta)
+    mapping = data.draw(st.dictionaries(st.sampled_from(vs), TARGETS))
+    if mapping:
+        c = substitute_vars(c, mapping)
+    assert_same_as_generic(c, p)
