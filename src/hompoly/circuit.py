@@ -12,16 +12,17 @@ defined.
 Constants are exact: an int or a Fraction, never a float.  eval_symbolic
 works in exact integers.  Each value is a dict from monomial ids (monomials
 interned for one call) to ints, with one common int denominator, and only
-the output becomes a Polynomial.  The bound oracle is converted once per
-call, and an oracle gate takes one of three paths by its inputs:
-  - every input is an int times its own variable (the interpolation
-    copies): each term's coefficient is multiplied by
+the output becomes a Polynomial.  An add gate sums its inputs in one pass
+over the lcm of their denominators; a mul by a constant scales the ints,
+and any other mul expands over monomial ids.  The bound oracle is converted
+once per call, and an oracle gate takes one of two paths by its inputs:
+  - every input is an int times its own variable, or zero (the
+    interpolation copies): each term's coefficient is multiplied by
     s^popcount(mask & class_s) for each scalar s, where mask holds the
     term's variables and class_s the variables scaled by s;
-  - every input is a single term (constants and other variables, as in a
-    contraction): each oracle monomial is rewritten once per input shape
-    and only the coefficients are recomputed;
-  - anything else: the product expansion of every term.
+  - anything else: the inputs become Polynomials and Polynomial.substitute
+    rewrites the oracle (single terms such as constants and other
+    variables are merged into each monomial, sums are expanded).
 """
 
 from __future__ import annotations
@@ -122,38 +123,13 @@ def eval_symbolic(c: Circuit, oracle: Polynomial | None = None) -> Polynomial:
     """Polynomial computed by the circuit, with every oracle gate expanded
     by substituting its input values for c.oracle_vars in the bound oracle
     polynomial.  KeyError if an oracle gate is reached while no polynomial
-    is bound.
-
-    The walk is exact integer arithmetic and uses no float.  Each value is
-    a dict from interned monomial ids to ints over one common int
-    denominator; only the output becomes a Polynomial, with canonical
-    Fraction coefficients.  An add gate sums its inputs in one pass over
-    the lcm of their denominators.  A mul gate by a constant scales the
-    ints; any other mul expands over monomial ids.  A value is dropped
-    after its last reader.  Terms come out in the order that pairwise
-    Polynomial sums, products and substitute give.  An oracle gate takes
-    one of three paths: inputs that are each an int times its own variable
-    (the interpolation copies) rescale each oracle term by the scalars over
-    its variable mask; single-term inputs (constants, other variables)
-    rewrite each oracle monomial once per input shape; any other input is
-    expanded term by term.
-    """
-    order = _topo_order(c)
-    last: dict[int, int] = {}  # gate id -> position of its last reader
-    for pos, gid in enumerate(order):
-        g = c.gates[gid]
-        if g[0] in ('add', 'mul', 'oracle'):
-            for i in g[1]:
-                last[i] = pos
-    last.pop(c.output, None)
-    dying: list[list[int]] = [[] for _ in order]
-    for gid, pos in last.items():
-        dying[pos].append(gid)
-
+    is bound.  The arithmetic is exact; the module docstring gives the
+    value layout and the oracle paths.  Terms come out in the order that
+    pairwise Polynomial sums, products and substitute give."""
     mons = _Monomials()
     bound = None
     values: dict[int, tuple] = {}
-    for pos, gid in enumerate(order):
+    for gid in _topo_order(c):
         kind, arg = c.gates[gid]
         if kind == 'const':
             value = ({_ONE: arg.numerator}, arg.denominator) if arg else _ZERO
@@ -172,13 +148,7 @@ def eval_symbolic(c: Circuit, oracle: Polynomial | None = None) -> Polynomial:
                 bound = _BoundOracle(oracle, c.oracle_vars, mons)
             value = bound.call([values[i] for i in arg])
         values[gid] = value
-        for i in dying[pos]:
-            del values[i]
-    terms, den = values[c.output]
-    monos = mons.monos
-    if den == 1:
-        return Polynomial({monos[m]: n for m, n in terms.items()})
-    return Polynomial({monos[m]: Fraction(n, den) for m, n in terms.items()})
+    return _to_poly(mons, values[c.output])
 
 
 # A value is (terms, den): terms maps monomial ids to nonzero ints, and the
@@ -202,6 +172,20 @@ class _Monomials:
             i = self.ids[m] = len(self.monos)
             self.monos.append(m)
         return i
+
+
+def _to_poly(mons: _Monomials, value: tuple) -> Polynomial:
+    terms, den = value
+    monos = mons.monos
+    if den == 1:
+        return Polynomial({monos[m]: n for m, n in terms.items()})
+    return Polynomial({monos[m]: Fraction(n, den) for m, n in terms.items()})
+
+
+def _from_poly(mons: _Monomials, p: Polynomial) -> tuple:
+    den = lcm(*(cf.denominator for _, cf in p.terms()))
+    terms = {mons.id(m): cf.numerator * (den // cf.denominator) for m, cf in p.terms()}
+    return (terms, den) if terms else _ZERO
 
 
 def _scaled(terms: dict, s: int) -> dict:
@@ -264,8 +248,8 @@ class _BoundOracle:
     its (index, exponent) pairs when one exponent is above 1, else None."""
 
     def __init__(self, p: Polynomial, vars: tuple, mons: _Monomials):
-        self.mons = mons
-        self.pos = pos = {v: i for i, v in enumerate(vars)}
+        self.poly, self.vars, self.mons = p, vars, mons
+        pos = {v: i for i, v in enumerate(vars)}
         self.own = [mons.id(((v, 1),)) for v in vars]
         self.den = den = lcm(*(cf.denominator for _, cf in p.terms()))
         self.ids, self.nums, self.masks, self.exps = [], [], [], []
@@ -282,46 +266,26 @@ class _BoundOracle:
             self.masks.append(mask)
             self.exps.append(exps)
         self.nonflat = [(k, exps) for k, exps in enumerate(self.exps) if exps]
-        self._plans: dict = {}
 
     def call(self, inputs: list) -> tuple:
         """The oracle at these input values."""
-        if any(len(t) > 1 for t, _ in inputs):
-            return self._expand(inputs)
-        scalars = [next(iter(t.values()), 0) for t, _ in inputs]
-        den = lcm(*(d for _, d in inputs))
-        if den == 1:
-            coefs = self._coefficients(scalars)
-        else:
-            # input i is (scalars[i] * den / d_i) / den times a monomial; a
-            # term of degree k in the oracle variables gains den^(top - k)
-            # over the common denominator den^top
-            coefs = self._coefficients([s * (den // d) for s, (_, d) in zip(scalars, inputs)])
-            degrees = [m.bit_count() if e is None else sum(x for _, x in e)
-                       for m, e in zip(self.masks, self.exps)]
-            top = max(degrees, default=0)
-            coefs = [n * den ** (top - k) for n, k in zip(coefs, degrees)]
-            den **= top
-        shape = tuple(next(iter(t), None) for t, _ in inputs)
-        if all(m is None or m == o for m, o in zip(shape, self.own)):
-            # each term keeps its monomial
-            out = {tid: n for tid, n in zip(self.ids, coefs) if n}
-        else:
-            plan = self._plans.get(shape)
-            if plan is None:
-                plan = self._plans[shape] = self._plan(shape)
-            out = {}
-            get = out.get
-            for tid, n in zip(plan, coefs):
-                if n:
-                    out[tid] = get(tid, 0) + n
-            if 0 in out.values():
-                out = {m: n for m, n in out.items() if n}
-        return (out, self.den * den) if out else _ZERO
+        scalars = []
+        for (t, d), own in zip(inputs, self.own):
+            if not t:
+                scalars.append(0)
+            elif d == 1 and len(t) == 1 and own in t:
+                scalars.append(t[own])
+            else:
+                mons = self.mons
+                p = self.poly.substitute({v: _to_poly(mons, x)
+                                          for v, x in zip(self.vars, inputs)})
+                return _from_poly(mons, p)
+        out = {tid: n for tid, n in zip(self.ids, self._coefficients(scalars)) if n}
+        return (out, self.den) if out else _ZERO
 
     def _coefficients(self, scalars: list) -> list:
-        """Each term's numerator when input i is scalars[i] times a
-        monomial; 0 for a term that a zero input kills.  The inputs with one
+        """Each term's numerator when input i is scalars[i] times its own
+        variable; 0 for a term that a zero input kills.  The inputs with one
         scalar s form a class, and a multilinear term gains the factor
         s^popcount(mask & class) in one pass over the terms per class."""
         classes: dict[int, int] = {}
@@ -344,40 +308,6 @@ class _BoundOracle:
                         n *= scalars[i] ** e
                     coefs[k] = n
         return coefs
-
-    def _plan(self, shape: tuple) -> list:
-        """Each term's monomial id after substituting the input monomial
-        shape[i] for oracle variable i, or None when a zero input (shape[i]
-        None) kills the term."""
-        monos = self.mons.monos
-        plan = []
-        for tid in self.ids:
-            parts: dict = {}
-            for v, e in monos[tid]:
-                i = self.pos.get(v)
-                if i is not None and shape[i] is None:
-                    plan.append(None)
-                    break
-                for tv, te in ((v, 1),) if i is None else monos[shape[i]]:
-                    parts[tv] = parts.get(tv, 0) + te * e
-            else:
-                plan.append(self.mons.id(tuple(sorted(parts.items()))))
-        return plan
-
-    def _expand(self, inputs: list) -> tuple:
-        """Some input has several terms: each oracle term becomes the product
-        of its variables' values, and the products are summed."""
-        mons = self.mons
-        parts = []
-        for tid, n in zip(self.ids, self.nums):
-            value = ({_ONE: n}, self.den)
-            for v, e in mons.monos[tid]:
-                i = self.pos.get(v)
-                base = inputs[i] if i is not None else ({mons.id(((v, 1),)): 1}, 1)
-                for _ in range(e):
-                    value = _product(mons, value, base)
-            parts.append(value)
-        return _sum(parts)
 
 
 def _topo_order(c: Circuit) -> list[int]:

@@ -288,7 +288,7 @@ def test_interpolate_homc_agrees_with_homogeneous_component(c, vs, k, slack):
     assert evaluate(interpolate_homc(c, vs, k, delta)) == direct
 
 
-# -- exact arithmetic and the three oracle-input cases of eval_symbolic ------------
+# -- exact arithmetic and the oracle-input cases of eval_symbolic ------------------
 
 def test_const_rejects_floats_and_takes_bools_as_ints():
     b = CircuitBuilder()
