@@ -3,9 +3,11 @@
 Vertices are 0..n-1.  Edges are canonical pairs (i, j) with i < j; self-loops
 live in a separate vertex set (loops are legal in homomorphism targets H but
 never selected by class enumerations).  Labels attach role names to vertices
-for gadget bookkeeping.  A Graph's adjacency (one ascending tuple of
-neighbours per vertex) and its components are computed once, on first use,
-and shared by every reader, so both are immutable.
+for gadget bookkeeping.  A Graph's neighbour masks (nbrs: bit w of nbrs[v]
+is the edge vw), its adjacency tuples read off them and its components are
+computed once, on first use, and shared by every reader, so all are
+immutable.  Class checks and the homomorphism search read only the masks;
+reach is the one traversal over them.
 
 Class enumeration keeps each edge subset as an int bitmask over the host's
 edges in canonical order (class_edge_masks); class_edge_subsets is the
@@ -17,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -105,16 +108,21 @@ class Graph:
         return canonical_edge(u, v) in self.edges
 
     @functools.cached_property
+    def nbrs(self) -> tuple:
+        """One int mask of neighbours per vertex: bit w of nbrs[v] is the edge vw."""
+        masks = [0] * self.n
+        for a, b in self.edges:
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+        return tuple(masks)
+
+    @functools.cached_property
     def adjacency(self) -> tuple:
         """One ascending tuple of neighbours per vertex."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return tuple(tuple(sorted(ns)) for ns in adj)
+        return tuple(map(tuple, map(bits, self.nbrs)))
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self.nbrs[v].bit_count()
 
     def label(self, role: str) -> int:
         for r, v in self.labels:
@@ -130,22 +138,11 @@ class Graph:
     @functools.cached_property
     def components(self) -> tuple:
         """The vertex sets of the connected components, by least vertex."""
-        adj = self.adjacency
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            stack, comp = [s], []
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(frozenset(comp))
+        comps, left = [], (1 << self.n) - 1
+        while left:
+            comp = reach(self.nbrs, (left & -left).bit_length() - 1)
+            comps.append(frozenset(bits(comp)))
+            left &= ~comp
         return tuple(comps)
 
     def is_connected(self) -> bool:
@@ -187,6 +184,27 @@ class Graph:
 
 def _ints(xs) -> bool:
     return isinstance(xs, list) and all(type(x) is int for x in xs)  # no bools
+
+
+def bits(mask: int) -> list[int]:
+    """The positions of mask's set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def reach(nbrs, seed: int) -> int:
+    """The mask of the vertices joined to seed by paths; nbrs[v] is the mask
+    of v's neighbours."""
+    seen, todo = 0, 1 << seed
+    while todo:
+        low = todo & -todo
+        seen |= low
+        todo = (todo | nbrs[low.bit_length() - 1]) & ~seen
+    return seen
 
 
 # -- graph classes ----------------------------------------------------------
@@ -243,12 +261,13 @@ def recognize(g: Graph, cls: GraphClass) -> bool:
     A genus class past topo.DEFAULT_GENUS_BUDGET raises BudgetExceededError."""
     if g.loops:
         return False
-    nontrivial = [c for c in g.components if len(c) > 1]
-    if len(nontrivial) != 1:
+    nbrs = g.nbrs
+    edged = functools.reduce(operator.or_, nbrs, 0)  # the vertices with an edge
+    if not edged or reach(nbrs, (edged & -edged).bit_length() - 1) != edged:
         return False
-    v, m = len(nontrivial[0]), len(g.edges)
+    v, m = edged.bit_count(), len(g.edges)
     if cls.kind == "cycle":
-        return m == v and all(len(ns) in (0, 2) for ns in g.adjacency)
+        return m == v and all(ns.bit_count() in (0, 2) for ns in nbrs)
     if cls.kind == "clique":
         return m == v * (v - 1) // 2
     if cls.kind == "tree":
@@ -265,22 +284,26 @@ def recognize(g: Graph, cls: GraphClass) -> bool:
 
 # -- homomorphism search ------------------------------------------------------
 
-def _two_colourable(adj: tuple) -> bool:
-    """Whether the loopless graph with adjacency adj is bipartite."""
-    color = [-1] * len(adj)
-    for s in range(len(adj)):
-        if color[s] >= 0:
+def _two_colourable(nbrs) -> bool:
+    """Whether the loopless graph with neighbour masks nbrs is bipartite:
+    a search from each uncoloured vertex gives every neighbour of a vertex
+    the other colour, and fails on a neighbour that has its colour."""
+    colour = [0, 0]  # the masks of the vertices coloured 0 and 1
+    for s in range(len(nbrs)):
+        if (colour[0] | colour[1]) >> s & 1:
             continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if color[w] < 0:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return False
+        colour[0] |= 1 << s
+        todo = 1 << s
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            c = 0 if colour[0] & low else 1
+            ns = nbrs[low.bit_length() - 1]
+            if ns & colour[c]:
+                return False
+            new = ns & ~colour[1 - c]
+            colour[1 - c] |= new
+            todo |= new
     return True
 
 
@@ -307,16 +330,15 @@ def is_homomorphic(g: Graph, h: Graph) -> bool:
         return True
     if not h.edges:
         return False
-    gadj = g.adjacency
-    if _two_colourable(gadj):
+    gnbrs, hnbrs = g.nbrs, h.nbrs
+    if _two_colourable(gnbrs):
         return True
-    hlists = h.adjacency
-    if _two_colourable(hlists):
+    if _two_colourable(hnbrs):
         return False
 
-    active = sorted((v for v in range(g.n) if gadj[v]), key=lambda v: -len(gadj[v]))
-    hadj = [set(ws) for ws in hlists]
-    images = [x for x, ws in enumerate(hadj) if ws]
+    active = sorted((v for v in range(g.n) if gnbrs[v]),
+                    key=lambda v: -gnbrs[v].bit_count())
+    images = [x for x, ws in enumerate(hnbrs) if ws]
 
     pos = {v: i for i, v in enumerate(active)}
     assignment = [-1] * len(active)
@@ -326,13 +348,15 @@ def is_homomorphic(g: Graph, h: Graph) -> bool:
         nonlocal nodes
         if i == len(active):
             return True
-        v = active[i]
-        earlier = [u for u in gadj[v] if pos[u] < i]
+        need = 0  # the images of active[i]'s neighbours placed before it
+        for u in bits(gnbrs[active[i]]):
+            if pos[u] < i:
+                need |= 1 << assignment[pos[u]]
         for img in images:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError("homomorphism search budget exceeded")
-            if all(assignment[pos[u]] in hadj[img] for u in earlier):
+            if not need & ~hnbrs[img]:
                 assignment[i] = img
                 if backtrack(i + 1):
                     return True
@@ -347,7 +371,7 @@ def hom_to_single_edge(g: Graph) -> bool:
     edge exactly when it is bipartite."""
     if g.loops:
         raise ValueError("hom_to_single_edge needs a loopless graph")
-    return _two_colourable(g.adjacency)
+    return _two_colourable(g.nbrs)
 
 
 # -- class-restricted subgraph enumeration ------------------------------------

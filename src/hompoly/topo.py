@@ -3,9 +3,10 @@
 Only orientable embeddings are modeled.  A rotation system assigns each
 vertex a cyclic order of its neighbors; tracing the face orbits of the
 induced dart permutation gives the Euler genus via V - E + F = 2 - 2g.
-Neighbors and components are read from the graph's Graph.adjacency and
-Graph.components, computed once per graph; the peels below delete vertices
-from set copies of the adjacency, never from the shared tuples.
+The certificates and peels below work on a list copy of the graph's
+neighbour masks (Graph.nbrs), deleting a vertex by clearing its bits, and
+get connectivity from graphs.reach; the embedding and genus code reads the
+shared Graph.adjacency tuples and Graph.components.
 
 Class membership is decided by exact certificates first.  is_outerplanar
 uses edge counts, then a peel of vertices of degree <= 2 (Mitchell 1979).
@@ -31,11 +32,13 @@ validated minor, never on a planarity bit alone.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 
 from .errors import BudgetExceededError, count_bound, count_text
-from .graphs import Graph
+from .graphs import Graph, bits, reach
 
 DEFAULT_GENUS_BUDGET = 1_000_000
 MINOR_BUDGET = 2_000_000
@@ -43,75 +46,63 @@ MINOR_BUDGET = 2_000_000
 RotationSystem = dict  # vertex -> tuple of neighbors in cyclic order
 
 
-def _delete_vertex(adj: list[set], alive: set, v: int) -> set:
-    """Remove v from the graph held by adj and alive; return its neighbors."""
-    alive.discard(v)
-    nbrs = adj[v]
-    adj[v] = set()
-    for u in nbrs:
-        adj[u].discard(v)
-    return nbrs
+def _delete_vertex(nbrs: list, v: int) -> list:
+    """Remove v's edges from the neighbour masks nbrs; return its neighbors."""
+    ns = bits(nbrs[v])
+    nbrs[v] = 0
+    for u in ns:
+        nbrs[u] ^= 1 << v
+    return ns
 
 
-def _joined_without_edge(adj: list[set], u: int, w: int) -> bool:
+def _joined_without_edge(nbrs: list, u: int, w: int) -> bool:
     """Whether a u-w path avoids the edge uw, i.e. uw is not a bridge."""
-    seen = {u}
-    stack = [x for x in adj[u] if x != w]
-    seen.update(stack)
-    while stack:
-        x = stack.pop()
-        if w in adj[x]:
-            return True
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return False
+    cut = list(nbrs)
+    cut[u] ^= 1 << w
+    cut[w] ^= 1 << u
+    return bool(reach(cut, u) >> w & 1)
 
 
-def _peel_outerplanar(adj: list[set], alive: set) -> bool:
-    """Decide outerplanarity of the graph held by adj and alive (consumed).
+def _peel_outerplanar(nbrs: list) -> bool:
+    """Decide outerplanarity of the graph with neighbour masks nbrs (consumed).
 
-    Peels vertices of degree <= 2; see is_outerplanar for the rules.
+    Peels vertices of degree <= 2; see is_outerplanar for the rules.  Every
+    vertex whose degree drops to 2 or less is peeled in turn, so the graph
+    is gone, and outerplanar, exactly when no edge is left.
     """
     marked = set()  # edges that must lie on the outer face
-    stack = [v for v in alive if len(adj[v]) <= 2]
+    stack = [v for v, ns in enumerate(nbrs) if ns.bit_count() <= 2]
     while stack:
         v = stack.pop()
-        if v not in alive or len(adj[v]) > 2:
+        if not 0 < nbrs[v].bit_count() <= 2:
             continue
-        nbrs = _delete_vertex(adj, alive, v)
-        if len(nbrs) == 2:
-            u, w = sorted(nbrs)
-            if w not in adj[u]:
-                adj[u].add(w)
-                adj[w].add(u)
-            elif (u, w) in marked and _joined_without_edge(adj, u, w):
+        ns = _delete_vertex(nbrs, v)
+        stack += ns
+        if len(ns) == 2:
+            u, w = ns
+            if not nbrs[u] >> w & 1:
+                nbrs[u] |= 1 << w
+                nbrs[w] |= 1 << u
+            elif (u, w) in marked and _joined_without_edge(nbrs, u, w):
                 return False
             marked.add((u, w))
-        stack.extend(u for u in nbrs if len(adj[u]) <= 2)
-    return not alive
+    return not any(nbrs)
 
 
-def _is_path_forest_or_cycle(adj: list[set], alive: set) -> bool:
-    """Maximum degree <= 2, and either no cycle or a single spanning cycle."""
-    if any(len(adj[v]) > 2 for v in alive):
+def _is_path_forest_or_cycle(nbrs: list, alive: int) -> bool:
+    """Whether the graph that the masks nbrs induce on the vertices in the
+    mask alive has maximum degree <= 2 and either no cycle or a single
+    spanning cycle."""
+    h = [ns & alive if alive >> v & 1 else 0 for v, ns in enumerate(nbrs)]
+    if any(ns.bit_count() > 2 for ns in h):
         return False
-    edges = sum(len(adj[v]) for v in alive) // 2
-    components = 0
-    seen: set = set()
-    for s in alive:
-        if s in seen:
-            continue
+    edges = sum(ns.bit_count() for ns in h) // 2
+    components, left = 0, alive
+    while left:
+        left &= ~reach(h, (left & -left).bit_length() - 1)
         components += 1
-        seen.add(s)
-        stack = [s]
-        while stack:
-            for y in adj[stack.pop()]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    return edges == len(alive) - components or (components == 1 and edges == len(alive))
+    k = alive.bit_count()
+    return edges == k - components or (components == 1 and edges == k)
 
 
 def is_planar(g: Graph) -> bool:
@@ -144,25 +135,25 @@ def is_planar(g: Graph) -> bool:
         return True
     if g.n >= 3 and m > 3 * g.n - 6:
         return False
-    adj = list(map(set, g.adjacency))  # the peel mutates its own copy
-    alive = set(range(g.n))
-    stack = [v for v in alive if len(adj[v]) <= 1]
+    nbrs = list(g.nbrs)  # the peels mutate their own copy
+    stack = [v for v, ns in enumerate(nbrs) if ns.bit_count() == 1]
     while stack:
         v = stack.pop()
-        if v in alive and len(adj[v]) <= 1:
-            stack.extend(_delete_vertex(adj, alive, v))
-    k = len(alive)
-    dominating = [v for v in alive if len(adj[v]) == k - 1]
-    if dominating:
-        _delete_vertex(adj, alive, dominating[0])
-        return _peel_outerplanar(adj, alive)
-    # a vertex of degree k - 2 misses exactly one other vertex
-    pairs = [(a, (alive - adj[a] - {a}).pop()) for a in alive if len(adj[a]) == k - 2]
-    for a, b in pairs:
-        if len(adj[b]) == k - 2:
-            _delete_vertex(adj, alive, a)
-            _delete_vertex(adj, alive, b)
-            return _is_path_forest_or_cycle(adj, alive)
+        if nbrs[v].bit_count() == 1:
+            stack.extend(_delete_vertex(nbrs, v))
+    # what is left has minimum degree 2, so alive is every vertex with an
+    # edge, and a deleted vertex's degree 0 is neither k - 1 nor k - 2
+    alive = functools.reduce(operator.or_, nbrs, 0)
+    k = alive.bit_count()
+    degree = list(map(int.bit_count, nbrs))
+    if k - 1 in degree:
+        _delete_vertex(nbrs, degree.index(k - 1))
+        return _peel_outerplanar(nbrs)
+    for a, d in enumerate(degree):
+        if d == k - 2:
+            b = (alive & ~nbrs[a] & ~(1 << a)).bit_length() - 1  # the one a misses
+            if degree[b] == k - 2:
+                return _is_path_forest_or_cycle(nbrs, alive & ~(1 << a | 1 << b))
     return planar_rotation(g) is not None
 
 
@@ -198,7 +189,7 @@ def is_outerplanar(g: Graph) -> bool:
         return True
     if g.n >= 2 and m > 2 * g.n - 3:
         return False
-    return _peel_outerplanar(list(map(set, g.adjacency)), set(range(g.n)))
+    return _peel_outerplanar(list(g.nbrs))
 
 
 # -- planar embedding ---------------------------------------------------------

@@ -9,6 +9,9 @@ checkouts behave the same on the list when their printouts are identical:
     PYTHONPATH=/path/to/other/checkout/src python tests/cli_sweep.py > before.txt
     diff before.txt after.txt
 
+tests/golden/cli-sweep.txt is the committed printout; CI diffs a fresh one
+against it, so a change to any output of the list fails there.
+
 The commands run in a temporary directory and name their files relatively,
 so no path reaches an output.  An exception that escapes cli.main ends the
 sweep with a traceback and a nonzero exit, so a plain run is also a crash

@@ -41,12 +41,6 @@ def to_nx(n: int, edges) -> nx.Graph:
     return g
 
 
-def nx_one_nontrivial_component(n: int, edges) -> bool:
-    g = to_nx(n, edges)
-    comps = [c for c in nx.connected_components(g) if len(c) > 1]
-    return len(comps) == 1
-
-
 def nx_planar(n: int, edges) -> bool:
     return nx.check_planarity(to_nx(n, edges), counterexample=False)[0]
 
@@ -60,13 +54,16 @@ def nx_outerplanar(n: int, edges) -> bool:
 
 
 def nx_in_class(n: int, edges, kind: str, genus_k: int | None = None) -> bool:
-    """One nontrivial component with the given shape, via networkx."""
-    if not edges or not nx_one_nontrivial_component(n, edges):
-        return False
+    """One nontrivial component with the given shape, via networkx.  That
+    component holds every edge, and isolated vertices change no planarity
+    verdict (an apex over them leaves them pendant), so outerplanarity is
+    tested on the whole graph."""
     g = to_nx(n, edges)
-    comp = next(c for c in nx.connected_components(g) if len(c) > 1)
-    sub = g.subgraph(comp)
-    v, m = sub.number_of_nodes(), sub.number_of_edges()
+    comps = [c for c in nx.connected_components(g) if len(c) > 1]
+    if len(comps) != 1:
+        return False
+    sub = g.subgraph(comps[0])
+    v, m = len(comps[0]), g.number_of_edges()
     if kind == "cycle":
         return v >= 3 and all(d == 2 for _, d in sub.degree())
     if kind == "clique":
@@ -74,8 +71,7 @@ def nx_in_class(n: int, edges, kind: str, genus_k: int | None = None) -> bool:
     if kind == "tree":
         return nx.is_tree(sub)
     if kind == "outerplanar":
-        relabeled = nx.convert_node_labels_to_integers(sub)
-        return nx_outerplanar(relabeled.number_of_nodes(), relabeled.edges())
+        return nx_outerplanar(n, edges)
     if kind == "planar":
         return nx.check_planarity(sub, counterexample=False)[0]
     if kind == "genus":

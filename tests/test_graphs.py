@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (brute_class_subsets, brute_is_homomorphic, nx_in_class,
                       reference_clique_sets, reference_cycle_sets,
@@ -13,8 +15,8 @@ from hompoly import (Graph, class_edge_subsets, hom_to_single_edge, is_homomorph
                      recognize, topo)
 from hompoly.errors import BudgetExceededError
 from hompoly.graphs import (CLIQUE, CYCLE, OUTERPLANAR, PLANAR, TREE,
-                            all_edges, class_edge_masks, genus_class,
-                            subset_in_class)
+                            _two_colourable, all_edges, bits, class_edge_masks,
+                            genus_class, reach, subset_in_class)
 
 K2 = Graph.single_edge()
 
@@ -167,6 +169,25 @@ def test_recognize_with_isolated_vertices_matches_networkx():
                                       "planar", "genus(0)"}
 
 
+def _graphs_up_to(n_max):
+    """Random graphs on 0..n_max vertices, edgeless ones and ones with
+    isolated vertices included."""
+    return st.integers(0, n_max).flatmap(
+        lambda n: st.lists(st.sampled_from(all_edges(n)), unique=True).map(
+            lambda es: Graph.make(n, es)) if n > 1 else st.just(Graph.empty(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graphs_up_to(10))
+@example(Graph.empty(4))
+@example(Graph.make(7, [(0, 1), (1, 2), (2, 3), (0, 3)]))  # C4 and three isolated
+@example(Graph.make(10, [(i, j) for i in range(5) for j in range(i + 1, 5)]))  # K5
+@example(Graph.make(10, [(i, 5 + j) for i in range(3) for j in range(3)]))  # K3,3
+def test_recognize_agrees_with_networkx_up_to_ten_vertices(g):
+    for cls in (CYCLE, TREE, OUTERPLANAR, PLANAR):
+        assert recognize(g, cls) == nx_in_class(g.n, sorted(g.edges), cls.kind), cls
+
+
 def _brute_adjacency(g):
     return tuple(tuple(sorted(w for e in g.edges if v in e for w in e if w != v))
                  for v in range(g.n))
@@ -184,32 +205,82 @@ def _brute_components(g):
     return tuple(dict.fromkeys(reach(v) for v in range(g.n)))
 
 
+def _brute_nbrs(g):
+    return tuple(sum(1 << w for e in g.edges if v in e for w in e if w != v)
+                 for v in range(g.n))
+
+
+def _random_graph(rng, n, density=0.3):
+    return Graph.make(n, [e for e in all_edges(n) if rng.random() < density])
+
+
 def test_adjacency_and_components_are_computed_once():
     rng = random.Random(15)
     for _ in range(200):
         n = rng.randint(0, 8)
-        g = Graph.make(n, [e for e in all_edges(n) if rng.random() < 0.3])
+        g = _random_graph(rng, n)
+        assert g.nbrs is g.nbrs and g.nbrs == _brute_nbrs(g)
         assert g.adjacency is g.adjacency and g.components is g.components
         assert g.adjacency == _brute_adjacency(g)
         assert g.components == _brute_components(g)
         assert [g.degree(v) for v in range(n)] == list(map(len, _brute_adjacency(g)))
         fresh = Graph.make(n, g.edges)
+        assert "adjacency" not in vars(fresh) and "nbrs" not in vars(fresh)
+        assert fresh.nbrs == g.nbrs and "nbrs" in vars(fresh)
         assert "adjacency" not in vars(fresh)
         assert fresh == g and hash(fresh) == hash(g) and {g: n}[fresh] == n
 
 
+def test_reach_is_the_component_of_its_seed():
+    rng = random.Random(16)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        g = _random_graph(rng, n, rng.random() * 0.5)
+        for v in range(n):
+            comp = next(c for c in _brute_components(g) if v in c)
+            assert reach(g.nbrs, v) == sum(1 << w for w in comp)
+        mask = rng.getrandbits(n)
+        assert bits(mask) == [i for i in range(n) if mask >> i & 1]
+
+
+def test_two_colourable_matches_every_two_colouring():
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(0, 8)
+        g = _random_graph(rng, n, rng.random() * 0.6)
+        got = _two_colourable(g.nbrs)
+        assert got == brute_is_homomorphic(g, K2), sorted(g.edges)
+        seen.add(got)
+    assert seen == {True, False}
+
+
+def test_class_checks_and_hom_certificates_build_no_tuples():
+    # recognize and is_homomorphic, certificates and search alike, read only
+    # the neighbour masks: no adjacency, no components
+    rng = random.Random(18)
+    for _ in range(200):
+        g = _random_graph(rng, rng.randint(0, 8), rng.random())
+        for cls in (CYCLE, CLIQUE, TREE, OUTERPLANAR):
+            recognize(g, cls)
+        is_homomorphic(g, Graph.complete(3))
+        assert "adjacency" not in vars(g) and "components" not in vars(g)
+
+
 def test_planarity_tests_leave_the_cached_adjacency_alone():
-    # each graph reaches a peel, which mutates its own copy of the adjacency
+    # each graph reaches a peel, which mutates its own copy of the neighbour
+    # masks
     wheel = Graph.make(8, [(i, (i + 1) % 6) for i in range(6)] +
                        [(6, i) for i in range(6)])
     double_apex = Graph.make(7, [(i, (i + 1) % 5) for i in range(5)] +
                              [(a, i) for a in (5, 6) for i in range(5)])
     for g in (wheel, double_apex, Graph.complete_bipartite(2, 3),
               Graph.complete_bipartite(3, 3)):
-        adjacency = g.adjacency
+        adjacency, nbrs = g.adjacency, g.nbrs
         topo.is_planar(g)
         topo.is_outerplanar(g)
         assert g.adjacency is adjacency and adjacency == _brute_adjacency(g)
+        assert g.nbrs is nbrs and nbrs == _brute_nbrs(g)
 
 
 def collect(n, cls):

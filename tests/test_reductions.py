@@ -8,13 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import poly_term_edge_sets, reference_contract_enforced_edge, to_nx
+from conftest import (brute_is_homomorphic, nx_in_class, poly_term_edge_sets,
+                      reference_contract_enforced_edge, to_nx)
 from hompoly import (CLIQUE, CYCLE, OUTERPLANAR, PLANAR, TREE, Graph,
                      classify, contract_enforced_edge, deny_edges,
                      enforce_edges, hom_poly, oracle_matching, oracle_uhc,
                      reduce_cliques_vac0, reduce_cycles, reduce_genus,
                      reduce_outerplanar, reduce_planar, reduce_trees)
-from hompoly import gadgets, reductions, topo
+from hompoly import gadgets, recognize, reductions, topo
 from hompoly.errors import BudgetExceededError, PipelineIntegrityError
 from hompoly.gadgets import genus_block
 from hompoly.graphs import genus_class
@@ -501,3 +502,28 @@ def test_report_json_shape():
     assert obj["equal"] is True
     assert "wall_time_ms" not in obj
     assert "wall_time_ms" in r.to_json_obj(include_timing=True)
+
+
+@pytest.mark.parametrize("gadget,cls,h", [
+    pytest.param(gadgets.star_gadget(7), OUTERPLANAR, K3, id="star-n7-K3"),
+    pytest.param(gadgets.buddy_transform(gadgets.star_gadget(6)), OUTERPLANAR, K2,
+                 id="buddy-n6-K2"),
+    pytest.param(gadgets.planar_gadget(6), PLANAR, None, id="planar-m6"),
+])
+def test_budget_survivors_are_the_combinations_the_brute_filter_keeps(gadget, cls, h):
+    # the gadgets and targets of the outerplanar-star and planar-permutation
+    # lemmas; every candidate is checked with networkx, every class member
+    # against H by trying all vertex maps
+    n, base = gadget.graph.n, sorted(gadget.enforced)
+    pick = gadget.budget - len(base)
+    want, candidates = [], 0
+    for combo in itertools.combinations(sorted(gadget.free_edges()), pick):
+        candidates += 1
+        es = base + list(combo)
+        if nx_in_class(n, es, cls.kind) and (
+                h is None or brute_is_homomorphic(Graph.make(n, es), h)):
+            want.append(frozenset(es))
+    got = reductions.budget_survivors(n, gadget.enforced, gadget.free_edges(), pick,
+                                      lambda g: recognize(g, cls), h)
+    assert got == want
+    assert 0 < len(want) < candidates

@@ -220,7 +220,7 @@ DIAMOND = Graph.make(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])  # base 1-2
 
 def _peel(g):
     """The peel alone, without the edge counts in front of it."""
-    return topo._peel_outerplanar(list(map(set, g.adjacency)), set(range(g.n)))
+    return topo._peel_outerplanar(list(g.nbrs))
 
 
 def _join(g, apexes):
