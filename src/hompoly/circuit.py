@@ -15,14 +15,14 @@ interned for one call) to ints, with one common int denominator, and only
 the output becomes a Polynomial.  An add gate sums its inputs in one pass
 over the lcm of their denominators; a mul by a constant scales the ints,
 and any other mul expands over monomial ids.  The bound oracle is converted
-once per call, and an oracle gate takes one of two paths by its inputs:
-  - every input is an int times its own variable, or zero (the
-    interpolation copies): each term's coefficient is multiplied by
-    s^popcount(mask & class_s) for each scalar s, where mask holds the
-    term's variables and class_s the variables scaled by s;
-  - anything else: the inputs become Polynomials and Polynomial.substitute
-    rewrites the oracle (single terms such as constants and other
-    variables are merged into each monomial, sums are expanded).
+once per call, and each oracle rewrite has one home:
+  - every input is zero or, in a multilinear oracle, an int times its own
+    variable (the interpolation copies): each term's coefficient is
+    multiplied by s^popcount(mask & class_s) for each scalar s, where mask
+    holds the term's variables and class_s the variables scaled by s;
+  - anything else, a non-multilinear oracle at scaled variables included:
+    Polynomial.substitute rewrites the oracle at the inputs, merging single
+    terms into each monomial and expanding sums.
 """
 
 from __future__ import annotations
@@ -244,28 +244,25 @@ def _product(mons: _Monomials, a: tuple, b: tuple) -> tuple:
 class _BoundOracle:
     """The oracle polynomial over its variables, converted once per
     evaluation into parallel lists, one entry per term: its monomial id,
-    its numerator over self.den, the bit mask of its oracle variables, and
-    its (index, exponent) pairs when one exponent is above 1, else None."""
+    its numerator over self.den and the bit mask of its oracle variables;
+    flat says that the oracle is multilinear in those variables."""
 
     def __init__(self, p: Polynomial, vars: tuple, mons: _Monomials):
         self.poly, self.vars, self.mons = p, vars, mons
         pos = {v: i for i, v in enumerate(vars)}
         self.own = [mons.id(((v, 1),)) for v in vars]
         self.den = den = lcm(*(cf.denominator for _, cf in p.terms()))
-        self.ids, self.nums, self.masks, self.exps = [], [], [], []
+        self.flat = p.is_multilinear(vars)
+        self.ids, self.nums, self.masks = [], [], []
         for m, cf in p.terms():
-            mask, flat = 0, True
-            for v, e in m:
+            mask = 0
+            for v, _ in m:
                 i = pos.get(v)
                 if i is not None:
                     mask |= 1 << i
-                    flat = flat and e == 1
-            exps = None if flat else tuple((pos[v], e) for v, e in m if v in pos)
             self.ids.append(mons.id(m))
             self.nums.append(cf.numerator * (den // cf.denominator))
             self.masks.append(mask)
-            self.exps.append(exps)
-        self.nonflat = [(k, exps) for k, exps in enumerate(self.exps) if exps]
 
     def call(self, inputs: list) -> tuple:
         """The oracle at these input values."""
@@ -273,7 +270,7 @@ class _BoundOracle:
         for (t, d), own in zip(inputs, self.own):
             if not t:
                 scalars.append(0)
-            elif d == 1 and len(t) == 1 and own in t:
+            elif self.flat and d == 1 and len(t) == 1 and own in t:
                 scalars.append(t[own])
             else:
                 mons = self.mons
@@ -286,7 +283,7 @@ class _BoundOracle:
     def _coefficients(self, scalars: list) -> list:
         """Each term's numerator when input i is scalars[i] times its own
         variable; 0 for a term that a zero input kills.  The inputs with one
-        scalar s form a class, and a multilinear term gains the factor
+        scalar s form a class, and a term gains the factor
         s^popcount(mask & class) in one pass over the terms per class."""
         classes: dict[int, int] = {}
         for i, s in enumerate(scalars):
@@ -299,14 +296,6 @@ class _BoundOracle:
             coefs = [n * pw[(m & cls).bit_count()] for n, m in zip(coefs, masks)]
         if dead:
             coefs = [0 if m & dead else n for n, m in zip(coefs, masks)]
-        if self.nonflat:
-            coefs = list(coefs)
-            for k, exps in self.nonflat:
-                if not masks[k] & dead:
-                    n = self.nums[k]
-                    for i, e in exps:
-                        n *= scalars[i] ** e
-                    coefs[k] = n
         return coefs
 
 

@@ -225,48 +225,26 @@ class Polynomial:
         """Simultaneous substitution; unmapped variables are unchanged.
 
         Values may be VarIds (relabeling), numbers, or Polynomials.  When
-        every value is a scalar multiple of its own variable, or zero, each
-        surviving monomial is kept as it is and only its coefficient is
-        multiplied.  Other single-term values are merged into each monomial,
-        which is re-sorted; general polynomials fall back to product
-        expansion.
+        every value has at most one term (a constant, zero, another
+        variable, or a multiple of a monomial such as its own variable),
+        each value is merged into each monomial, which is re-sorted, and
+        the terms keep their order up to merged duplicates.  Otherwise
+        every term is expanded as a product.
         """
         norm: dict[VarId, Polynomial] = {}
-        simple: dict[VarId, tuple[Monomial, Coeff]] = {}
-        all_simple = in_place = True
         for v, val in mapping.items():
             if isinstance(val, Polynomial):
-                p = val
+                norm[v] = val
             elif isinstance(val, tuple):  # VarId
-                p = Polynomial.variable(val)
+                norm[v] = Polynomial.variable(val)
             elif isinstance(val, (int, Fraction)):
-                p = Polynomial.constant(val)
+                norm[v] = Polynomial.constant(val)
             else:
                 raise TypeError(f"cannot substitute value of type {type(val)}")
-            norm[v] = p
-            if len(p._terms) <= 1:
-                m, c = next(iter(p._terms.items()), ((), 0))
-                simple[v] = (m, c)
-                if c and m != ((v, 1),):
-                    in_place = False
-            else:
-                all_simple = False
 
-        if all_simple and in_place:
-            scale_of = {v: c for v, (_, c) in simple.items()}
+        if all(len(p._terms) <= 1 for p in norm.values()):
+            simple = {v: next(iter(p._terms.items()), ((), 0)) for v, p in norm.items()}
             out: dict[Monomial, Coeff] = {}
-            for m, c in self._terms.items():
-                for v, e in m:
-                    if v in scale_of:
-                        c *= scale_of[v] ** e
-                        if not c:
-                            break
-                if c:
-                    out[m] = c
-            return Polynomial(out)
-
-        if all_simple:
-            out = {}
             for m, c in self._terms.items():
                 parts: dict[VarId, int] = {}
                 for v, e in m:

@@ -144,6 +144,8 @@ def is_planar(g: Graph) -> bool:
     # what is left has minimum degree 2, so alive is every vertex with an
     # edge, and a deleted vertex's degree 0 is neither k - 1 nor k - 2
     alive = functools.reduce(operator.or_, nbrs, 0)
+    if not alive:
+        return True  # a forest: the peel deleted every vertex
     k = alive.bit_count()
     degree = list(map(int.bit_count, nbrs))
     if k - 1 in degree:

@@ -385,6 +385,44 @@ def test_oracle_inputs_general_sums():
         assert got == p.substitute(dict(zip((x, y), vals)))
 
 
+@pytest.fixture
+def substitute_calls(monkeypatch):
+    """Count the calls of Polynomial.substitute from then on."""
+    calls = []
+    real = Polynomial.substitute
+
+    def counting(self, mapping):
+        calls.append(mapping)
+        return real(self, mapping)
+
+    monkeypatch.setattr(Polynomial, "substitute", counting)
+    return calls
+
+
+def test_oracle_rewrite_routing(substitute_calls):
+    # interpolation copies of a multilinear oracle are rescaled by the
+    # evaluator, the zero scalar at node t_0 included; a non-multilinear
+    # oracle and the contraction's inputs go through Polynomial.substitute
+    x, y, z = MVARS[:3]
+    flat = Polynomial({monomial({x: 1, y: 1}): 3, monomial({y: 1, z: 1}): Fraction(-1, 2),
+                       monomial({x: 1, y: 1, z: 1}): 5, (): 7})
+    powers = Polynomial({monomial({x: 2, y: 1}): 1, monomial({x: 1, z: 3}): Fraction(2, 3),
+                         monomial({y: 1}): -4})
+    once = extract_homc((x, y, z), [x, y], 1, 3)
+    nested = interpolate_homc(extract_homc((x, y, z), [x, y, z], 2, 4), [x], 1, 3)
+    assert eval_symbolic(once, flat) == flat.homogeneous_component([x, y], 1)
+    assert eval_symbolic(nested, flat) == \
+        flat.homogeneous_component([x, y, z], 2).homogeneous_component([x], 1)
+    assert substitute_calls == []
+    assert eval_symbolic(extract_homc((x, y, z), [x, y], 1, 4), powers) == \
+        powers.homogeneous_component([x, y], 1)
+    assert substitute_calls
+    for mapping in ({x: y}, {x: y, z: 0}, {z: 1, y: aux_var("u")}):
+        substitute_calls.clear()
+        eval_symbolic(substitute_vars(once, mapping), flat)
+        assert substitute_calls
+
+
 @st.composite
 def multilinear_oracles(draw):
     """A multilinear polynomial over 3-6 of MVARS with int and Fraction

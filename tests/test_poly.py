@@ -162,8 +162,9 @@ COEFFS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
 @st.composite
 def substitutions(draw):
     """A mapping over part of VARS; each value is a scalar multiple of its
-    own variable (zero included), a constant or a relabel, or, when
-    in_place is drawn, only the first kind."""
+    own variable (zero included), a constant or a relabel.  When in_place
+    is drawn, every value is of the first kind, the shape of the
+    interpolation copies, which substitute merges like any single term."""
     in_place = draw(st.booleans())
     kinds = ["scaled"] if in_place else ["scaled", "constant", "relabel"]
     mapping = {}

@@ -213,6 +213,17 @@ def test_counting_certificates_skip_the_general_test(planarity_calls):
     assert planarity_calls == [6]
 
 
+def test_forests_skip_the_general_test(planarity_calls):
+    # the degree-1 peel deletes every vertex of a forest, which is planar
+    two_trees = Graph.make(14, [(i, i + 1) for i in range(6)] +
+                           [(7, 8 + i) for i in range(6)])
+    for g in (Graph.path(12), Graph.complete_bipartite(1, 11), two_trees):
+        assert len(g.edges) > 8
+        assert is_planar(g)
+    assert len(two_trees.edges) == 12
+    assert planarity_calls == []
+
+
 # -- the degree-2 peel and the dominating-vertex rules ------------------------
 
 DIAMOND = Graph.make(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])  # base 1-2
