@@ -14,7 +14,8 @@ works in exact integers.  Each value is a dict from monomial ids (monomials
 interned for one call) to ints, with one common int denominator, and only
 the output becomes a Polynomial.  An add gate sums its inputs in one pass
 over the lcm of their denominators; a mul by a constant scales the ints,
-and any other mul expands over monomial ids.  The bound oracle is converted
+and any other mul converts both factors and multiplies them as
+Polynomials, like the oracle fallback below.  The bound oracle is converted
 once per call, and each oracle rewrite has one home:
   - every input is zero or, in a multilinear oracle, an int times its own
     variable (the interpolation copies): each term's coefficient is
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .poly import Coeff, Polynomial, VarId, _norm_coeff, monomial_mul
+from .poly import Coeff, Polynomial, VarId, _norm_coeff
 
 # gate encodings:
 #   ('const', Coeff)
@@ -221,8 +222,8 @@ def _sum(values: list) -> tuple:
 
 
 def _product(mons: _Monomials, a: tuple, b: tuple) -> tuple:
-    """a * b: a scaling when either factor is a constant, else the expansion
-    over monomial ids in a's order, then b's."""
+    """a * b: a scaling when either factor is a constant, else
+    Polynomial.__mul__ on both factors."""
     (ta, da), (tb, db) = a, b
     if not ta or not tb:
         return _ZERO
@@ -230,15 +231,7 @@ def _product(mons: _Monomials, a: tuple, b: tuple) -> tuple:
         return _scaled(ta, tb[_ONE]), da * db
     if len(ta) == 1 and _ONE in ta:
         return _scaled(tb, ta[_ONE]), da * db
-    out: dict = {}
-    get, monos = out.get, mons.monos
-    for m1, n1 in ta.items():
-        for m2, n2 in tb.items():
-            m = mons.id(monomial_mul(monos[m1], monos[m2]))
-            out[m] = get(m, 0) + n1 * n2
-    if 0 in out.values():
-        out = {m: n for m, n in out.items() if n}
-    return (out, da * db) if out else _ZERO
+    return _from_poly(mons, _to_poly(mons, a) * _to_poly(mons, b))
 
 
 class _BoundOracle:

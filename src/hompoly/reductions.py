@@ -1,7 +1,7 @@
 """Executable reduction pipelines and the dichotomy classifier.
 
 Each pipeline builds a class generating function over a gadget, applies the
-filtering operations (enforce, deny, homogeneous-component slices, edge
+filtering operations (enforce, homogeneous-component slices, edge
 contraction, exact division) and compares the result against an independent
 brute-force oracle.  Pipelines always run their extraction steps twice:
 once as direct polynomial operations and once through interpolation
@@ -70,11 +70,6 @@ def enforce_edges(p: Polynomial, es) -> Polynomial:
     if not p.is_multilinear(vs):
         raise ValueError("enforce_edges needs multilinearity in the enforced variables")
     return p.homogeneous_component(vs, len(vs))
-
-
-def deny_edges(p: Polynomial, es) -> Polynomial:
-    """Zero out the given edge variables."""
-    return p.substitute({edge_var(*e): 0 for e in es})
 
 
 def divide_integral(p: Polynomial, d, context: str = "") -> Polynomial:

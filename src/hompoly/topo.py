@@ -3,10 +3,6 @@
 Only orientable embeddings are modeled.  A rotation system assigns each
 vertex a cyclic order of its neighbors; tracing the face orbits of the
 induced dart permutation gives the Euler genus via V - E + F = 2 - 2g.
-The certificates and peels below work on a list copy of the graph's
-neighbour masks (Graph.nbrs), deleting a vertex by clearing its bits, and
-get connectivity from graphs.reach; the embedding and genus code reads the
-shared Graph.adjacency tuples and Graph.components.
 
 Class membership is decided by exact certificates first.  is_outerplanar
 uses edge counts, then a peel of vertices of degree <= 2 (Mitchell 1979).
@@ -18,16 +14,19 @@ biconnected block (Hopcroft and Tarjan 1973) by path addition (Demoucron,
 Malgrange and Pertuiset 1964) and traces the merged rotation, so every
 planar verdict it gives is a checked plane embedding.  kuratowski_witness
 deletes edges while the rest stays non-planar, down to a subdivided K5 or
-K3,3.  The rotation search and the minor finder below are independent code
-paths, so the three agree-or-fail cross checks in the test suite are
-meaningful.
+K3,3, and reads its branch sets off.  The certificates, the peels, the
+embedder and the Kuratowski reader all work on neighbour masks (Graph.nbrs,
+or a list per block or per peel), with graphs.reach for connectivity and
+_path for shortest paths.  Only the rotation search, which permutes
+ordered neighbour lists, and the minor finder read adjacency tuples.
 
-The rotation search stops at the first genus-one rotation once a Kuratowski
-subgraph, read as K5 or K3,3 branch sets, has passed the same branch-set
-validation as the minor finder.  The cross checks stay independent: a
-genus-0 verdict is still a rotation found and traced by the search, and a
-genus >= 1 verdict either comes from the exhaustive search or rests on a
-validated minor, never on a planarity bit alone.
+The rotation search and the minor finder are independent code paths, so
+the three agree-or-fail cross checks in the test suite are meaningful.  The
+search stops at the first genus-one rotation once a Kuratowski subgraph,
+read as K5 or K3,3 branch sets, has passed the same branch-set validation
+as the minor finder: a genus-0 verdict is still a rotation found and traced
+by the search, and a genus >= 1 verdict either comes from the exhaustive
+search or rests on a validated minor, never on a planarity bit alone.
 """
 
 from __future__ import annotations
@@ -196,23 +195,24 @@ def is_outerplanar(g: Graph) -> bool:
 
 # -- planar embedding ---------------------------------------------------------
 
-def _blocks(adjacency) -> list[list[tuple]]:
-    """Edge lists of the biconnected components (Hopcroft and Tarjan 1973).
+def _blocks(nbrs) -> list[list[tuple]]:
+    """Edge lists of the biconnected components (Hopcroft and Tarjan 1973)
+    of the graph with neighbour masks nbrs.
 
     An iterative depth-first search keeps the tree and back edges on a
     stack; when a child's low point does not reach above its parent, the
     edges from the tree edge parent-child up are one block.
     """
-    disc = [0] * len(adjacency)  # discovery time, 0 while unvisited
-    low = [0] * len(adjacency)
+    disc = [0] * len(nbrs)  # discovery time, 0 while unvisited
+    low = [0] * len(nbrs)
     blocks = []
     time = 0
-    for root, root_ns in enumerate(adjacency):
+    for root, root_ns in enumerate(nbrs):
         if disc[root] or not root_ns:
             continue
         time += 1
         disc[root] = low[root] = time
-        walk = [(root, -1, iter(root_ns))]
+        walk = [(root, -1, iter(bits(root_ns)))]
         edges = []
         while walk:
             v, parent, it = walk[-1]
@@ -221,7 +221,7 @@ def _blocks(adjacency) -> list[list[tuple]]:
                     edges.append((v, w))
                     time += 1
                     disc[w] = low[w] = time
-                    walk.append((w, v, iter(adjacency[w])))
+                    walk.append((w, v, iter(bits(nbrs[w]))))
                     break
                 if w != parent and disc[w] < disc[v]:
                     edges.append((v, w))
@@ -239,104 +239,83 @@ def _blocks(adjacency) -> list[list[tuple]]:
     return blocks
 
 
-def _fragments(adj: dict, placed: set, rest: dict):
-    """The fragments of a block left over by its drawn part, as pairs
-    (attachments, inner vertices).  rest maps each vertex to its neighbours
-    across undrawn edges.  A chord between drawn vertices has no inner
-    vertex; any other fragment is a component of the undrawn vertices,
-    attached by its edges to the drawn ones."""
-    for v in placed:
-        for w in rest[v]:
-            if v < w and w in placed:
-                yield (v, w), ()
-    seen = set()
-    for s in adj:
-        if s in placed or s in seen:
-            continue
-        seen.add(s)
-        comp = [s]
-        att = set()
-        for x in comp:
-            for y in adj[x]:
-                if y in placed:
-                    att.add(y)
-                elif y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-        yield att, comp
+def _path(nbrs, first: int, through: int, goal: int) -> list | None:
+    """A shortest path first, ..., x with at least one edge, ending at a
+    vertex x of the mask goal, with every other vertex in the mask through
+    (first included), or None.  The breadth-first search keeps one mask per
+    distance from first and walks the path back through them."""
+    seen = 1 << first
+    layers = [seen]
+    while True:
+        ahead = 0
+        for v in bits(layers[-1]):
+            ahead |= nbrs[v]
+        hit = ahead & goal
+        if hit:
+            break
+        ahead &= through & ~seen
+        if not ahead:
+            return None
+        seen |= ahead
+        layers.append(ahead)
+    path = [(hit & -hit).bit_length() - 1]
+    for layer in reversed(layers):
+        back = nbrs[path[-1]] & layer
+        path.append((back & -back).bit_length() - 1)
+    return path[::-1]
 
 
-def _fragment_path(adj: dict, placed: set, att, inner) -> list:
-    """A path through the fragment between two of its attachments."""
-    if not inner:
-        return list(att)
-    inner = set(inner)
-    a = next(iter(att))
-    start = next(x for x in adj[a] if x in inner)
-    prev = {start: None}
-    queue = [start]
-    for x in queue:
-        b = next((y for y in adj[x] if y in placed and y != a), None)
-        if b is not None:
-            path = [b]
-            while x is not None:
-                path.append(x)
-                x = prev[x]
-            path.append(a)
-            return path
-        for y in adj[x]:
-            if y in inner and y not in prev:
-                prev[y] = x
-                queue.append(y)
-    raise AssertionError("a fragment of a biconnected block has one attachment")
-
-
-def _embed_block(adj: dict) -> list | None:
+def _embed_block(nbrs: list) -> list | None:
     """Faces of a plane embedding of a biconnected block that has a cycle,
-    or None if the block is not planar.
+    or None if the block is not planar; nbrs[v] is the mask of v's
+    neighbours in the block, 0 off it.
 
     Path addition (Demoucron, Malgrange and Pertuiset 1964): a cycle is
-    drawn first, as two faces.  While edges are left, each fragment of the
-    undrawn part (see _fragments) is matched with the faces that hold all of
-    its attachments.  A fragment with no such face proves the block
-    non-planar.  Otherwise a fragment with the fewest such faces has a path
-    between two attachments drawn across the first of them, which splits
-    that face in two; DMP showed this choice never blocks the embedding of a
-    planar block.  adj maps each vertex to its neighbours in the block.
-    Each face is a list of vertices, oriented so that every edge is walked
-    once in each direction.
+    drawn first, as two faces.  While edges are left, each fragment (an
+    undrawn chord between drawn vertices, or a graphs.reach component of the
+    undrawn vertices with its attachments) is matched with the faces that
+    hold all of its attachments; none proves the block non-planar.  A
+    fragment with the fewest such faces has a _path between two attachments
+    drawn across the first of them, splitting it in two; DMP showed this
+    never blocks the embedding of a planar block.  The drawn vertices, the
+    undrawn edges and the faces' vertex sets are masks.  Each face is a list
+    of vertices, oriented so that every edge is walked once each way.
     """
-    s = next(iter(adj))
-    t = adj[s][0]
-    # a path from s to t that avoids the edge st closes a cycle with it
-    prev = {s: None}
-    queue = [s]
-    for x in queue:
-        for y in adj[x]:
-            if y not in prev and (x, y) != (s, t):
-                prev[y] = x
-                queue.append(y)
-    cycle = []
-    x = t
-    while x is not None:
-        cycle.append(x)
-        x = prev[x]
+    block = functools.reduce(operator.or_, nbrs)
+    left = sum(map(int.bit_count, nbrs)) // 2
+    if left > 3 * block.bit_count() - 6:  # Euler's bound, as in is_planar
+        return None
+    s = (block & -block).bit_length() - 1
+    t = (nbrs[s] & -nbrs[s]).bit_length() - 1
+    # a path from t to another neighbour of s that avoids s closes a cycle
+    cycle = _path(nbrs, t, block & ~(1 << s), nbrs[s] & ~(1 << t)) + [s]
     faces = [cycle, cycle[::-1]]
-    face_sets = [set(cycle), set(cycle)]
-    placed = set(cycle)
-    rest = {v: set(ns) for v, ns in adj.items()}
-    left = sum(map(len, adj.values())) // 2
+    placed = sum(1 << v for v in cycle)
+    held = [placed, placed]  # the vertex mask of each face
+    rest = list(nbrs)  # the undrawn edges
     path = cycle + cycle[:1]
     while True:
         for u, w in zip(path, path[1:]):
-            rest[u].discard(w)
-            rest[w].discard(u)
+            rest[u] &= ~(1 << w)
+            rest[w] &= ~(1 << u)
         left -= len(path) - 1
         if not left:
             return faces
+        fragments = [(1 << v | 1 << w, 0) for v, ns in enumerate(rest)
+                     if ns & placed and placed >> v & 1 for w in bits(ns & placed) if v < w]
+        free = block & ~placed
+        if free:
+            inside = [ns & free for ns in nbrs]  # the edges between undrawn vertices
+        while free:
+            inner = reach(inside, (free & -free).bit_length() - 1)
+            free &= ~inner
+            att = 0
+            for x in bits(inner):
+                att |= nbrs[x]
+            fragments.append((att & placed, inner))
         best = None
-        for att, inner in _fragments(adj, placed, rest):
-            fits = [k for k, fs in enumerate(face_sets) if fs.issuperset(att)]
+        for att, inner in fragments:
+            fits = [k for k, vs in enumerate(held) if not att & ~vs]
             if not fits:
                 return None
             if best is None or len(fits) < len(best[2]):
@@ -344,7 +323,11 @@ def _embed_block(adj: dict) -> list | None:
                 if len(fits) == 1:
                     break
         att, inner, fits = best
-        path = _fragment_path(adj, placed, att, inner)
+        path = bits(att)
+        if inner:  # from the lowest attachment through the fragment
+            start = nbrs[path[0]] & inner
+            path[1:] = _path(nbrs, (start & -start).bit_length() - 1, inner,
+                             placed & ~(1 << path[0]))
         k = fits[0]
         f = faces[k]
         i, j = f.index(path[0]), f.index(path[-1])
@@ -355,51 +338,47 @@ def _embed_block(adj: dict) -> list | None:
             one, other = f[i:] + f[:j + 1], f[j:i + 1]
         faces[k] = one + middle[::-1]
         faces.append(other + middle)
-        face_sets[k] = set(faces[k])
-        face_sets.append(set(faces[-1]))
-        placed.update(middle)
+        held[k] = sum(1 << v for v in faces[k])
+        held.append(sum(1 << v for v in faces[-1]))
+        placed |= held[-1]  # adds the path's inner vertices
 
 
 def planar_rotation(g: Graph) -> RotationSystem | None:
     """A rotation system of a plane embedding of g, or None if g is not
     planar.
 
-    Each block (biconnected component, see _blocks) is embedded by path
-    addition (_embed_block), and a vertex's cyclic order in the block is read
-    off the oriented faces: a face walked a, v, b puts b right after a in v's
-    ring.  At a cut vertex the block rings are concatenated, which places
-    each block in a face of the others and adds their genera, so the result
-    is plane on every component.  Isolated vertices get no entry.  Before it
-    is returned the rotation is traced: each component with edges must have
-    Euler characteristic 2, so every planar verdict is certified.
+    Each block (see _blocks) gets its own neighbour-mask list and, with two
+    or more edges, is embedded by _embed_block.  A vertex's ring in the
+    block is read off the oriented faces from its lowest neighbour on: a
+    face walked a, v, b puts b right after a.  At a cut vertex the block
+    rings are concatenated, which places each block in a face of the others
+    and adds their genera, so the result is plane on every component.
+    Isolated vertices get no entry.  The rotation is traced before it is
+    returned: each component with edges must have Euler characteristic 2,
+    so every planar verdict is certified.
     """
     rings: dict = {}
-    for block in _blocks(g.adjacency):
-        adj: dict = {}
+    for block in _blocks(g.nbrs):
+        nbrs = [0] * g.n
         for u, w in block:
-            adj.setdefault(u, []).append(w)
-            adj.setdefault(w, []).append(u)
-        if len(block) == 1:
-            for v, ns in adj.items():
-                rings.setdefault(v, []).extend(ns)
-            continue
-        if len(block) > 3 * len(adj) - 6:  # Euler's bound, as in is_planar
-            return None
-        faces = _embed_block(adj)
+            nbrs[u] |= 1 << w
+            nbrs[w] |= 1 << u
+        # a bridge is one face, walked once each way
+        faces = _embed_block(nbrs) if len(block) > 1 else block
         if faces is None:
             return None
-        after: dict = {v: {} for v in adj}
+        after: dict = {}  # (v, a) -> the neighbour after a in v's ring
         for f in faces:
             a, v = f[-2], f[-1]
             for b in f:
-                after[v][a] = b
+                after[v, a] = b
                 a, v = v, b
-        for v, ns in adj.items():
+        for v in bits(functools.reduce(operator.or_, nbrs)):
             ring = rings.setdefault(v, [])
-            x = ns[0]
-            for _ in ns:
+            x = (nbrs[v] & -nbrs[v]).bit_length() - 1
+            for _ in range(nbrs[v].bit_count()):
                 ring.append(x)
-                x = after[v][x]
+                x = after[v, x]
     rot = {v: tuple(ring) for v, ring in sorted(rings.items())}
     edged = sum(1 for comp in g.components if len(comp) > 1)
     chi = len(rot) - len(g.edges) + trace_faces(g, rot)
@@ -669,11 +648,7 @@ def kuratowski_witness(g: Graph):
         keep.discard(e)
         if is_planar(Graph(g.n, frozenset(keep))):
             keep.add(e)
-    sub: dict = {}
-    for u, w in sorted(keep):
-        sub.setdefault(u, []).append(w)
-        sub.setdefault(w, []).append(u)
-    witness = _kuratowski_branch_sets(sub)
+    witness = _kuratowski_branch_sets(Graph(g.n, frozenset(keep)).nbrs)
     if witness is None:
         return None
     kind, sets = witness
@@ -684,30 +659,30 @@ def kuratowski_witness(g: Graph):
     return witness
 
 
-def _kuratowski_branch_sets(sub: dict):
-    """Contract a subdivided K5 or K3,3, given as the neighbour lists of its
+def _kuratowski_branch_sets(nbrs):
+    """Contract a subdivided K5 or K3,3, given by the neighbour masks of its
     vertices, onto its branch vertices.
 
     The inner vertices of each subdivided path join the branch set of the end
     the walk started from; K3,3 sets are ordered side by side as in K33.
     """
-    branch = sorted(v for v, ns in sub.items() if len(ns) >= 3)
+    branch = [v for v, ns in enumerate(nbrs) if ns.bit_count() >= 3]
     if len(branch) not in (5, 6):
         return None
     owner = {b: b for b in branch}
     for b in branch:
-        for nb in sub[b]:
+        for nb in bits(nbrs[b]):
             prev, cur = b, nb
             while cur not in owner:
                 owner[cur] = b
-                step = [x for x in sub[cur] if x != prev]
-                if len(step) != 1:
+                step = nbrs[cur] & ~(1 << prev)
+                if step.bit_count() != 1:
                     return None
-                prev, cur = cur, step[0]
+                prev, cur = cur, step.bit_length() - 1
     sets = {b: {v for v, o in owner.items() if o == b} for b in branch}
     if len(branch) == 5:
         return "k5", [sets[b] for b in branch]
-    across = {owner[w] for v in sets[branch[0]] for w in sub[v]} - {branch[0]}
+    across = {owner[w] for v in sets[branch[0]] for w in bits(nbrs[v])} - {branch[0]}
     side = [b for b in branch if b not in across]
     return "k33", [sets[b] for b in side + [b for b in branch if b not in side]]
 

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from conftest import (brute_is_homomorphic, nx_in_class, poly_term_edge_sets,
                       reference_contract_enforced_edge, to_nx)
 from hompoly import (CLIQUE, CYCLE, OUTERPLANAR, PLANAR, TREE, Graph,
-                     classify, contract_enforced_edge, deny_edges,
-                     enforce_edges, hom_poly, oracle_matching, oracle_uhc,
+                     classify, contract_enforced_edge, enforce_edges,
+                     hom_poly, oracle_matching, oracle_uhc,
                      reduce_cliques_vac0, reduce_cycles, reduce_genus,
                      reduce_outerplanar, reduce_planar, reduce_trees)
 from hompoly import gadgets, recognize, reductions, topo
@@ -60,15 +60,6 @@ def test_enforce_commutes_and_filters_idempotently():
     assert both == enforce_edges(enforce_edges(p, a), b)
     assert both == enforce_edges(enforce_edges(p, b), a)
     assert enforce_edges(both, a) == both
-
-
-def test_deny_edges():
-    p = epoly([(0, 1)], [(0, 2)])
-    assert deny_edges(p, [(0, 1)]) == epoly([(0, 2)])
-    assert deny_edges(p, []) == p
-    avoided = deny_edges(oracle_uhc(4), [(2, 3)])
-    assert all((2, 3) not in es for es, _ in poly_term_edge_sets(avoided))
-    assert len(avoided) == 1
 
 
 def test_contract_enforced_edge_on_four_cycles():

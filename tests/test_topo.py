@@ -421,6 +421,83 @@ def test_planar_rotation_certifies_its_embedding(monkeypatch):
         planar_rotation(CUBE)
 
 
+def _bfs_distance(g, first, through, goal):
+    """Reference: edges on a shortest path from first to a vertex of the mask
+    goal whose other vertices are all in the mask through, or None."""
+    dist = {first: 0}
+    queue = [first]
+    for v in queue:
+        for w in g.adjacency[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                if goal >> w & 1:
+                    return dist[w]
+                if through >> w & 1:
+                    queue.append(w)
+    return None
+
+
+def test_path_is_a_shortest_path_through_the_mask():
+    rng = random.Random(7)
+    for _ in range(1500):
+        n = rng.randint(2, 10)
+        g = Graph.make(n, [e for e in all_edges(n) if rng.random() < 0.4])
+        first = rng.randrange(n)
+        through = rng.getrandbits(n) | 1 << first
+        goal = rng.getrandbits(n) & ~(1 << first)
+        path = topo._path(g.nbrs, first, through, goal)
+        expected = _bfs_distance(g, first, through, goal)
+        if expected is None:
+            assert path is None
+            continue
+        assert len(path) - 1 == expected
+        assert path[0] == first and goal >> path[-1] & 1
+        assert all(through >> v & 1 for v in path[:-1])
+        assert all(g.has_edge(u, w) for u, w in zip(path, path[1:]))
+
+
+def _blocks_with_masks(g):
+    """Each block of g with two or more edges, with its neighbour masks."""
+    for block in topo._blocks(g.nbrs):
+        if len(block) > 1:
+            nbrs = [0] * g.n
+            for u, w in block:
+                nbrs[u] |= 1 << w
+                nbrs[w] |= 1 << u
+            yield block, nbrs
+
+
+def _check_block_faces(block, nbrs):
+    faces = topo._embed_block(nbrs)
+    darts = [(f[i - 1], f[i]) for f in faces for i in range(len(f))]
+    assert sorted(darts) == sorted(block + [(w, u) for u, w in block])
+    vertices = len({v for e in block for v in e})
+    assert vertices - len(block) + len(faces) == 2
+
+
+WHEEL = Graph.make(7, list(Graph.cycle(6).edges) + [(v, 6) for v in range(6)])
+
+
+def test_embed_block_faces_walk_each_edge_once_each_way():
+    graphs = [Graph.complete(4), CUBE, WHEEL, BOWTIE]
+    rng = random.Random(1973)
+    while len(graphs) < 300:
+        n = rng.randint(4, 10)
+        g = Graph.make(n, [e for e in all_edges(n) if rng.random() < 0.45])
+        if nx_planar(g.n, sorted(g.edges)):
+            graphs.append(g)
+    for g in graphs:
+        for block, nbrs in _blocks_with_masks(g):
+            _check_block_faces(block, nbrs)
+
+
+def test_embed_block_rejects_kuratowski_blocks():
+    k5_subdivided = Graph.make(6, [e for e in K5.edges if e != (0, 1)]
+                               + [(0, 5), (1, 5)])
+    for g in (K5, K33, k5_subdivided):
+        assert topo._embed_block(list(g.nbrs)) is None
+
+
 def test_rotation_json_roundtrip():
     rot = planar_rotation(Graph.complete(4))
     assert rotation_from_json_obj(rotation_to_json_obj(rot)) == rot
