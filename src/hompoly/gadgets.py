@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, all_edges, canonical_edge
+from .graphs import Graph, all_edges, canonical_edge, hom_to_single_edge
 
 
 @dataclass(frozen=True)
@@ -271,5 +271,4 @@ def amalgam_chain(k: int, attach_planar: int | None = None,
 def fold_block_to_edge_certificate(gadget: Gadget) -> bool:
     """True iff the (subdivided) chain is bipartite, certifying that every
     subgraph folds onto a single edge."""
-    from .graphs import hom_to_single_edge
     return hom_to_single_edge(gadget.graph)

@@ -272,7 +272,6 @@ def recognize(g: Graph, cls: GraphClass) -> bool:
         return m == v * (v - 1) // 2
     if cls.kind == "tree":
         return m == v - 1
-    from . import topo
     if cls.kind == "outerplanar":
         return topo.is_outerplanar(g)
     if cls.kind == "planar" or cls.kind == "genus" and cls.genus == 0:
@@ -523,3 +522,8 @@ def class_edge_subsets(g: Graph, cls: GraphClass) -> list[frozenset]:
     polynomial builders in genfun read the masks themselves."""
     edges = sorted(g.edges)
     return [mask_edges(mask, edges) for mask in class_edge_masks(g, cls)]
+
+
+# topo imports Graph, bits and reach from this module, so it is imported once
+# they are defined; recognize reads it as a module attribute.
+from . import topo  # noqa: E402

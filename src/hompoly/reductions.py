@@ -25,8 +25,8 @@ from fractions import Fraction
 from . import circuit as circ
 from . import topo
 from .errors import BudgetExceededError, PipelineIntegrityError
-from .gadgets import (amalgam_chain, buddy_transform, end_edges,
-                      genus_block, planar_gadget, star_gadget,
+from .gadgets import (BLOCK_DIAGONALS, amalgam_chain, buddy_transform,
+                      chain_layout, end_edges, genus_block, planar_gadget, star_gadget,
                       subdivide_and_buddy_planar, fold_block_to_edge_certificate)
 from .genfun import (clique_poly, hamiltonian_orders, hom_poly,
                      oracle_matching, oracle_uhc, subsets_to_poly)
@@ -723,7 +723,6 @@ def chain_rotation(k: int, subdivide: bool = False) -> dict:
     is transferred through the subdivision (replace each diagonal endpoint
     by the midpoint), which preserves faces and hence genus.
     """
-    from .gadgets import BLOCK_DIAGONALS, chain_layout
     rot1 = topo.rotation_from_json_obj(_block_certificate()["rotation"])
     edges, vmaps, midpoints, next_id = chain_layout(k, subdivide)
     chain = Graph.make(next_id, edges)

@@ -389,35 +389,26 @@ def planar_rotation(g: Graph) -> RotationSystem | None:
 
 
 def validate_rotation(g: Graph, rot: RotationSystem) -> None:
-    support = {v for v in range(g.n) if g.degree(v) > 0}
-    if set(rot) != support:
+    adj = g.adjacency
+    if set(rot) != {v for v, ns in enumerate(adj) if ns}:
         raise ValueError("rotation system must cover exactly the non-isolated vertices")
     for v, ring in rot.items():
-        if tuple(sorted(ring)) != g.adjacency[v]:
+        if tuple(sorted(ring)) != adj[v]:
             raise ValueError(f"rotation at {v} is not a permutation of its neighbors")
 
 
 def trace_faces(g: Graph, rot: RotationSystem) -> int:
-    """Number of face orbits of the next-dart permutation."""
+    """Number of face orbits of the next-dart permutation: the dart a->v is
+    followed by v->after[v, a], and each orbit's darts are popped once."""
     validate_rotation(g, rot)
-    index = {}
-    for v, ring in rot.items():
-        for i, u in enumerate(ring):
-            index[(v, u)] = i
+    after = {(v, a): b for v, ring in rot.items()
+             for a, b in zip(ring, ring[1:] + ring[:1])}
     faces = 0
-    seen = set()
-    for u in rot:
-        for v in rot[u]:
-            d0 = (u, v)
-            if d0 in seen:
-                continue
-            faces += 1
-            d = d0
-            while d not in seen:
-                seen.add(d)
-                du, dv = d
-                ring = rot[dv]
-                d = (dv, ring[(index[(dv, du)] + 1) % len(ring)])
+    while after:
+        (v, a), b = after.popitem()
+        while (b, v) in after:
+            v, b = b, after.pop((b, v))
+        faces += 1
     return faces
 
 
@@ -445,21 +436,17 @@ def genus_of_rotation(g: Graph, rot: RotationSystem) -> int:
 
 
 def _rotation_choices(g: Graph):
-    """Per-vertex cyclic-order representatives.
-
-    Cyclic rotations are quotiented by pinning the first neighbor; the global
-    reflection symmetry is quotiented at the first vertex of degree >= 3.
+    """Per-vertex cyclic orders, pinned at the first neighbor, which leaves
+    one order below degree 3; the global reflection symmetry is quotiented
+    at the first vertex of degree >= 3.
     """
     choices = []
     reflection_done = False
     for v, ns in enumerate(g.adjacency):
         if not ns:
             continue
-        if len(ns) <= 2:
-            choices.append((v, [ns]))
-            continue
         perms = [(ns[0],) + p for p in itertools.permutations(ns[1:])]
-        if not reflection_done:
+        if not reflection_done and len(ns) >= 3:
             perms = [p for p in perms if p[1] < p[-1]]
             reflection_done = True
         choices.append((v, perms))

@@ -3,7 +3,11 @@
 import functools
 import itertools
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import networkx as nx
 import pytest
@@ -110,6 +114,45 @@ def test_rotation_search_space_closed_form_on_the_sweep_graphs():
     assert spaces == {name: _enumerated_space(g)
                       for name, g in cli_sweep.GENUS_GRAPHS.items()}
     assert spaces["block"] == 10368 and spaces["K6"] == 95551488
+
+
+def _index_walk_faces(rot) -> int:
+    """Reference: the face walk over a ring-position index and a seen set."""
+    index = {(v, u): i for v, ring in rot.items() for i, u in enumerate(ring)}
+    faces, seen = 0, set()
+    for u in rot:
+        for v in rot[u]:
+            if (u, v) in seen:
+                continue
+            faces += 1
+            d = (u, v)
+            while d not in seen:
+                seen.add(d)
+                du, dv = d
+                ring = rot[dv]
+                d = (dv, ring[(index[(dv, du)] + 1) % len(ring)])
+    return faces
+
+
+def _random_graph(rng: random.Random) -> Graph:
+    n = rng.randint(1, 7)
+    p = rng.random()
+    return Graph.make(n, [e for e in itertools.combinations(range(n), 2)
+                          if rng.random() < p])
+
+
+def test_face_walk_matches_the_index_walk():
+    # shuffled rings, so no ring starts at its least neighbour as the
+    # search's pinned orders do; up to 100 draws, one per ring tuple
+    rng = random.Random(2014)
+    named = [Graph.complete(4), K5, K33, genus_block().graph, Graph.path(5),
+             Graph.cycle(6), Graph.make(8, K5.edges)]
+    for g in named + [_random_graph(rng) for _ in range(300)]:
+        for _ in range(min(100, math.prod(math.factorial(len(ns))
+                                          for ns in g.adjacency))):
+            rot = {v: tuple(rng.sample(ns, len(ns)))
+                   for v, ns in enumerate(g.adjacency) if ns}
+            assert trace_faces(g, rot) == _index_walk_faces(rot), (g, rot)
 
 
 def test_rotation_validation():
@@ -610,3 +653,19 @@ def test_isolated_vertices_add_nothing_to_the_genus():
                  lambda: genus_of_rotation(two_edges, {v: (v ^ 1,) for v in range(4)})):
         with pytest.raises(ValueError, match="exactly one component with edges"):
             call()
+
+
+@pytest.mark.parametrize("first", ["import hompoly.topo", "import hompoly.graphs",
+                                   "from hompoly.graphs import recognize"])
+def test_graphs_and_topo_import_in_any_order(first):
+    # graphs imports topo at its end, and topo imports Graph from graphs
+    check = (f"{first}\n"
+             "from hompoly.graphs import OUTERPLANAR, PLANAR, Graph, recognize\n"
+             "assert recognize(Graph.complete(4), PLANAR)\n"
+             "assert not recognize(Graph.complete(5), OUTERPLANAR)\n")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-c", check],
+                       env={**os.environ, "PYTHONPATH": path},
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
