@@ -33,6 +33,15 @@ TARGETS = {
 }
 
 
+def _target(name: str) -> str:
+    """A --target id; unlike argparse's choices, the same message on every Python."""
+    if name not in TARGETS:
+        choices = ", ".join(map(repr, sorted(TARGETS)))
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {choices})")
+    return name
+
+
 def _load_graph(path: str) -> Graph:
     with open(path) as fh:
         return Graph.from_json_obj(json.load(fh))
@@ -132,7 +141,7 @@ def _report_table(reports) -> str:
 
 
 def cmd_verify(args) -> int:
-    # argparse's choices rejected unknown ids; a repeated id runs once
+    # argparse rejected unknown lemma and target ids; a repeated id runs once
     lemmas = list(dict.fromkeys(args.lemma or LEMMAS))
     read = {key for name in lemmas for key in reductions.LEMMA_SIZES[name]}
     read |= {"target"} if "tree-matching" in lemmas else set()
@@ -212,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--target", choices=sorted(TARGETS), help="default: k4")
+    p.add_argument("--target", type=_target,
+                   metavar="{" + ",".join(sorted(TARGETS)) + "}", help="default: k4")
     p.add_argument("--h-file", default=None, help="graph JSON for H")
     p.add_argument("--timings", action="store_true",
                    help="include wall times in the report file")

@@ -70,6 +70,14 @@ class Graph:
             raise ValueError("duplicate role labels")
         return cls(n, es, ls, lab)
 
+    @classmethod
+    def with_nbrs(cls, n: int, edges: frozenset, nbrs) -> "Graph":
+        """Graph(n, edges) holding nbrs as its masks; the caller vouches that
+        edges are canonical and that nbrs are the masks Graph.nbrs builds."""
+        g = cls(n, edges)
+        g.__dict__["nbrs"] = nbrs
+        return g
+
     # -- stock graphs ----------------------------------------------------
 
     @classmethod

@@ -220,12 +220,18 @@ def budget_survivors(nvert: int, enforced, free, pick: int, class_check,
 
     Equivalent to enforcing the given edges and slicing the class generating
     function at the total edge budget, computed without materializing the
-    unrestricted polynomial; gadget edges are canonical, so no Graph.make.
+    unrestricted polynomial.  Gadget edges are canonical, so each candidate is
+    made by Graph.with_nbrs from a copy of the enforced masks plus its picks.
     """
-    base = sorted(enforced)
+    base = Graph(nvert, frozenset(enforced))
+    masks = list(base.nbrs)
     out = []
     for combo in itertools.combinations(sorted(free), pick):
-        g = Graph(nvert, frozenset(base + list(combo)))
+        nbrs = masks.copy()
+        for a, b in combo:
+            nbrs[a] |= 1 << b
+            nbrs[b] |= 1 << a
+        g = Graph.with_nbrs(nvert, base.edges.union(combo), tuple(nbrs))
         if not class_check(g):
             continue
         if hom_target is not None and not is_homomorphic(g, hom_target):

@@ -14,7 +14,8 @@ import itertools
 import networkx as nx
 import pytest
 
-from hompoly import Graph, VariableModel, class_edge_subsets, reductions, topo
+from hompoly import (Graph, VariableModel, class_edge_subsets, is_homomorphic,
+                     reductions, topo)
 from hompoly.poly import Polynomial, edge_var, vertex_var
 
 
@@ -206,6 +207,18 @@ def reference_hom_subsets(h: Graph, n: int, cls):
     by brute_is_homomorphic once per subset."""
     return [es for es in class_edge_subsets(Graph.complete(n), cls)
             if brute_is_homomorphic(Graph.make(n, es), h)]
+
+
+def reference_budget_survivors(nvert: int, enforced, free, pick: int, class_check,
+                               hom_target: Graph | None = None) -> list[frozenset]:
+    """reductions.budget_survivors as one loop over the combinations, each
+    candidate built afresh by Graph.make from all of its edges."""
+    out = []
+    for combo in itertools.combinations(sorted(free), pick):
+        g = Graph.make(nvert, list(enforced) + list(combo))
+        if class_check(g) and (hom_target is None or is_homomorphic(g, hom_target)):
+            out.append(g.edges)
+    return out
 
 
 def brute_perfect_matchings(g: Graph):

@@ -15,7 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hompoly import CYCLE, OUTERPLANAR, TREE, Graph, VariableModel, hom_poly
+from hompoly import cli
 from hompoly.cli import LEMMAS, _dump_poly, build_parser, main
+from hompoly.errors import PipelineIntegrityError
 from hompoly.reductions import LEMMA_SIZES
 from hompoly.graphs import SHAPE_KINDS
 from hompoly.poly import Polynomial, edge_var, loop_var, monomial, vertex_var
@@ -154,6 +156,29 @@ def test_bad_input_exits_2(graph_files, tmp_path, capsys):
 def test_unknown_lemma_rejected(capsys):
     assert main(["verify", "--lemma", "no-such-lemma"]) == 2
     capsys.readouterr()
+
+
+def test_unknown_target_message_is_the_clis_own(capsys):
+    # the same bytes on every Python, whatever argparse's choice formatting
+    assert main(["verify", "--lemma", "tree-matching", "--target", "k5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "[--target {c4,c6,c8,k33,k4,k6}]" in err
+    assert err.endswith(
+        "hompoly verify: error: argument --target: invalid choice: 'k5' "
+        "(choose from 'c4', 'c6', 'c8', 'k33', 'k4', 'k6')\n")
+
+
+def test_pipeline_integrity_failure_exits_1(monkeypatch, capsys):
+    def broken(lemma, args):
+        raise PipelineIntegrityError(f"{lemma}: circuit and direct slices differ")
+
+    monkeypatch.setattr(cli, "_run_lemma", broken)
+    assert main(["verify", "--lemma", "genus-block"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("pipeline integrity failure: genus-block: circuit and direct "
+                   "slices differ\n")
 
 
 @pytest.mark.parametrize("argv", [

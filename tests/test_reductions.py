@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 
 import networkx as nx
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (brute_is_homomorphic, nx_in_class, poly_term_edge_sets,
-                      reference_contract_enforced_edge, to_nx)
+                      reference_budget_survivors, reference_contract_enforced_edge,
+                      to_nx)
 from hompoly import (CLIQUE, CYCLE, OUTERPLANAR, PLANAR, TREE, Graph,
                      classify, contract_enforced_edge, enforce_edges,
                      hom_poly, oracle_matching, oracle_uhc,
@@ -518,3 +520,65 @@ def test_budget_survivors_are_the_combinations_the_brute_filter_keeps(gadget, cl
                                       lambda g: recognize(g, cls), h)
     assert got == want
     assert 0 < len(want) < candidates
+
+
+def _mask_checked(class_check, seen: list):
+    """class_check, first asserting that the candidate's masks are the ones
+    Graph.nbrs builds from its edges; each candidate is appended to seen."""
+    def check(g: Graph) -> bool:
+        assert g.nbrs == Graph(g.n, g.edges).nbrs
+        seen.append(g.edges)
+        return class_check(g)
+    return check
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda: reduce_outerplanar(K3, 7), id="star-n7-K3"),
+    pytest.param(lambda: reduce_outerplanar(K2, 6), id="buddy-n6-K2"),
+    pytest.param(lambda: reduce_planar(K3, 6), id="planar-m6"),
+    pytest.param(lambda: reduce_genus(K3, 2, 5), id="genus-chain-k2-m5"),
+])
+def test_budget_survivors_candidates_carry_their_own_masks(run, monkeypatch):
+    # each pipeline's own gadget, class check and target: every candidate
+    # reaches the class check once, with the masks of its edges, and the
+    # survivors are those of the candidate-by-candidate loop
+    real, calls = reductions.budget_survivors, []
+
+    def checked(nvert, enforced, free, pick, class_check, hom_target=None):
+        seen = []
+        got = real(nvert, enforced, free, pick, _mask_checked(class_check, seen),
+                   hom_target)
+        assert len(seen) == len(set(seen)) == math.comb(len(free), pick)
+        assert got == reference_budget_survivors(nvert, enforced, free, pick,
+                                                 class_check, hom_target)
+        calls.append(len(got))
+        return got
+
+    monkeypatch.setattr(reductions, "budget_survivors", checked)
+    assert run().equal
+    assert calls and all(calls)
+
+
+@st.composite
+def _enforced_free_splits(draw):
+    n = draw(st.integers(2, 6))
+    host = [e for e in itertools.combinations(range(n), 2) if draw(st.booleans())]
+    enforced = frozenset(e for e in host if draw(st.booleans()))
+    free = [e for e in host if e not in enforced]
+    return n, enforced, free, draw(st.integers(0, len(free)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_enforced_free_splits(), st.sampled_from([TREE, CYCLE, OUTERPLANAR, PLANAR]),
+       st.sampled_from([None, K2, K3]))
+def test_budget_survivors_match_the_candidate_loop(split, cls, h):
+    n, enforced, free, pick = split
+    seen = []
+
+    def in_class(g: Graph) -> bool:
+        return recognize(g, cls)
+
+    got = reductions.budget_survivors(n, enforced, free, pick,
+                                      _mask_checked(in_class, seen), h)
+    assert len(seen) == math.comb(len(free), pick)
+    assert got == reference_budget_survivors(n, enforced, free, pick, in_class, h)
