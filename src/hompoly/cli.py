@@ -33,13 +33,16 @@ TARGETS = {
 }
 
 
-def _target(name: str) -> str:
-    """A --target id; unlike argparse's choices, the same message on every Python."""
-    if name not in TARGETS:
-        choices = ", ".join(map(repr, sorted(TARGETS)))
-        raise argparse.ArgumentTypeError(
-            f"invalid choice: {name!r} (choose from {choices})")
-    return name
+def _choice(names) -> dict:
+    """add_argument keywords taking one of names: unlike argparse's choices,
+    the invalid-choice message is the same on every Python."""
+    def check(name: str) -> str:
+        if name not in names:
+            choices = ", ".join(map(repr, names))
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {name!r} (choose from {choices})")
+        return name
+    return {"type": check, "metavar": "{" + ",".join(names) + "}"}
 
 
 def _load_graph(path: str) -> Graph:
@@ -211,25 +214,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph_class")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--model", choices=[m.value for m in VariableModel],
+    p.add_argument("--model", **_choice([m.value for m in VariableModel]),
                    default="edge")
     p.set_defaults(fn=cmd_poly)
 
     p = sub.add_parser("verify", help="run reduction pipelines against oracles")
-    p.add_argument("--lemma", action="append", choices=LEMMAS,
+    p.add_argument("--lemma", action="append", **_choice(LEMMAS),
                    help="lemma id (repeatable); default: all")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--target", type=_target,
-                   metavar="{" + ",".join(sorted(TARGETS)) + "}", help="default: k4")
+    p.add_argument("--target", **_choice(sorted(TARGETS)), help="default: k4")
     p.add_argument("--h-file", default=None, help="graph JSON for H")
     p.add_argument("--timings", action="store_true",
                    help="include wall times in the report file")
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("genus", help="minimum genus by rotation-system search")
+    p = sub.add_parser("genus", help="minimum genus, certified by one edge "
+                                     "deletion or found by rotation-system search")
     p.add_argument("graph_file")
     p.add_argument("--budget", type=int, default=topo.DEFAULT_GENUS_BUDGET,
                    help="largest rotation search space to try; a larger "

@@ -680,11 +680,9 @@ def _block_certificate() -> dict:
     must not mutate it."""
     if not _block_cache:
         g = genus_block().graph
-        planar = topo.is_planar(g)
-        witness = topo.kuratowski_witness(g)
-        genus, rot = topo.min_genus_rotation(g)
+        genus, rot, witness = topo._min_genus_witnessed(g)
         _block_cache.update({
-            "planar": planar,
+            "planar": topo.is_planar(g),
             "minor": None if witness is None else
             {"kind": witness[0], "branch_sets": [sorted(s) for s in witness[1]]},
             "min_genus": genus,
@@ -697,9 +695,10 @@ def _block_certificate() -> dict:
 def block_certificates() -> dict:
     """Non-planarity witness (the validated Kuratowski minor of
     topo.kuratowski_witness, a K3,3 for this block, plus the planarity test)
-    and the minimum-genus certificate for the 8-vertex block: the
-    first rotation of least genus, found by min_genus_rotation, which stops
-    at genus one once a validated Kuratowski minor rules out genus zero.
+    and the minimum-genus certificate for the 8-vertex block: a traced
+    rotation of genus one, built as in topo.min_genus_rotation by putting
+    one edge back into a plane rotation of the block minus that edge.  The
+    one Kuratowski search serves both the minor and the genus lower bound.
     Returns a fresh copy of the per-process certificate."""
     return copy.deepcopy(_block_certificate())
 
@@ -789,13 +788,18 @@ def reduce_genus(h: Graph, k: int, m: int) -> ReductionReport:
         g = gadget.graph
         apex_a, apex_b = g.label("planar-apex-a"), g.label("planar-apex-b")
         mids = list(g.adjacency[apex_a])
-        planar_part_vertices = set(mids) | {apex_a, apex_b}
+        part = sorted(set(mids) | {apex_a, apex_b})
+        part_edges = frozenset(itertools.combinations(part, 2))
+        part_mask = sum(1 << v for v in part)
+        keep = [part_mask if part_mask >> v & 1 else 0 for v in range(g.n)]
 
         def class_check(cand: Graph) -> bool:
             # blocks are enforced and each has genus one; by additivity over
             # the one-vertex amalgams the candidate has genus exactly k iff
-            # its apex portion (the only piece that varies) is planar
-            return topo.is_planar(cand.induced(planar_part_vertices))
+            # its apex portion (the only piece that varies) is planar; the
+            # portion keeps the candidate's vertex numbers, the rest isolated
+            return topo.is_planar(Graph.with_nbrs(
+                g.n, cand.edges & part_edges, tuple(map(int.__and__, cand.nbrs, keep))))
 
         # a 4-clique maps into h only if a triangle does
         survivors = _gadget_survivors(gadget, class_check,

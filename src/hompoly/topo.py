@@ -21,12 +21,16 @@ _path for shortest paths.  Only the rotation search, which permutes
 ordered neighbour lists, and the minor finder read adjacency tuples.
 
 The rotation search and the minor finder are independent code paths, so
-the three agree-or-fail cross checks in the test suite are meaningful.  The
-search stops at the first genus-one rotation once a Kuratowski subgraph,
-read as K5 or K3,3 branch sets, has passed the same branch-set validation
-as the minor finder: a genus-0 verdict is still a rotation found and traced
-by the search, and a genus >= 1 verdict either comes from the exhaustive
-search or rests on a validated minor, never on a planarity bit alone.
+the three agree-or-fail cross checks in the test suite are meaningful.
+min_genus_rotation first looks for a Kuratowski subgraph, read as K5 or
+K3,3 branch sets that pass the same validation as the minor finder's.  With
+one, genus 1 is certified without a search when some G - e is planar: e put
+back into a plane rotation of G - e traces to genus at most 1 (Mohar and
+Thomassen 2001), and the witness rules out 0.  Otherwise the search stops at
+the first genus-one rotation when the witness exists and runs exhaustively
+when it does not.  So a genus-0 verdict is a rotation found and traced by
+the search, and a genus >= 1 verdict comes from the exhaustive search or
+rests on a validated minor, never on a planarity bit alone.
 """
 
 from __future__ import annotations
@@ -481,34 +485,65 @@ def min_genus_rotation(g: Graph, budget: int = DEFAULT_GENUS_BUDGET):
     exactly one component with edges; isolated vertices add nothing to the
     genus and have no entry in the rotation.
 
-    Rotation systems are tried in a fixed order and the first one reaching
-    the minimum is kept.  The search stops on genus 0, and on genus 1 once
-    kuratowski_witness, looked up the first time genus 1 is reached, proves
-    the graph non-planar; without a validated witness it stays exhaustive.
-    Either way the pair is the one the exhaustive search returns.  Raises
-    BudgetExceededError, before any search, when the quotiented search space
-    is larger than budget.
+    Raises BudgetExceededError, before anything else, when the quotiented
+    rotation search space is larger than budget.  A graph with a validated
+    kuratowski_witness (genus >= 1) that one edge deletion makes planar gets
+    genus 1 from that deletion's certificate (_one_edge_rotation), with no
+    search.  Any other graph gets the first rotation of least genus in a
+    fixed search order: the search stops on genus 0, and on genus 1 when the
+    witness exists; without one it stays exhaustive.
     """
+    return _min_genus_witnessed(g, budget)[:2]
+
+
+def _min_genus_witnessed(g: Graph, budget: int = DEFAULT_GENUS_BUDGET):
+    """min_genus_rotation's pair and the kuratowski_witness (or None) it
+    rests on, from one Kuratowski search."""
     _require_one_edge_component(g, "min_genus")
     space = rotation_search_space(g, count_bound(budget))
     if space > budget:
         raise BudgetExceededError(
             f"rotation space {count_text(space, budget)} exceeds budget {budget}")
+    witness = kuratowski_witness(g)
+    rot = _one_edge_rotation(g) if witness is not None else None
+    if rot is not None:
+        return 1, rot, witness
     choices = _rotation_choices(g)
     verts = [v for v, _ in choices]
     best = None
     best_rot = None
-    nonplanar = None
     for combo in itertools.product(*(perms for _, perms in choices)):
         rot = dict(zip(verts, combo))
         genus = genus_of_rotation(g, rot)
         if best is None or genus < best:
             best, best_rot = genus, rot
-        if best == 1 and nonplanar is None:
-            nonplanar = kuratowski_witness(g) is not None
-        if best == 0 or (best == 1 and nonplanar):
+        if best == 0 or (best == 1 and witness is not None):
             break
-    return best, best_rot
+    return best, best_rot, witness
+
+
+def _one_edge_rotation(g: Graph) -> RotationSystem | None:
+    """A traced genus-1 rotation of the non-planar graph g, or None: the
+    plane rotation of the first G - e, for e in canonical order, that is
+    planar, with e put back at the end of both its end vertices' rings.
+
+    Putting one edge into an embedding splits a face or joins two, so the
+    Euler characteristic drops by 0 or 2 and the genus rises by at most 1
+    (Mohar and Thomassen, Graphs on Surfaces, 2001); as g is not planar,
+    any other traced genus is a fault and raises AssertionError.  Both ends
+    of e keep a ring in G - e: e lies in every non-planar block of g, and a
+    block with a cycle has minimum degree 2.
+    """
+    for u, w in sorted(g.edges):
+        rot = planar_rotation(Graph(g.n, g.edges - {(u, w)}))
+        if rot is not None:
+            rot[u] += (w,)
+            rot[w] += (u,)
+            genus = genus_of_rotation(g, rot)
+            if genus != 1:
+                raise AssertionError(f"one-edge insertion gave genus {genus}, not 1")
+            return rot
+    return None
 
 
 # -- minor search -------------------------------------------------------------

@@ -156,6 +156,9 @@ def commands() -> list[tuple]:
     # counts together make a term's degree
     out += [("poly", f"{h}.json", cls, "--n", "6", "--model", "edge-vertex")
             for h in ("K3", "C5") for cls in ("tree", "cycle", "clique")]
+    # unknown ids of the other choice options (exit 2)
+    out += [("verify", "--lemma", "nope"),
+            ("poly", "K3.json", "tree", "--n", "3", "--model", "nope")]
     return out
 
 

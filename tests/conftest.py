@@ -268,15 +268,16 @@ def planarity_calls(monkeypatch):
 
 @pytest.fixture()
 def block_searches(monkeypatch):
-    """Empty the per-process block certificate and count the rotation
-    searches made from then on."""
+    """Empty the per-process block certificate and count the minimum-genus
+    computations made from then on: the calls of topo._min_genus_witnessed,
+    which min_genus_rotation and the block certificate both make."""
     calls = []
-    real = topo.min_genus_rotation
+    real = topo._min_genus_witnessed
 
     def counting(g, budget=topo.DEFAULT_GENUS_BUDGET):
         calls.append(1)
         return real(g, budget=budget)
 
-    monkeypatch.setattr(topo, "min_genus_rotation", counting)
+    monkeypatch.setattr(topo, "_min_genus_witnessed", counting)
     monkeypatch.setattr(reductions, "_block_cache", {})
     return calls

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hompoly import CYCLE, OUTERPLANAR, TREE, Graph, VariableModel, hom_poly
-from hompoly import cli
+from hompoly import cli, topo
 from hompoly.cli import LEMMAS, _dump_poly, build_parser, main
 from hompoly.errors import PipelineIntegrityError
 from hompoly.reductions import LEMMA_SIZES
@@ -169,6 +169,28 @@ def test_unknown_target_message_is_the_clis_own(capsys):
         "(choose from 'c4', 'c6', 'c8', 'k33', 'k4', 'k6')\n")
 
 
+@pytest.mark.parametrize("argv, usage, error", [
+    (["verify", "--lemma", "nope"],
+     "[--lemma {cycles-even,tree-matching,outerplanar-star,planar-permutation,"
+     "genus-block,genus-chain}]",
+     "hompoly verify: error: argument --lemma: invalid choice: 'nope' (choose "
+     "from 'cycles-even', 'tree-matching', 'outerplanar-star', "
+     "'planar-permutation', 'genus-block', 'genus-chain')\n"),
+    (["poly", "K3.json", "tree", "--n", "3", "--model", "nope"],
+     "[--model {edge,edge-vertex}]",
+     "hompoly poly: error: argument --model: invalid choice: 'nope' (choose "
+     "from 'edge', 'edge-vertex')\n"),
+])
+def test_unknown_lemma_and_model_messages_are_the_clis_own(argv, usage, error,
+                                                           capsys):
+    # the choices keep argparse's order, quoting and usage metavar
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert usage in err
+    assert err.endswith(error)
+
+
 def test_pipeline_integrity_failure_exits_1(monkeypatch, capsys):
     def broken(lemma, args):
         raise PipelineIntegrityError(f"{lemma}: circuit and direct slices differ")
@@ -275,7 +297,8 @@ def test_cli_sweep_covers_every_lemma_and_class_kind():
             if isinstance(a, argparse._SubParsersAction))
     assert {a[0] for a in argvs} == set(sub.choices)
     verify = [a for a in argvs if a[0] == "verify" and "--lemma" in a]
-    assert {a[a.index("--lemma") + 1] for a in verify} == set(LEMMAS)
+    # every lemma id, and one unknown id for the invalid-choice message
+    assert {a[a.index("--lemma") + 1] for a in verify} == set(LEMMAS) | {"nope"}
     for lemma in LEMMAS:
         assert {a[a.index("--h-file") + 1] for a in verify if lemma in a} == \
             {f"{h}.json" for h in cli_sweep.TARGETS_H}
@@ -500,6 +523,23 @@ def test_block_certificate_searched_once_per_process(tmp_path, capsys,
     capsys.readouterr()
     assert len(block_searches) == 1
     assert json.loads(out.read_text())["all_equal"] is True
+
+
+def test_genus_block_makes_one_kuratowski_search(capsys, block_searches,
+                                                 monkeypatch):
+    # the witness that fills the report's minor also bounds the genus below
+    calls = []
+    real = topo.kuratowski_witness
+
+    def counting(g):
+        calls.append(1)
+        return real(g)
+
+    monkeypatch.setattr(topo, "kuratowski_witness", counting)
+    assert main(["verify", "--lemma", "genus-block"]) == 0
+    capsys.readouterr()
+    assert len(block_searches) == 1
+    assert len(calls) == 1
 
 
 NO_NETWORKX = """

@@ -11,7 +11,7 @@ import sys
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import find_k33_or_k5_minor, nx_outerplanar, nx_planar, to_nx
@@ -572,6 +572,25 @@ def _relabeled(g: Graph, seed: int) -> Graph:
 SUBDIVIDED_BLOCK = amalgam_chain(1, subdivide=True).graph
 NONPLANAR = ([Graph.complete(5), K33, genus_block().graph, SUBDIVIDED_BLOCK]
              + [_relabeled(genus_block().graph, seed) for seed in range(1, 6)])
+PETERSEN = Graph.make(10, [(i, (i + 1) % 5) for i in range(5)]
+                      + [(i, i + 5) for i in range(5)]
+                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+# genus 2 (additivity over blocks), and no edge leaves a planar rest
+K33_BRIDGE_K33 = Graph.make(12, list(K33.edges) + [(u + 6, w + 6) for u, w in K33.edges]
+                            + [(0, 6)])
+
+
+def _random_nonplanar_graphs():
+    """Connected non-planar graphs whose rotation space is at most 3000."""
+    rng = random.Random(1230)
+    out = []
+    while len(out) < 8:
+        n = rng.randint(6, 8)
+        g = Graph.make(n, [e for e in all_edges(n) if rng.random() < 0.5])
+        if (g.is_connected() and not is_planar(g)
+                and rotation_search_space(g, 3000) <= 3000):
+            out.append(g)
+    return out
 
 
 def _count_genus_calls(monkeypatch):
@@ -586,18 +605,70 @@ def _count_genus_calls(monkeypatch):
     return calls
 
 
-def test_early_stop_matches_exhaustive_search():
-    graphs = NONPLANAR + [g for g in _random_graphs()
-                          if g.edges and g.is_connected()]
+def _certified(g: Graph) -> bool:
+    """Whether min_genus_rotation takes g's genus from the one-edge
+    certificate: a validated Kuratowski witness and a planar G - e."""
+    return (kuratowski_witness(g) is not None
+            and topo._one_edge_rotation(g) is not None)
+
+
+def _check_against_exhaustive_search(g: Graph) -> None:
+    """A certified genus is the exhaustive search's least genus, and its
+    rotation traces to it; any other graph gets the search's own pair."""
+    genus, rot = min_genus_rotation(g)
+    if _certified(g):
+        assert genus == _exhaustive_min_genus_rotation(g)[0] == 1
+        assert genus_of_rotation(g, rot) == genus
+    else:
+        assert (genus, rot) == _exhaustive_min_genus_rotation(g)
+
+
+def test_one_edge_certificate_matches_exhaustive_search():
+    graphs = NONPLANAR + _random_nonplanar_graphs()
+    assert all(_certified(g) for g in graphs)
     for g in graphs:
+        _check_against_exhaustive_search(g)
+
+
+def test_early_stop_matches_exhaustive_search():
+    # graphs the certificate does not cover keep the search's exact pair
+    planar = [g for g in _random_graphs() if g.edges and g.is_connected()]
+    assert all(is_planar(g) for g in planar)
+    uncertified = [PETERSEN, K33_BRIDGE_K33]
+    assert rotation_search_space(PETERSEN) == 512
+    assert not any(_certified(g) for g in planar + uncertified)
+    for g in planar + uncertified:
         assert min_genus_rotation(g) == _exhaustive_min_genus_rotation(g)
+    assert [_exhaustive_min_genus_rotation(g)[0] for g in uncertified] == [1, 2]
+
+
+@given(small_graphs(max_n=7))
+@example(Graph.complete(5))
+@example(K33)
+@example(PETERSEN)
+@settings(max_examples=100, deadline=None)
+def test_min_genus_rotation_matches_exhaustive_search(g):
+    assume(sum(1 for comp in g.components if len(comp) > 1) == 1)
+    assume(rotation_search_space(g, 2000) <= 2000)
+    _check_against_exhaustive_search(g)
+
+
+def test_certificate_of_another_genus_is_refused(monkeypatch):
+    monkeypatch.setattr(topo, "genus_of_rotation", lambda g, rot: 0)
+    with pytest.raises(AssertionError, match="gave genus 0, not 1"):
+        min_genus_rotation(genus_block().graph)
 
 
 def test_early_stop_cuts_the_block_search(monkeypatch):
+    # the certificate replaces the search: one trace, no rotation choices
+    def unbuilt(g):
+        raise AssertionError("rotation choices built for a certified graph")
+
+    monkeypatch.setattr(topo, "_rotation_choices", unbuilt)
     calls = _count_genus_calls(monkeypatch)
-    block = genus_block().graph
-    assert min_genus_rotation(block)[0] == 1
-    assert 0 < len(calls) < rotation_search_space(block)
+    for g in NONPLANAR:
+        assert min_genus_rotation(g)[0] == 1
+    assert len(calls) == len(NONPLANAR)
 
 
 def test_kuratowski_witness_is_validated():
