@@ -8,7 +8,7 @@ oracles at desk scale.
 from .errors import BudgetExceededError, PipelineIntegrityError
 from .graphs import (CYCLE, CLIQUE, OUTERPLANAR, PLANAR, TREE, Graph,
                      GraphClass, genus_class, is_homomorphic,
-                     hom_to_single_edge, recognize, class_edge_subsets)
+                     hom_to_single_edge, recognize)
 from .poly import (Polynomial, edge_var, loop_var, vertex_var, aux_var,
                    var_to_str)
 from .genfun import (VariableModel, generating_function, hom_poly,

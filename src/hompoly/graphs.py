@@ -10,8 +10,7 @@ immutable.  Class checks and the homomorphism search read only the masks;
 reach is the one traversal over them.
 
 Class enumeration keeps each edge subset as an int bitmask over the host's
-edges in canonical order (class_edge_masks); class_edge_subsets is the
-frozenset view for callers that want edge sets.
+edges in canonical order (class_edge_masks); mask_edges decodes one.
 """
 
 from __future__ import annotations
@@ -240,7 +239,7 @@ OUTERPLANAR = GraphClass("outerplanar")
 PLANAR = GraphClass("planar")
 
 # Kinds whose members with equal edge counts are homomorphically equivalent
-# (see class_edge_subsets).
+# (see class_edge_masks).
 SHAPE_KINDS = ("cycle", "clique", "tree")
 
 
@@ -314,6 +313,20 @@ def _two_colourable(nbrs) -> bool:
     return True
 
 
+def _two_degenerate(nbrs) -> bool:
+    """Whether a peel of vertices of degree <= 2 empties the masks nbrs."""
+    nbrs = list(nbrs)
+    stack = [v for v, ns in enumerate(nbrs) if ns.bit_count() <= 2]
+    while stack:
+        v = stack.pop()
+        for u in bits(nbrs[v]):
+            nbrs[u] ^= 1 << v
+            if nbrs[u].bit_count() == 2:
+                stack.append(u)
+        nbrs[v] = 0
+    return not any(nbrs)
+
+
 def is_homomorphic(g: Graph, h: Graph) -> bool:
     """Whether some map f sends every edge of g to an edge or loop of h and
     every loop of g to a loop of h.
@@ -321,11 +334,13 @@ def is_homomorphic(g: Graph, h: Graph) -> bool:
     Certificates decide first: a looped vertex of h takes all of g; a loop
     of g needs one in h; a 2-colourable g maps onto any edge of h, and a g
     that is not 2-colourable maps into no loopless bipartite h (Hell and
-    Nesetril 1990).  Only the remaining cases run the backtracking search:
-    isolated vertices of g are skipped, the others are assigned in
-    degree-descending order with adjacency pruning, and past HOM_BUDGET
-    nodes it raises BudgetExceededError.  Each assigned vertex has an edge
-    and h has no loop, so only h's vertices with an edge are tried as images.
+    Nesetril 1990).  A 2-degenerate g maps onto any triangle of h: coloured
+    in reverse order of a peel of vertices of degree <= 2, each vertex sees
+    at most two coloured neighbours (Szekeres and Wilf 1968).  Otherwise
+    the backtracking search assigns g's vertices with an edge in
+    degree-descending order with adjacency pruning, trying only h's
+    vertices with an edge as images (h has no loop), and past HOM_BUDGET
+    nodes raises BudgetExceededError.
     """
     if h.n == 0:
         return g.n == 0
@@ -342,6 +357,8 @@ def is_homomorphic(g: Graph, h: Graph) -> bool:
         return True
     if _two_colourable(hnbrs):
         return False
+    if any(hnbrs[a] & hnbrs[b] for a, b in h.edges) and _two_degenerate(gnbrs):
+        return True
 
     active = sorted((v for v in range(g.n) if gnbrs[v]),
                     key=lambda v: -gnbrs[v].bit_count())
@@ -522,14 +539,6 @@ def class_edge_masks(g: Graph, cls: GraphClass) -> list[int]:
     return [mask for mask in range(1, 1 << len(edges))
             if subset_in_class(g.n, [e for i, e in enumerate(edges) if mask >> i & 1],
                                cls)]
-
-
-def class_edge_subsets(g: Graph, cls: GraphClass) -> list[frozenset]:
-    """class_edge_masks decoded into frozensets of edges, in the same
-    ascending bitmask order, for callers that want edge sets; the
-    polynomial builders in genfun read the masks themselves."""
-    edges = sorted(g.edges)
-    return [mask_edges(mask, edges) for mask in class_edge_masks(g, cls)]
 
 
 # topo imports Graph, bits and reach from this module, so it is imported once

@@ -318,15 +318,6 @@ def reduce_cycles(h: Graph, n: int) -> ReductionReport:
                            produced == expected, circ.size(c), details=details)
 
 
-def contraction_transfer_check(n: int) -> ReductionReport:
-    """contract_enforced_edge on the (n+1)-vertex Hamiltonian polynomial must
-    reproduce the n-vertex one, with the factor-two integrality assertion."""
-    produced = contract_enforced_edge(oracle_uhc(n + 1), (0, n))
-    expected = oracle_uhc(n)
-    return ReductionReport("cycles-even", {"n": n, "phase": "transfer"},
-                           produced, expected, produced == expected)
-
-
 # -- cliques ------------------------------------------------------------------------
 
 def clique_number(h: Graph) -> int:

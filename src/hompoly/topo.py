@@ -14,11 +14,11 @@ biconnected block (Hopcroft and Tarjan 1973) by path addition (Demoucron,
 Malgrange and Pertuiset 1964) and traces the merged rotation, so every
 planar verdict it gives is a checked plane embedding.  kuratowski_witness
 deletes edges while the rest stays non-planar, down to a subdivided K5 or
-K3,3, and reads its branch sets off.  The certificates, the peels, the
-embedder and the Kuratowski reader all work on neighbour masks (Graph.nbrs,
-or a list per block or per peel), with graphs.reach for connectivity and
-_path for shortest paths.  Only the rotation search, which permutes
-ordered neighbour lists, and the minor finder read adjacency tuples.
+K3,3, and reads its branch sets off.  The certificates, the peels (which
+delete vertices inline and keep outer-face marks as a mask per vertex),
+the embedder and the Kuratowski reader work on neighbour masks, with
+graphs.reach for connectivity and _path for shortest paths; only the
+rotation search and the minor finder read adjacency tuples.
 
 The rotation search and the minor finder are independent code paths, so
 the three agree-or-fail cross checks in the test suite are meaningful.
@@ -49,15 +49,6 @@ MINOR_BUDGET = 2_000_000
 RotationSystem = dict  # vertex -> tuple of neighbors in cyclic order
 
 
-def _delete_vertex(nbrs: list, v: int) -> list:
-    """Remove v's edges from the neighbour masks nbrs; return its neighbors."""
-    ns = bits(nbrs[v])
-    nbrs[v] = 0
-    for u in ns:
-        nbrs[u] ^= 1 << v
-    return ns
-
-
 def _joined_without_edge(nbrs: list, u: int, w: int) -> bool:
     """Whether a u-w path avoids the edge uw, i.e. uw is not a bridge."""
     cut = list(nbrs)
@@ -71,24 +62,30 @@ def _peel_outerplanar(nbrs: list) -> bool:
 
     Peels vertices of degree <= 2; see is_outerplanar for the rules.  Every
     vertex whose degree drops to 2 or less is peeled in turn, so the graph
-    is gone, and outerplanar, exactly when no edge is left.
+    is gone, and outerplanar, exactly when no edge is left.  A vertex is
+    deleted inline: its neighbours u <= w are its mask's low and high bits.
     """
-    marked = set()  # edges that must lie on the outer face
+    marked = [0] * len(nbrs)  # bit w of marked[u], u < w: uw is on the outer face
     stack = [v for v, ns in enumerate(nbrs) if ns.bit_count() <= 2]
     while stack:
         v = stack.pop()
-        if not 0 < nbrs[v].bit_count() <= 2:
+        ns = nbrs[v]
+        if not 0 < ns.bit_count() <= 2:
             continue
-        ns = _delete_vertex(nbrs, v)
-        stack += ns
-        if len(ns) == 2:
-            u, w = ns
-            if not nbrs[u] >> w & 1:
-                nbrs[u] |= 1 << w
-                nbrs[w] |= 1 << u
-            elif (u, w) in marked and _joined_without_edge(nbrs, u, w):
-                return False
-            marked.add((u, w))
+        nbrs[v] = 0
+        u, w = (ns & -ns).bit_length() - 1, ns.bit_length() - 1
+        nbrs[u] ^= 1 << v
+        if u == w:
+            stack.append(u)
+            continue
+        nbrs[w] ^= 1 << v
+        stack += u, w
+        if not nbrs[u] >> w & 1:
+            nbrs[u] |= 1 << w
+            nbrs[w] |= 1 << u
+        elif marked[u] >> w & 1 and _joined_without_edge(nbrs, u, w):
+            return False
+        marked[u] |= 1 << w
     return not any(nbrs)
 
 
@@ -143,7 +140,10 @@ def is_planar(g: Graph) -> bool:
     while stack:
         v = stack.pop()
         if nbrs[v].bit_count() == 1:
-            stack.extend(_delete_vertex(nbrs, v))
+            u = nbrs[v].bit_length() - 1
+            nbrs[u] ^= 1 << v
+            nbrs[v] = 0
+            stack.append(u)
     # what is left has minimum degree 2, so alive is every vertex with an
     # edge, and a deleted vertex's degree 0 is neither k - 1 nor k - 2
     alive = functools.reduce(operator.or_, nbrs, 0)
@@ -152,8 +152,8 @@ def is_planar(g: Graph) -> bool:
     k = alive.bit_count()
     degree = list(map(int.bit_count, nbrs))
     if k - 1 in degree:
-        _delete_vertex(nbrs, degree.index(k - 1))
-        return _peel_outerplanar(nbrs)
+        c = 1 << degree.index(k - 1)  # adjacent to every other vertex left
+        return _peel_outerplanar([ns ^ c if ns & c else 0 for ns in nbrs])
     for a, d in enumerate(degree):
         if d == k - 2:
             b = (alive & ~nbrs[a] & ~(1 << a)).bit_length() - 1  # the one a misses
@@ -171,11 +171,11 @@ def is_outerplanar(g: Graph) -> bool:
 
     The rest is a peel of vertices of degree <= 2 (Mitchell 1979, "Linear
     algorithms to recognize outerplanar and maximal outerplanar graphs").
-    It carries a set of marked edges that must lie on the outer face, and
-    keeps the answer "G has an outerplanar drawing with every marked edge on
-    the outer face", which for no marks is outerplanarity:
-    - a vertex of degree <= 1 is deleted; it can be put back in the outer
-      face;
+    It deletes each vertex inline from the neighbour masks, marks edges that
+    must lie on the outer face in one mask per vertex, and keeps the answer
+    "G has an outerplanar drawing with every marked edge on the outer face",
+    which for no marks is outerplanarity:
+    - a vertex of degree <= 1 is deleted: it goes back in the outer face;
     - a vertex v of degree 2 with neighbors u, w lies on the outer face, and
       so do both its edges.  It is deleted, and uw is added if absent and
       marked: the path u v w is drawn along uw, or, when uw is present, the

@@ -14,9 +14,11 @@ import itertools
 import networkx as nx
 import pytest
 
-from hompoly import (Graph, VariableModel, class_edge_subsets, is_homomorphic,
-                     reductions, topo)
+from hompoly import (Graph, VariableModel, contract_enforced_edge, is_homomorphic,
+                     oracle_uhc, reductions, topo)
+from hompoly.graphs import bits, class_edge_masks, mask_edges, reach
 from hompoly.poly import Polynomial, edge_var, vertex_var
+from hompoly.reductions import ReductionReport
 
 
 def brute_is_homomorphic(g: Graph, h: Graph) -> bool:
@@ -86,6 +88,37 @@ def nx_in_class(n: int, edges, kind: str, genus_k: int | None = None) -> bool:
     raise ValueError(kind)
 
 
+def reference_peel_outerplanar(nbrs) -> bool:
+    """topo._peel_outerplanar's rules with the marked edges as a set of
+    pairs and each deleted vertex's neighbours as a list; nbrs is copied,
+    and the bridge test is its own reach over a copy without the edge."""
+    nbrs = list(nbrs)
+    marked = set()
+    stack = [v for v, ns in enumerate(nbrs) if ns.bit_count() <= 2]
+    while stack:
+        v = stack.pop()
+        if not 0 < nbrs[v].bit_count() <= 2:
+            continue
+        ns = bits(nbrs[v])
+        nbrs[v] = 0
+        for u in ns:
+            nbrs[u] ^= 1 << v
+        stack += ns
+        if len(ns) == 2:
+            u, w = ns
+            if not nbrs[u] >> w & 1:
+                nbrs[u] |= 1 << w
+                nbrs[w] |= 1 << u
+            elif (u, w) in marked:
+                cut = list(nbrs)
+                cut[u] ^= 1 << w
+                cut[w] ^= 1 << u
+                if reach(cut, u) >> w & 1:
+                    return False
+            marked.add((u, w))
+    return not any(nbrs)
+
+
 def find_k33_or_k5_minor(g: Graph):
     """Kuratowski-style witness from the library's minor finder, independent
     of networkx: ("k5"|"k33", branch sets) or None."""
@@ -96,6 +129,22 @@ def find_k33_or_k5_minor(g: Graph):
     if w is not None:
         return ("k33", w)
     return None
+
+
+def class_edge_subsets(g: Graph, cls) -> list[frozenset]:
+    """graphs.class_edge_masks decoded into frozensets of edges, in the
+    same ascending bitmask order."""
+    edges = sorted(g.edges)
+    return [mask_edges(mask, edges) for mask in class_edge_masks(g, cls)]
+
+
+def contraction_transfer_check(n: int) -> ReductionReport:
+    """contract_enforced_edge on the (n+1)-vertex Hamiltonian polynomial must
+    reproduce the n-vertex one, with the factor-two integrality assertion."""
+    produced = contract_enforced_edge(oracle_uhc(n + 1), (0, n))
+    expected = oracle_uhc(n)
+    return ReductionReport("cycles-even", {"n": n, "phase": "transfer"},
+                           produced, expected, produced == expected)
 
 
 def brute_class_subsets(n: int, kind: str, genus_k: int | None = None):

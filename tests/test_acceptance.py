@@ -11,7 +11,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from conftest import poly_term_edge_sets
+from conftest import contraction_transfer_check, poly_term_edge_sets
 from hompoly import (CLIQUE, CYCLE, Graph, classify, hom_poly,
                      hom_to_single_edge, oracle_matching, oracle_uhc,
                      reduce_cliques_vac0, reduce_outerplanar, reduce_planar,
@@ -21,8 +21,7 @@ from hompoly.gadgets import (amalgam_chain, buddy_transform, planar_gadget,
                              star_gadget, subdivide_and_buddy_planar)
 from hompoly.graphs import OUTERPLANAR, PLANAR, TREE, all_edges, genus_class
 from hompoly.poly import Polynomial, aux_var, edge_var, monomial
-from hompoly.reductions import (block_certificates, chain_rotation,
-                                contraction_transfer_check)
+from hompoly.reductions import block_certificates, chain_rotation
 from hompoly.topo import genus_of_rotation
 
 K2 = Graph.single_edge()

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 import networkx as nx
 
 from conftest import (brute_hamiltonian_cycles, brute_perfect_matchings,
-                      poly_term_edge_sets, reference_hom_subsets,
+                      class_edge_subsets, poly_term_edge_sets, reference_hom_subsets,
                       reference_subsets_to_poly)
 from hompoly import (CYCLE, CLIQUE, OUTERPLANAR, PLANAR, TREE, Graph, VariableModel,
-                     class_edge_subsets, generating_function, genfun, hom_poly,
+                     generating_function, genfun, hom_poly,
                      oracle_clique, oracle_matching, oracle_uhc, recognize,
                      reductions)
 from hompoly.gadgets import planar_gadget, star_gadget

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (brute_class_subsets, brute_is_homomorphic, nx_in_class,
-                      reference_clique_sets, reference_cycle_sets,
+from conftest import (brute_class_subsets, brute_is_homomorphic, class_edge_subsets,
+                      nx_in_class, reference_clique_sets, reference_cycle_sets,
                       reference_tree_sets)
-from hompoly import (Graph, class_edge_subsets, hom_to_single_edge, is_homomorphic,
-                     recognize, topo)
+from hompoly import Graph, hom_to_single_edge, is_homomorphic, recognize, topo
 from hompoly.errors import BudgetExceededError
 from hompoly.graphs import (CLIQUE, CYCLE, OUTERPLANAR, PLANAR, TREE,
                             _two_colourable, all_edges, bits, class_edge_masks,
@@ -76,18 +75,50 @@ def test_hom_matches_brute_force_on_samples():
 
 
 def test_hom_search_runs_only_when_no_certificate_decides(monkeypatch):
-    # an odd cycle into a loopless non-bipartite target needs the search;
-    # C5 maps to K3 but K3 does not map to C5
+    # an odd cycle into a loopless non-bipartite target without a triangle
+    # needs the search; C7 maps to C5 but K3 does not map to C5
     assert is_homomorphic(Graph.cycle(5), Graph.complete(3))
     assert not is_homomorphic(Graph.complete(3), Graph.cycle(5))
     assert is_homomorphic(Graph.cycle(7), Graph.cycle(5))
     assert not is_homomorphic(Graph.complete(4), Graph.complete(3))
-    # bipartite g maps to any edge, also beyond the search budget
+    # bipartite g maps to any edge, and a 2-degenerate g to any triangle,
+    # also beyond the search budget
     monkeypatch.setattr("hompoly.graphs.HOM_BUDGET", 0)
     assert is_homomorphic(Graph.complete_bipartite(3, 4), Graph.complete(5))
     assert not is_homomorphic(Graph.cycle(5), Graph.path(3))
+    assert is_homomorphic(Graph.cycle(5), Graph.complete(3))
+    fan = Graph.make(7, [(0, i) for i in range(1, 7)] + [(i, i + 1) for i in range(1, 6)])
+    assert recognize(fan, OUTERPLANAR) and not hom_to_single_edge(fan)
+    assert is_homomorphic(fan, Graph.complete(3))
     with pytest.raises(BudgetExceededError):
-        is_homomorphic(Graph.cycle(5), Graph.complete(3))
+        is_homomorphic(Graph.cycle(7), Graph.cycle(5))
+    # K4 has minimum degree 3, so the triangle certificate does not take it
+    with pytest.raises(BudgetExceededError):
+        is_homomorphic(Graph.complete(4), Graph.complete(3))
+
+
+@st.composite
+def _two_degenerate_graphs(draw, max_n=7):
+    """Each vertex joined to at most two earlier ones, then relabelled."""
+    n = draw(st.integers(1, max_n))
+    edges = [(u, v) for v in range(1, n)
+             for u in draw(st.lists(st.integers(0, v - 1), unique=True, max_size=2))]
+    perm = draw(st.permutations(range(n)))
+    return Graph.make(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@st.composite
+def _graphs_with_a_triangle(draw, max_n=4):
+    n = draw(st.integers(3, max_n))
+    extra = draw(st.lists(st.sampled_from(all_edges(n)), unique=True))
+    perm = draw(st.permutations(range(n)))
+    return Graph.make(n, [(perm[a], perm[b]) for a, b in [(0, 1), (1, 2), (0, 2)] + extra])
+
+
+@given(_two_degenerate_graphs(), _graphs_with_a_triangle())
+@settings(max_examples=150, deadline=None)
+def test_two_degenerate_graphs_map_onto_any_triangle(g, h):
+    assert is_homomorphic(g, h) == brute_is_homomorphic(g, h)
 
 
 def test_hom_search_skips_isolated_vertices_of_h():

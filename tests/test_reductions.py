@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (brute_is_homomorphic, nx_in_class, poly_term_edge_sets,
-                      reference_budget_survivors, reference_contract_enforced_edge,
-                      to_nx)
+from conftest import (brute_is_homomorphic, contraction_transfer_check, nx_in_class,
+                      poly_term_edge_sets, reference_budget_survivors,
+                      reference_contract_enforced_edge, to_nx)
 from hompoly import (CLIQUE, CYCLE, OUTERPLANAR, PLANAR, TREE, Graph,
                      classify, contract_enforced_edge, enforce_edges,
                      hom_poly, oracle_matching, oracle_uhc,
@@ -22,8 +22,7 @@ from hompoly.errors import BudgetExceededError, PipelineIntegrityError
 from hompoly.gadgets import genus_block
 from hompoly.graphs import genus_class
 from hompoly.poly import Polynomial, edge_var, monomial
-from hompoly.reductions import (block_certificates, chain_rotation,
-                                contraction_transfer_check, divide_integral,
+from hompoly.reductions import (block_certificates, chain_rotation, divide_integral,
                                 divide_uniform, clique_number)
 
 K2 = Graph.single_edge()

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import find_k33_or_k5_minor, nx_outerplanar, nx_planar, to_nx
+from conftest import (find_k33_or_k5_minor, nx_outerplanar, nx_planar,
+                      reference_peel_outerplanar, to_nx)
 from hompoly import Graph, topo
 from hompoly.errors import BudgetExceededError
 from hompoly.gadgets import (amalgam_chain, buddy_transform, genus_block,
@@ -309,6 +310,24 @@ def test_peel_marks_the_edge_left_by_a_degree_two_vertex(monkeypatch):
     assert not _peel(Graph.complete(4))
 
 
+@pytest.mark.parametrize("gadget", [
+    pytest.param(star_gadget(7), id="star-n7"),
+    pytest.param(buddy_transform(star_gadget(6)), id="buddy-n6"),
+])
+def test_peel_matches_the_set_based_reference_on_gadget_candidates(gadget):
+    # every candidate of the outerplanar-star gadgets that the lemma runs
+    # with H = K3 at n = 7 and H = K2 at n = 6
+    n, base = gadget.graph.n, sorted(gadget.enforced)
+    verdicts = set()
+    for combo in itertools.combinations(sorted(gadget.free_edges()),
+                                        gadget.budget - len(base)):
+        g = Graph.make(n, base + list(combo))
+        got = _peel(g)
+        assert got == reference_peel_outerplanar(g.nbrs), combo
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 def test_dominating_vertex_reduces_planarity_to_outerplanarity(planarity_calls):
     for k in range(5, 11):
         assert is_planar(_join(Graph.cycle(k), 1))  # wheels
@@ -445,6 +464,33 @@ def small_graphs(draw, max_n=10):
 @settings(max_examples=150, deadline=None)
 def test_embedding_agrees_with_networkx(g):
     _check_embedding(g)
+
+
+@st.composite
+def two_tree_subgraphs(draw, max_n=9):
+    """A 2-tree grown from an edge, each new vertex joined to both ends of
+    an edge, with some edges dropped and the labels permuted: sparse graphs
+    near the 2n - 3 edges of a maximal outerplanar one, many of them
+    outerplanar and many not."""
+    n = draw(st.integers(2, max_n))
+    edges = [(0, 1)]
+    for v in range(2, n):
+        a, b = draw(st.sampled_from(edges))
+        edges += [(a, v), (b, v)]
+    drop = draw(st.sets(st.sampled_from(edges), max_size=n // 2))
+    perm = draw(st.permutations(range(n)))
+    return Graph.make(n, [(perm[a], perm[b]) for a, b in edges if (a, b) not in drop])
+
+
+@given(st.one_of(small_graphs(max_n=9), two_tree_subgraphs()))
+@example(K23)
+@example(_join(K23, 1))
+@settings(max_examples=300, deadline=None)
+def test_peel_agrees_with_networkx_and_the_reference(g):
+    # the peel alone, without the edge counts that decide most graphs first
+    want = nx_outerplanar(g.n, sorted(g.edges))
+    assert _peel(g) == reference_peel_outerplanar(g.nbrs) == want
+    assert is_outerplanar(g) == want
 
 
 @given(small_graphs(max_n=7), st.integers(0, 10 ** 6))
