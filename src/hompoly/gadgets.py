@@ -55,7 +55,7 @@ def star_gadget(n: int) -> Gadget:
     """
     if n < 5:
         raise ValueError("star gadget needs n >= 5")
-    g = Graph.complete(n).with_labels({"center": 0, "glue-a": 1, "glue-b": 2})
+    g = Graph.make(n, all_edges(n), labels={"center": 0, "glue-a": 1, "glue-b": 2})
     star = frozenset((0, i) for i in range(1, n))
     return Gadget(g, star, frozenset(), 2 * n - 3)
 

@@ -137,11 +137,6 @@ class Graph:
                 return v
         raise KeyError(role)
 
-    def with_labels(self, labels: dict) -> "Graph":
-        merged = dict(self.labels)
-        merged.update(labels)
-        return Graph.make(self.n, self.edges, self.loops, merged)
-
     @functools.cached_property
     def components(self) -> tuple:
         """The vertex sets of the connected components, by least vertex."""
@@ -154,14 +149,6 @@ class Graph:
 
     def is_connected(self) -> bool:
         return len(self.components) <= 1
-
-    def induced(self, vertices) -> "Graph":
-        """Induced subgraph relabeled to 0..k-1 in sorted (so canonical) order."""
-        vs = sorted(vertices)
-        idx = {v: i for i, v in enumerate(vs)}
-        es = [(idx[a], idx[b]) for a, b in self.edges if a in idx and b in idx]
-        ls = [idx[v] for v in self.loops if v in idx]
-        return Graph(len(vs), frozenset(es), frozenset(ls))
 
     # -- JSON ---------------------------------------------------------------
 

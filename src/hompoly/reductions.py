@@ -17,7 +17,7 @@ lemmas raise it.
 
 from __future__ import annotations
 
-import copy
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,8 +25,8 @@ from fractions import Fraction
 from . import circuit as circ
 from . import topo
 from .errors import BudgetExceededError, PipelineIntegrityError
-from .gadgets import (BLOCK_DIAGONALS, amalgam_chain, buddy_transform,
-                      chain_layout, end_edges, genus_block, planar_gadget, star_gadget,
+from .gadgets import (amalgam_chain, buddy_transform, chain_layout,
+                      end_edges, genus_block, planar_gadget, star_gadget,
                       subdivide_and_buddy_planar, fold_block_to_edge_certificate)
 from .genfun import (clique_poly, hamiltonian_orders, hom_poly,
                      oracle_matching, oracle_uhc, subsets_to_poly)
@@ -663,24 +663,14 @@ def _glue_into_uhc(survivors, filters, drop_to_one, a: int, b: int,
 
 # -- genus ---------------------------------------------------------------------------
 
-_block_cache: dict = {}
-
-
-def _block_certificate() -> dict:
-    """The block certificate, computed once per process and shared; callers
+@functools.cache
+def _block_certificate() -> tuple:
+    """(planar, witness, genus, rotation, search_space) for the genus block,
+    as topo gives them; computed once per process and shared, so callers
     must not mutate it."""
-    if not _block_cache:
-        g = genus_block().graph
-        genus, rot, witness = topo._min_genus_witnessed(g)
-        _block_cache.update({
-            "planar": topo.is_planar(g),
-            "minor": None if witness is None else
-            {"kind": witness[0], "branch_sets": [sorted(s) for s in witness[1]]},
-            "min_genus": genus,
-            "rotation": topo.rotation_to_json_obj(rot),
-            "search_space": topo.rotation_search_space(g),
-        })
-    return _block_cache
+    g = genus_block().graph
+    genus, rot, witness = topo._min_genus_witnessed(g)
+    return topo.is_planar(g), witness, genus, rot, topo.rotation_search_space(g)
 
 
 def block_certificates() -> dict:
@@ -690,8 +680,14 @@ def block_certificates() -> dict:
     rotation of genus one, built as in topo.min_genus_rotation by putting
     one edge back into a plane rotation of the block minus that edge.  The
     one Kuratowski search serves both the minor and the genus lower bound.
-    Returns a fresh copy of the per-process certificate."""
-    return copy.deepcopy(_block_certificate())
+    Each call builds a fresh JSON object from the per-process record."""
+    planar, witness, genus, rot, space = _block_certificate()
+    return {"planar": planar,
+            "minor": None if witness is None else
+            {"kind": witness[0], "branch_sets": [sorted(s) for s in witness[1]]},
+            "min_genus": genus,
+            "rotation": topo.rotation_to_json_obj(rot),
+            "search_space": space}
 
 
 def genus_block_report() -> ReductionReport:
@@ -715,32 +711,24 @@ def chain_rotation(k: int, subdivide: bool = False) -> dict:
 
     Each block keeps the genus-one rotation of the block certificate and
     every junction splices the two local rings contiguously, which adds
-    exactly one to the genus per block; for a subdivided chain the rotation
-    is transferred through the subdivision (replace each diagonal endpoint
-    by the midpoint), which preserves faces and hence genus.
+    exactly one to the genus per block.  For a subdivided chain the rotation
+    is then moved through the subdivision: the midpoint w of a diagonal uv
+    takes v's place in u's ring and u's place in v's ring, and gets the ring
+    (u, v); this preserves faces and hence genus.
     """
-    rot1 = topo.rotation_from_json_obj(_block_certificate()["rotation"])
+    block_rot = _block_certificate()[3]
     edges, vmaps, midpoints, next_id = chain_layout(k, subdivide)
-    chain = Graph.make(next_id, edges)
-    mid_of = {(b, uv): w for b, uv, w in midpoints}
     rot: dict[int, tuple] = {}
-    for b, vmap in enumerate(vmaps):
-        for v in range(8):
-            ring = [vmap[x] for x in rot1[v]]
-            if subdivide:
-                for (lu, lv) in BLOCK_DIAGONALS:
-                    w = mid_of[(b, (lu, lv))]
-                    if v == lu:
-                        ring = [w if x == vmap[lv] else x for x in ring]
-                    elif v == lv:
-                        ring = [w if x == vmap[lu] else x for x in ring]
-            gv = vmap[v]
-            rot[gv] = rot.get(gv, ()) + tuple(ring)
-        if subdivide:
-            for (lu, lv) in BLOCK_DIAGONALS:
-                rot[mid_of[(b, (lu, lv))]] = (vmap[lu], vmap[lv])
-    genus = topo.genus_of_rotation(chain, rot)
-    return {"genus": genus, "rotation": rot, "graph": chain}
+    for vmap in vmaps:
+        for v, ring in block_rot.items():
+            rot[vmap[v]] = rot.get(vmap[v], ()) + tuple(vmap[x] for x in ring)
+    for b, (lu, lv), w in midpoints:
+        u, v = vmaps[b][lu], vmaps[b][lv]
+        rot[u] = tuple(w if x == v else x for x in rot[u])
+        rot[v] = tuple(w if x == u else x for x in rot[v])
+        rot[w] = (u, v)
+    chain = Graph.make(next_id, edges)
+    return {"genus": topo.genus_of_rotation(chain, rot), "rotation": rot, "graph": chain}
 
 
 def reduce_genus(h: Graph, k: int, m: int) -> ReductionReport:

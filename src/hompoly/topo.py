@@ -14,11 +14,13 @@ biconnected block (Hopcroft and Tarjan 1973) by path addition (Demoucron,
 Malgrange and Pertuiset 1964) and traces the merged rotation, so every
 planar verdict it gives is a checked plane embedding.  kuratowski_witness
 deletes edges while the rest stays non-planar, down to a subdivided K5 or
-K3,3, and reads its branch sets off.  The certificates, the peels (which
-delete vertices inline and keep outer-face marks as a mask per vertex),
-the embedder and the Kuratowski reader work on neighbour masks, with
-graphs.reach for connectivity and _path for shortest paths; only the
-rotation search and the minor finder read adjacency tuples.
+K3,3, and reads its branch sets off; it tests no planarity of the whole
+graph, as on planar input the branch-set check rejects whatever is read.
+The certificates, the peels (which delete vertices inline and keep
+outer-face marks as a mask per vertex), the embedder, the Kuratowski reader
+and the branch-set check work on neighbour masks, with graphs.reach for
+connectivity and _path for shortest paths; only the rotation search and the
+minor finder read adjacency tuples.
 
 The rotation search and the minor finder are independent code paths, so
 the three agree-or-fail cross checks in the test suite are meaningful.
@@ -644,27 +646,29 @@ def _validate_branch_sets(g: Graph, target: Graph, sets) -> None:
     flat = [v for s in sets for v in s]
     if len(flat) != len(set(flat)):
         raise AssertionError("branch sets overlap")
-    for s in sets:
-        if not g.induced(s).is_connected():
+    masks = [sum(1 << v for v in s) for s in sets]
+    for s, mask in zip(sets, masks):
+        if mask and reach([ns & mask for ns in g.nbrs], min(s)) != mask:
             raise AssertionError(f"branch set {sorted(s)} is not connected")
     for a, b in target.edges:
-        if not any(g.has_edge(u, w) for u in sets[a] for w in sets[b]):
+        if not any(g.nbrs[u] & masks[b] for u in sets[a]):
             raise AssertionError(f"no edge between branch sets {a} and {b}")
 
 
 def kuratowski_witness(g: Graph):
     """("k5"|"k33", branch sets) of a Kuratowski subgraph of g, or None.
 
-    None for a planar graph.  Otherwise the edges of g are deleted one at a
-    time, in canonical order, and a deletion is kept only if the rest stays
-    non-planar (is_planar).  What is left is edge-minimal non-planar, so by
-    Kuratowski's theorem a subdivided K5 or K3,3, whose branch sets
-    _kuratowski_branch_sets reads off.  None also when they fail
+    The edges of g are deleted one at a time, in canonical order, and a
+    deletion is kept only if the rest stays non-planar (is_planar).  For a
+    non-planar g what is left is edge-minimal non-planar, so by Kuratowski's
+    theorem a subdivided K5 or K3,3, whose branch sets
+    _kuratowski_branch_sets reads off.  None when they fail
     _validate_branch_sets, so that a faulty witness can only make the genus
-    search exhaustive, never end it early.
+    search exhaustive, never end it early.  A planar g gets None the same
+    way, with no planarity test of g itself: every deletion is put back, and
+    sets that pass the validation are a K5 or K3,3 minor, which no planar
+    graph has.
     """
-    if is_planar(g):
-        return None
     keep = set(g.edges)
     for e in sorted(g.edges):
         keep.discard(e)

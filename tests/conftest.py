@@ -328,5 +328,6 @@ def block_searches(monkeypatch):
         return real(g, budget=budget)
 
     monkeypatch.setattr(topo, "_min_genus_witnessed", counting)
-    monkeypatch.setattr(reductions, "_block_cache", {})
-    return calls
+    reductions._block_certificate.cache_clear()
+    yield calls
+    reductions._block_certificate.cache_clear()

@@ -18,6 +18,7 @@ from hompoly import CYCLE, OUTERPLANAR, TREE, Graph, VariableModel, hom_poly
 from hompoly import cli, topo
 from hompoly.cli import LEMMAS, _dump_poly, build_parser, main
 from hompoly.errors import PipelineIntegrityError
+from hompoly.gadgets import genus_block
 from hompoly.reductions import LEMMA_SIZES
 from hompoly.graphs import SHAPE_KINDS
 from hompoly.poly import Polynomial, edge_var, loop_var, monomial, vertex_var
@@ -540,6 +541,29 @@ def test_genus_block_makes_one_kuratowski_search(capsys, block_searches,
     capsys.readouterr()
     assert len(block_searches) == 1
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [["genus", "block.json"],
+                                  ["verify", "--lemma", "genus-block"]])
+def test_genus_paths_test_the_block_for_planarity_once(argv, tmp_path, capsys,
+                                                      monkeypatch, block_searches):
+    # the block itself once, each of the Kuratowski search's 14 one-edge
+    # deletions once, and the one-edge certificate's first two G - e
+    block = genus_block().graph
+    (tmp_path / "block.json").write_text(json.dumps(block.to_json_obj()))
+    monkeypatch.chdir(tmp_path)
+    tested = []
+    real = topo.planar_rotation
+
+    def recording(g):
+        tested.append(g.edges)
+        return real(g)
+
+    monkeypatch.setattr(topo, "planar_rotation", recording)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert tested.count(block.edges) == 1
+    assert len(tested) == 1 + 14 + 2
 
 
 NO_NETWORKX = """

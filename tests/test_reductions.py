@@ -400,9 +400,12 @@ def test_genus_two_chain():
 
 
 def test_chain_rotation_certificates():
-    assert chain_rotation(1)["genus"] == 1
-    assert chain_rotation(2)["genus"] == 2
-    assert chain_rotation(2, subdivide=True)["genus"] == 2
+    # each rotation is retraced here on the chain graph the gadget builds
+    for k, subdivide in itertools.product((1, 2, 3), (False, True)):
+        cert = chain_rotation(k, subdivide)
+        chain = gadgets.amalgam_chain(k, subdivide=subdivide).graph
+        assert (cert["graph"].n, cert["graph"].edges) == (chain.n, chain.edges)
+        assert cert["genus"] == topo.genus_of_rotation(chain, cert["rotation"]) == k
 
 
 def test_block_certificates_record_search_space():
@@ -431,8 +434,9 @@ def test_block_verdict_is_shared(monkeypatch):
     # through the same verdict, the chain pipeline
     good = reductions.genus_block_report()
     assert good.equal and good.details["minor_kind"] == "k33"
-    monkeypatch.setattr(reductions, "_block_cache",
-                        dict(block_certificates(), min_genus=2))
+    record = reductions._block_certificate()
+    monkeypatch.setattr(reductions, "_block_certificate",
+                        lambda: record[:2] + (2,) + record[3:])
     assert not reductions.genus_block_report().equal
     r = reduce_genus(K3, 1, 4)
     assert not r.equal and r.caveat

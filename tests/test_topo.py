@@ -460,12 +460,6 @@ def small_graphs(draw, max_n=10):
     return Graph.make(n, [e for e, k in zip(edges, keep) if k])
 
 
-@given(small_graphs())
-@settings(max_examples=150, deadline=None)
-def test_embedding_agrees_with_networkx(g):
-    _check_embedding(g)
-
-
 @st.composite
 def two_tree_subgraphs(draw, max_n=9):
     """A 2-tree grown from an edge, each new vertex joined to both ends of
@@ -480,6 +474,12 @@ def two_tree_subgraphs(draw, max_n=9):
     drop = draw(st.sets(st.sampled_from(edges), max_size=n // 2))
     perm = draw(st.permutations(range(n)))
     return Graph.make(n, [(perm[a], perm[b]) for a, b in edges if (a, b) not in drop])
+
+
+@given(st.one_of(small_graphs(), two_tree_subgraphs()))
+@settings(max_examples=150, deadline=None)
+def test_embedding_agrees_with_networkx(g):
+    _check_embedding(g)
 
 
 @given(st.one_of(small_graphs(max_n=9), two_tree_subgraphs()))
@@ -726,7 +726,13 @@ def test_kuratowski_witness_is_validated():
 
 
 def test_kuratowski_witness_none_on_planar_graphs():
-    planar = [Graph.complete(4), CUBE, Graph.cycle(5), Graph.empty(3)]
+    # the two ways the reader gives up: K4 has four vertices of degree 3,
+    # and in K5 - e with a pendant vertex on a branch vertex the walk from
+    # that branch vertex ends at a vertex of degree 1
+    k5_less_edge = Graph.make(6, sorted(K5.edges - {(3, 4)}) + [(0, 5)])
+    for g in (Graph.complete(4), k5_less_edge):
+        assert topo._kuratowski_branch_sets(g.nbrs) is None
+    planar = [Graph.complete(4), k5_less_edge, CUBE, Graph.cycle(5), Graph.empty(3)]
     planar += [g for g in _random_graphs() if is_planar(g)]
     for g in planar:
         assert kuratowski_witness(g) is None
@@ -739,8 +745,17 @@ def test_tampered_branch_sets_are_rejected(monkeypatch):
     overlap[1] |= overlap[0]
     emptied = [set(s) for s in sets]
     emptied[0] = set()
-    for tampered in (overlap, emptied):
-        with pytest.raises(AssertionError):
+    # a vertex of a two-vertex set moved to a set it has no neighbour in
+    src = next(i for i, s in enumerate(sets) if len(s) == 2)
+    v = max(sets[src])
+    dst = next(i for i, s in enumerate(sets)
+               if i != src and not any(block.has_edge(v, u) for u in s))
+    disconnected = [set(s) for s in sets]
+    disconnected[src].discard(v)
+    disconnected[dst].add(v)
+    for tampered, fault in ((overlap, "overlap"), (emptied, "no edge"),
+                            (disconnected, "not connected")):
+        with pytest.raises(AssertionError, match=fault):
             _validate_branch_sets(block, K33, tampered)
         monkeypatch.setattr(topo, "_kuratowski_branch_sets",
                             lambda sub, t=tampered: (kind, t))
