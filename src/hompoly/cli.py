@@ -10,7 +10,10 @@ verify runner times each lemma call; those wall times are only included with
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
+import operator
 import sys
 import time
 from fractions import Fraction
@@ -19,7 +22,7 @@ from . import reductions, topo
 from .errors import BudgetExceededError, PipelineIntegrityError
 from .genfun import VariableModel, hom_poly
 from .graphs import Graph, parse_class
-from .poly import Polynomial, var_to_str
+from .poly import Polynomial, _chunk_tables, _mask_join, var_to_str
 
 LEMMAS = tuple(reductions.LEMMA_SIZES)
 
@@ -54,35 +57,34 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-class _Texts(dict):
-    """A dict that makes a missing key's text with fmt on its first lookup."""
+def _poly_pieces(p: Polynomial):
+    """The text of _dump(p.to_json_obj()) in pieces: an opening, one per
+    term, and a closing.
 
-    def __init__(self, fmt):
-        super().__init__()
-        self.fmt = fmt
-
-    def __missing__(self, key):
-        text = self[key] = self.fmt(key)
-        return text
+    The terms come as Polynomial.mask_terms gives them, in sorted_terms
+    order; a polynomial from hom_poly holds them so, as masks, and no
+    monomial tuple is built.  Each (var, exp) entry's text is formatted once
+    into per-byte tables, so a term's entries are joined from one table
+    entry per byte of its mask, and each distinct coefficient is formatted
+    once, on its first lookup.
+    """
+    pairs, terms = p.mask_terms()
+    # each entry's text leads with its separator, which a term's first drops
+    tabs = _chunk_tables([f",\n      [\n        {json.dumps(var_to_str(v))},"
+                          f"\n        {e}\n      ]" for v, e in pairs], "", operator.add)
+    coeff_text = functools.cache(lambda c: json.dumps(str(Fraction(c))))
+    sep = "[\n"
+    for mask, c in terms:
+        vtext = "[\n" + _mask_join(tabs, mask, "")[2:] + "\n    ]" if mask else "[]"
+        yield f'{sep}  {{\n    "coeff": {coeff_text(c)},\n    "vars": {vtext}\n  }}'
+        sep = ",\n"
+    yield "[]" if sep == "[\n" else "\n]"
 
 
 def _dump_poly(p: Polynomial) -> str:
-    """The text of _dump(p.to_json_obj()), byte for byte.
-
-    The terms come in Polynomial.sorted_terms order; a polynomial from
-    hom_poly already holds them in that order, so nothing is sorted here.
-    Each distinct [var, exp] entry and each distinct coefficient is
-    formatted once, on its first lookup, and each term is joined from those
-    texts.
-    """
-    entries = _Texts(lambda ve: f"      [\n        {json.dumps(var_to_str(ve[0]))},"
-                                f"\n        {ve[1]}\n      ]")
-    coeffs = _Texts(lambda c: json.dumps(str(Fraction(c))))
-    terms = []
-    for m, c in p.sorted_terms():
-        vtext = "[\n" + ",\n".join(map(entries.__getitem__, m)) + "\n    ]" if m else "[]"
-        terms.append(f'  {{\n    "coeff": {coeffs[c]},\n    "vars": {vtext}\n  }}')
-    return "[\n" + ",\n".join(terms) + "\n]" if terms else "[]"
+    """The text of _dump(p.to_json_obj()), byte for byte: the join of
+    _poly_pieces, which `hompoly poly` writes a run of pieces at a time."""
+    return "".join(_poly_pieces(p))
 
 
 def cmd_classify(args) -> int:
@@ -97,7 +99,12 @@ def cmd_poly(args) -> int:
     h = _load_graph(args.h_file)
     cls = parse_class(args.graph_class, args.k)
     p = hom_poly(h, args.n, cls, VariableModel(args.model))
-    print(_dump_poly(p))
+    # a write of 256 terms' text passes stdout's 8 KB buffers by, so the
+    # output takes one system call per 256 terms rather than one per 8 KB
+    pieces = _poly_pieces(p)
+    while text := "".join(itertools.islice(pieces, 256)):
+        sys.stdout.write(text)
+    sys.stdout.write("\n")
     return 0
 
 

@@ -30,7 +30,7 @@ from collections import Counter
 from .errors import BudgetExceededError
 from .graphs import (SHAPE_KINDS, Graph, GraphClass, all_edges, check_enumeration,
                      class_edge_masks, is_homomorphic, mask_edges)
-from .poly import Polynomial, edge_var, vertex_var
+from .poly import Polynomial, _chunk_tables, edge_var, vertex_var
 
 UHC_ORACLE_MAX_N = 9
 CLIQUE_ORACLE_MAX_N = 7
@@ -39,18 +39,6 @@ CLIQUE_ORACLE_MAX_N = 7
 class VariableModel(enum.Enum):
     EDGE_ONLY = "edge"
     EDGE_AND_VERTEX = "edge-vertex"
-
-
-def _chunk_tables(values: list, empty, op) -> list[list]:
-    """For each run of 8 values, a table indexed by a byte: entry b folds
-    op over the run's values at the set bits of b, lowest bit first."""
-    tables = []
-    for c in range(0, len(values), 8):
-        table = [empty]
-        for v in values[c:c + 8]:
-            table += [op(x, v) for x in table]
-        tables.append(table)
-    return tables
 
 
 # byte b -> b with its eight bits in reverse order
@@ -62,65 +50,41 @@ def _assemble(masks, evars: list, model: VariableModel) -> Polynomial:
     the edge-and-vertex model, the vertex variables of every endpoint); bit
     i of a mask selects evars[i], and a mask listed twice counts twice.
 
-    evars is ascending, so the concatenation of a mask's per-byte tables
-    is its monomial already sorted: no sort per term.  The vertex pairs
-    follow, since every ('v', x) sorts after every ('e', i, j).
+    The result is a Polynomial.from_masks whose terms are full masks in
+    graded-lexicographic order: the edge mask, and in the edge-and-vertex
+    model the vertex mask above its len(evars) bits, so bit i of a full mask
+    is the i-th variable in ascending order (evars is ascending, and every
+    ('v', x) sorts after every ('e', i, j)).  No monomial tuple is built
+    here.
 
-    The terms are stored in graded-lexicographic order, and the polynomial
-    says so, so Polynomial.sorted_terms never sorts them.  The order comes
-    from one integer per term, never from comparing monomials.  Let full
-    be the mask of the term's variables, ascending in bit order: the edge
-    mask, then in the edge-and-vertex model the vertex mask above the edge
-    bytes.  Every exponent is 1, so the degree is full's bit count, and of
-    two terms of one degree the first in tuple order is the one that holds
-    the lowest bit in which they differ.  Reversing the bits of full within
-    a fixed width turns that bit into the highest difference, so the key is
-    the bit count above that width minus the reversed full.  The distinct
-    fulls are sorted by that key first, and each monomial is built and
-    inserted in that order.
+    The order comes from one integer per term, never from comparing
+    monomials.  Every exponent is 1, so the degree is full's bit count, and
+    of two terms of one degree the first in tuple order is the one that
+    holds the lowest bit in which they differ.  Reversing the bits of full
+    within a fixed width turns that bit into the highest difference, so the
+    key is the bit count above that width minus the reversed full.
     """
-    etabs = _chunk_tables([((v, 1),) for v in evars], (), operator.add)
     counts = Counter(masks)
-    nbytes = len(etabs)  # full's bytes: the edge mask's, then the vertex mask's
-    shift = 8 * nbytes
-    with_vertices = model is VariableModel.EDGE_AND_VERTEX
-    if with_vertices:
+    bitvars = list(evars)
+    if model is VariableModel.EDGE_AND_VERTEX:
         vtabs = _chunk_tables([1 << v[1] | 1 << v[2] for v in evars], 0,
                               operator.or_)
-        nbytes += (max((v[2] for v in evars), default=0) + 8) // 8
-        fulls = []
-        for mask in counts:
+        shift = len(evars)
+        bitvars += map(vertex_var, range(max((v[2] for v in evars), default=-1) + 1))
+        fulls = {}
+        for mask, count in counts.items():
             vmask, c, rest = 0, 0, mask
             while rest:
                 vmask |= vtabs[c][rest & 255]
                 rest >>= 8
                 c += 1
-            fulls.append(mask | vmask << shift)
-    else:
-        fulls = list(counts)
+            fulls[mask | vmask << shift] = count
+        counts = fulls
+    nbytes = (len(bitvars) + 7) // 8
     width = 8 * nbytes
-    fulls.sort(key=lambda full: (full.bit_count() << width) - int.from_bytes(
+    order = sorted(counts, key=lambda full: (full.bit_count() << width) - int.from_bytes(
         full.to_bytes(nbytes, "little").translate(_REV8), "big"))
-    edge_bits = (1 << shift) - 1
-    vpairs: dict = {}  # vertex mask -> its (vertex_var, 1) pairs
-    terms: dict = {}
-    for full in fulls:
-        mask = full & edge_bits
-        mono, c, rest = (), 0, mask
-        while rest:
-            mono += etabs[c][rest & 255]
-            rest >>= 8
-            c += 1
-        if with_vertices:
-            vmask = full >> shift
-            pairs = vpairs.get(vmask)
-            if pairs is None:
-                pairs = vpairs[vmask] = tuple((vertex_var(x), 1)
-                                              for x in range(vmask.bit_length())
-                                              if vmask >> x & 1)
-            mono += pairs
-        terms[mono] = counts[mask]
-    return Polynomial._graded(terms)
+    return Polynomial.from_masks({full: counts[full] for full in order}, bitvars)
 
 
 def subsets_to_poly(subsets) -> Polynomial:
@@ -128,8 +92,7 @@ def subsets_to_poly(subsets) -> Polynomial:
     subset listed twice counts twice.
 
     An adapter for callers that hold edge sets: the union of their edges is
-    indexed in variable order and each subset becomes a mask for _assemble,
-    whose per-byte tables then give every monomial already sorted.
+    indexed in variable order and each subset becomes a mask for _assemble.
     """
     subsets = list(subsets)
     edges = sorted({e for es in subsets for e in es}, key=lambda e: edge_var(*e))
@@ -152,9 +115,9 @@ def hom_poly(h: Graph, n: int, cls: GraphClass,
     """Class generating function over K_n restricted to subgraphs whose
     nontrivial component is homomorphic to h; a weighted host is a
     substitution into it.  The subsets stay bitmasks over K_n's edges from
-    class_edge_masks to _assemble; only a mask handed to is_homomorphic is
-    decoded, into a canonical edge set whose graph skips Graph.make's
-    validation.  The enumeration's limits are checked from n alone
+    class_edge_masks into the polynomial _assemble returns; only a mask
+    handed to is_homomorphic is decoded, into a canonical edge set whose
+    graph skips Graph.make's validation.  The enumeration's limits are checked from n alone
     (graphs.check_enumeration) before K_n is built.
 
     Whether g maps to h depends only on the homomorphic-equivalence class

@@ -16,16 +16,20 @@ Equality is structural equality of these canonical forms, so two polynomials
 are == exactly when they are the same polynomial over Q.
 
 A polynomial also remembers whether its terms are already stored in
-graded-lexicographic order, the order sorted_terms returns.  The generating
-function assembler builds its terms in that order and says so; any other
-polynomial sorts once, on its first sorted_terms call.  Polynomials are
-immutable by convention, so the flag is a memo of the stored order, not a
-mode: equality and arithmetic ignore it, and every result of arithmetic
-starts without it.
+graded-lexicographic order, the order sorted_terms returns; any other
+polynomial sorts once, on its first sorted_terms call.  The generating
+function assembler builds its terms in that order as integer masks, one bit
+per variable with every exponent 1, and Polynomial.from_masks keeps them so:
+the monomial tuples are built from per-byte tables on first use and then
+kept, while len, bool and mask_terms read the masks.  Polynomials are
+immutable by convention, so the flag and the masks are memos of the stored
+terms, not modes: equality and arithmetic ignore them, and every result of
+arithmetic starts without them.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -69,6 +73,29 @@ def _norm_coeff(c: Coeff) -> Coeff:
     raise TypeError(f"coefficients must be int or Fraction, not {type(c).__name__}")
 
 
+def _chunk_tables(values: list, empty, op) -> list[list]:
+    """For each run of 8 values, a table indexed by a byte: entry b folds
+    op over the run's values at the set bits of b, lowest bit first."""
+    tables = []
+    for c in range(0, len(values), 8):
+        table = [empty]
+        for v in values[c:c + 8]:
+            table += [op(x, v) for x in table]
+        tables.append(table)
+    return tables
+
+
+def _mask_join(tables: list[list], mask: int, acc):
+    """acc + the entry of each byte of mask in its _chunk_tables table,
+    lowest byte first."""
+    i = 0
+    while mask:
+        acc += tables[i][mask & 255]
+        mask >>= 8
+        i += 1
+    return acc
+
+
 def monomial(pairs: Mapping[VarId, int] | Iterable[tuple[VarId, int]]) -> Monomial:
     """Canonical monomial from a varid->exponent mapping; zero exponents dropped."""
     items = pairs.items() if isinstance(pairs, Mapping) else pairs
@@ -93,7 +120,7 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
 class Polynomial:
     """Immutable-by-convention sparse polynomial over exact rationals."""
 
-    __slots__ = ("_terms", "_glex")
+    __slots__ = ("_tuples", "_glex", "_masks", "_bitvars")
 
     def __init__(self, terms: dict[Monomial, Coeff] | None = None):
         cleaned: dict[Monomial, Coeff] = {}
@@ -102,8 +129,9 @@ class Polynomial:
                 c = _norm_coeff(c)
                 if c:
                     cleaned[m] = c
-        self._terms = cleaned
+        self._tuples = cleaned
         self._glex = False  # whether _terms is stored in graded-lex order
+        self._masks = None
 
     # -- constructors ---------------------------------------------------
 
@@ -124,14 +152,27 @@ class Polynomial:
         return cls({m: coeff})
 
     @classmethod
-    def _graded(cls, terms: dict[Monomial, Coeff]) -> "Polynomial":
-        """The polynomial that owns terms, which its caller built canonical
-        (nonzero int or Fraction coefficients) and in the order of
-        sorted_terms; it is neither copied nor checked."""
+    def from_masks(cls, masks: dict[int, Coeff], bitvars: list) -> "Polynomial":
+        """The polynomial that owns masks: bit i of a mask is bitvars[i] with
+        exponent 1.  The caller gives bitvars ascending, nonzero int or
+        Fraction coefficients and the masks in the order of sorted_terms;
+        nothing is copied or checked."""
         p = cls.__new__(cls)
-        p._terms = terms
+        p._tuples = None
         p._glex = True
+        p._masks = masks
+        p._bitvars = bitvars
         return p
+
+    @property
+    def _terms(self) -> dict[Monomial, Coeff]:
+        """The terms as {monomial: coeff}; a polynomial built from masks
+        joins each mask's monomial from per-byte tables on first use."""
+        if self._tuples is None:
+            tabs = _chunk_tables([((v, 1),) for v in self._bitvars], (), operator.add)
+            self._tuples = {_mask_join(tabs, mask, ()): c
+                            for mask, c in self._masks.items()}
+        return self._tuples
 
     # -- inspection -----------------------------------------------------
 
@@ -142,13 +183,13 @@ class Polynomial:
         return self._terms.get(m, 0)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._tuples if self._masks is None else self._masks)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return len(self) > 0
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self
 
     def variables(self) -> set:
         out: set = set()
@@ -242,7 +283,7 @@ class Polynomial:
             else:
                 raise TypeError(f"cannot substitute value of type {type(val)}")
 
-        if all(len(p._terms) <= 1 for p in norm.values()):
+        if all(len(p) <= 1 for p in norm.values()):
             simple = {v: next(iter(p._terms.items()), ((), 0)) for v, p in norm.items()}
             out: dict[Monomial, Coeff] = {}
             for m, c in self._terms.items():
@@ -287,27 +328,38 @@ class Polynomial:
         """Terms in graded-lexicographic order over the canonical VarId order:
         by total degree, then by the monomial tuples.
 
-        Terms already stored in that order (genfun._assemble builds them so)
-        are returned as stored.  Otherwise the first call sorts them once and
+        Terms already stored in that order (from_masks takes them so) are
+        returned as stored.  Otherwise the first call sorts them once and
         stores them in order, which changes no term.
         """
         if not self._glex:
-            self._terms = dict(sorted(self._terms.items(),
-                                      key=lambda it: (sum(e for _, e in it[0]), it[0])))
+            self._tuples = dict(sorted(self._terms.items(),
+                                       key=lambda it: (sum(e for _, e in it[0]), it[0])))
             self._glex = True
         return list(self._terms.items())
+
+    def mask_terms(self):
+        """(pairs, (mask, coeff) pairs) in sorted_terms order, where bit i of
+        a mask is the (VarId, exponent) pair pairs[i] and pairs ascend, so a
+        monomial is its mask's pairs in bit order.  A polynomial built from
+        masks returns its own; any other numbers the pairs its terms use."""
+        if self._masks is not None:
+            return [(v, 1) for v in self._bitvars], self._masks.items()
+        pairs = sorted({pair for m in self._terms for pair in m})
+        bit = {pair: 1 << i for i, pair in enumerate(pairs)}
+        return pairs, [(sum(map(bit.__getitem__, m)), c) for m, c in self.sorted_terms()]
 
     def to_json_obj(self) -> list:
         return [{"coeff": str(Fraction(c)), "vars": [[var_to_str(v), e] for v, e in m]}
                 for m, c in self.sorted_terms()]
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self:
             return "Polynomial(0)"
         bits = []
         for m, c in self.sorted_terms()[:8]:
             mono = "*".join(f"{var_to_str(v)}^{e}" if e > 1 else var_to_str(v)
                             for v, e in m) or "1"
             bits.append(f"{c}*{mono}")
-        suffix = f" ... ({len(self._terms)} terms)" if len(self._terms) > 8 else ""
+        suffix = f" ... ({len(self)} terms)" if len(self) > 8 else ""
         return f"Polynomial({' + '.join(bits)}{suffix})"

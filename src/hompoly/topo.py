@@ -717,7 +717,3 @@ def _kuratowski_branch_sets(nbrs):
 
 def rotation_to_json_obj(rot: RotationSystem) -> dict:
     return {str(v): list(ring) for v, ring in sorted(rot.items())}
-
-
-def rotation_from_json_obj(obj: dict) -> RotationSystem:
-    return {int(v): tuple(ring) for v, ring in obj.items()}

@@ -119,6 +119,11 @@ def reference_peel_outerplanar(nbrs) -> bool:
     return not any(nbrs)
 
 
+def rotation_from_json_obj(obj: dict) -> dict:
+    """The rotation system that topo.rotation_to_json_obj wrote as obj."""
+    return {int(v): tuple(ring) for v, ring in obj.items()}
+
+
 def find_k33_or_k5_minor(g: Graph):
     """Kuratowski-style witness from the library's minor finder, independent
     of networkx: ("k5"|"k33", branch sets) or None."""

@@ -70,6 +70,17 @@ def test_poly_edge_vertex_model(graph_files, capsys):
                       "vars": [["e:0:1", 1], ["v:0", 1], ["v:1", 1]]}]
 
 
+def test_poly_command_streams_the_writer_text(graph_files, capsys):
+    # an H with no edge leaves no term; otherwise the streamed pieces are
+    # _dump_poly's text, and one newline ends both
+    assert main(["poly", graph_files["empty"], "cycle", "--n", "4"]) == 0
+    assert capsys.readouterr().out == "[]\n"
+    assert main(["poly", graph_files["k3"], "tree", "--n", "4",
+                 "--model", "edge-vertex"]) == 0
+    p = hom_poly(Graph.complete(3), 4, TREE, VariableModel.EDGE_AND_VERTEX)
+    assert capsys.readouterr().out == _dump_poly(p) + "\n"
+
+
 POLY_VARS = ([edge_var(i, j) for i in range(4) for j in range(i + 1, 4)]
              + [vertex_var(v) for v in range(4)] + [loop_var(v) for v in range(2)])
 COEFFS = st.one_of(st.integers(-5, 5),

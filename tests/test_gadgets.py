@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from conftest import rotation_from_json_obj
 from hompoly import Graph, hom_to_single_edge
 from hompoly.gadgets import (Gadget, amalgam_chain, buddy_transform, end_edges,
                              fold_block_to_edge_certificate, genus_block,
@@ -125,7 +126,7 @@ def test_golden_gadgets(name, build):
 
 
 def test_golden_block_rotation_has_genus_one():
-    from hompoly.topo import genus_of_rotation, rotation_from_json_obj
+    from hompoly.topo import genus_of_rotation
     data = json.loads((GOLDEN / "block-rotation.json").read_text())
     rot = rotation_from_json_obj(data)
     assert genus_of_rotation(genus_block().graph, rot) == 1

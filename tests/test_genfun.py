@@ -15,10 +15,11 @@ from hompoly import (CYCLE, CLIQUE, OUTERPLANAR, PLANAR, TREE, Graph, VariableMo
                      generating_function, genfun, hom_poly,
                      oracle_clique, oracle_matching, oracle_uhc, recognize,
                      reductions)
+from hompoly.cli import _dump_poly
 from hompoly.gadgets import planar_gadget, star_gadget
 from hompoly.errors import BudgetExceededError
 from hompoly.genfun import subsets_to_poly
-from hompoly.graphs import all_edges
+from hompoly.graphs import all_edges, mask_edges
 from hompoly.poly import Polynomial, aux_var, edge_var, monomial, vertex_var
 
 LOOP = Graph.looped_vertex()
@@ -195,6 +196,34 @@ def test_assembled_terms_are_stored_in_graded_lex_order(inputs):
                p.homogeneous_component(vs[::2], 1)]
     for q in derived:
         assert q.sorted_terms() == graded_lex(q.terms())
+
+
+@st.composite
+def complete_graph_masks(draw):
+    """Masks over all of K_n's edges for n <= 6, with repeats, the empty
+    list and the empty mask allowed, and a variable model."""
+    edges = all_edges(draw(st.integers(0, 6)))
+    masks = draw(st.lists(st.integers(0, (1 << len(edges)) - 1), max_size=10))
+    if masks:
+        masks += draw(st.lists(st.sampled_from(masks), max_size=4))
+    return edges, masks, draw(st.sampled_from(list(VariableModel)))
+
+
+@given(complete_graph_masks())
+@example((all_edges(4), [], VariableModel.EDGE_AND_VERTEX))
+@example((all_edges(6), [0, 1 << 14, 0], VariableModel.EDGE_AND_VERTEX))
+@settings(max_examples=150, deadline=None)
+def test_mask_polynomial_matches_its_tuple_form(inputs):
+    edges, masks, model = inputs
+    p = genfun._assemble(masks, [edge_var(*e) for e in edges], model)
+    # the count, the truth value and the writer read the masks alone
+    assert (len(p), bool(p)) == (len(set(masks)), bool(masks))
+    text = _dump_poly(p)
+    assert p._tuples is None
+    expected = reference_subsets_to_poly([mask_edges(m, edges) for m in masks], model)
+    assert p == expected
+    assert p.sorted_terms() == graded_lex(p.terms())
+    assert text == _dump_poly(Polynomial(dict(p.terms())))
 
 
 def test_graded_lex_degree_counts_the_vertex_variables():

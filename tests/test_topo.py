@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (find_k33_or_k5_minor, nx_outerplanar, nx_planar,
-                      reference_peel_outerplanar, to_nx)
+                      reference_peel_outerplanar, rotation_from_json_obj, to_nx)
 from hompoly import Graph, topo
 from hompoly.errors import BudgetExceededError
 from hompoly.gadgets import (amalgam_chain, buddy_transform, genus_block,
@@ -25,7 +25,7 @@ from hompoly.topo import (K5, K33, _rotation_choices, _validate_branch_sets,
                           contains_subgraph, find_minor, genus_of_rotation,
                           is_outerplanar, is_planar, kuratowski_witness,
                           min_genus, min_genus_rotation, planar_rotation,
-                          rotation_from_json_obj, rotation_search_space,
+                          rotation_search_space,
                           rotation_to_json_obj, trace_faces, validate_rotation)
 
 CUBE = Graph.make(8, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7),
