@@ -7,12 +7,12 @@ brute-force oracle.  Pipelines always run their extraction steps twice:
 once as direct polynomial operations and once through interpolation
 circuits with oracle gates, and both routes must agree.
 
-The outerplanar, planar and genus lemmas run in one frame, _gadget_lemma:
-the classifier's skip, then the lemma's body, where a PipelineIntegrityError
-(a mis-calibrated budget, or the circuit route disagreeing) becomes one
-failed report keeping the details recorded so far.  The genus lemma reports
-a circuit disagreement this way like the other two; the tree and cycle
-lemmas raise it.
+Every polynomial lemma (cycles, trees, outerplanar, planar and genus) runs
+in one frame, _lemma_frame: the classifier's skip, then the lemma's body,
+where a PipelineIntegrityError (a mis-calibrated budget, a survivor failing
+its certificate, or the circuit route disagreeing) becomes one failed
+report keeping the details recorded so far.  Each lemma's circuit route is
+checked by one helper, _cross_check.
 """
 
 from __future__ import annotations
@@ -186,22 +186,19 @@ def classify(h: Graph, cls: GraphClass) -> Classification:
                           caveat=LOOP_ONLY_CAVEAT)
 
 
-def _vac0_report(lemma_id: str, params: dict, reason: str) -> ReductionReport:
-    zero = Polynomial.zero()
-    return ReductionReport(lemma_id, params, zero, zero, True,
-                           details={"skipped": reason})
-
-
-def _gadget_lemma(lemma_id: str, h: Graph, cls: GraphClass, params: dict,
-                  expected: Polynomial, body) -> ReductionReport:
+def _lemma_frame(lemma_id: str, h: Graph, cls: GraphClass, params: dict,
+                 expected: Polynomial, body) -> ReductionReport:
     """The classifier's skip, then body(details), which returns the report.
-    A PipelineIntegrityError from the body becomes a failed report against
+    The lemma is skipped when classify(h, cls) is not VNP-complete or
+    carries a caveat, which is then the reason given, else the witness.  A
+    PipelineIntegrityError from the body becomes a failed report against
     expected, the polynomial the body compares with, keeping the details
     the body recorded before it."""
     verdict = classify(h, cls)
-    if verdict.kind != "VNPComplete" or not h.edges:
-        reason = verdict.witness if verdict.kind != "VNPComplete" else LOOP_ONLY_CAVEAT
-        return _vac0_report(lemma_id, params, reason)
+    if verdict.kind != "VNPComplete" or verdict.caveat:
+        zero = Polynomial.zero()
+        return ReductionReport(lemma_id, params, zero, zero, True,
+                               details={"skipped": verdict.caveat or verdict.witness})
     details: dict = {}
     try:
         return body(details)
@@ -259,9 +256,8 @@ def _slice(p: Polynomial, filters, check: bool,
     The same filter list is re-run through interpolation circuits: p is the
     circuit's one oracle, over p's own variables (none for a constant p),
     and one interpolation is nested per filter, each of degree max(k,
-    degree of p in vars).  The evaluated circuit must equal the direct
-    slices, else PipelineIntegrityError; records the sizes per nesting
-    level and returns the final one.  check is only the
+    degree of p in vars).  _cross_check holds it to the direct slices and
+    records the sizes per nesting level.  check is only the
     empty-polynomial guard: the gadget pipelines pass bool(p), so a
     mis-calibrated budget with no survivors adds no circuit keys, while the
     tree pipeline always passes True and checks an empty p too.
@@ -276,11 +272,19 @@ def _slice(p: Polynomial, filters, check: bool,
     for vars, k in filters:
         c = circ.interpolate_homc(c, vars, k, max(k, p.degree_in(vars)))
         sizes.append(circ.size(c))
-    if circ.eval_symbolic(c, p) != sliced:
+    return sliced, _cross_check(c, p, sliced, sizes, details)
+
+
+def _cross_check(c, oracle: Polynomial, direct: Polynomial, sizes: list,
+                 details: dict) -> int:
+    """The circuit route against the direct one: c evaluated on its one
+    oracle must equal direct, else PipelineIntegrityError.  Records sizes,
+    the circuit's size after each step, and returns c's size."""
+    if circ.eval_symbolic(c, oracle) != direct:
         raise PipelineIntegrityError("circuit route disagrees with direct route")
     details["circuit_sizes"] = sizes
     details["circuit_agrees"] = True
-    return sliced, sizes[-1]
+    return circ.size(c)
 
 
 # -- cycles -------------------------------------------------------------------------
@@ -290,32 +294,30 @@ def reduce_cycles(h: Graph, n: int) -> ReductionReport:
     one enforced edge of the one-larger host; compare with the Hamiltonian
     cycle oracle."""
     params = _params("cycles-even", h, n=n)
-    cls = classify(h, CYCLE)
-    if cls.kind != "VNPComplete":
-        return _vac0_report("cycles-even", params, cls.witness)
-
-    odd = not h.loops and n % 2 == 1
-    host = n + 1 if odd else n
-    F = hom_poly(h, host, CYCLE)
-    evars = [edge_var(i, j) for i, j in all_edges(host)]
-    produced = F.homogeneous_component(evars, host)
-    c = circ.extract_homc(evars, evars, host, host)
-    sizes = [circ.size(c)]
-    if odd:
-        produced = contract_enforced_edge(produced, (0, n))
-        c = circ.interpolate_homc(c, [edge_var(0, n)], 1, 1)
-        sizes.append(circ.size(c))
-        mapping = {edge_var(i, n): edge_var(0, i) for i in range(1, n)}
-        mapping[edge_var(0, n)] = 1
-        c = circ.substitute_vars(c, mapping)
-        c = circ.scale_circuit(c, Fraction(1, 2))
-    if circ.eval_symbolic(c, F) != produced:
-        raise PipelineIntegrityError("circuit route disagrees with direct route")
-    details = {"branch": "odd-contraction" if odd else "loop" if h.loops else "even",
-               "circuit_sizes": sizes, "circuit_agrees": True}
     expected = oracle_uhc(n)
-    return ReductionReport("cycles-even", params, produced, expected,
-                           produced == expected, circ.size(c), details=details)
+
+    def body(details: dict) -> ReductionReport:
+        odd = not h.loops and n % 2 == 1
+        details["branch"] = "odd-contraction" if odd else "loop" if h.loops else "even"
+        host = n + 1 if odd else n
+        F = hom_poly(h, host, CYCLE)
+        evars = [edge_var(i, j) for i, j in all_edges(host)]
+        produced = F.homogeneous_component(evars, host)
+        c = circ.extract_homc(evars, evars, host, host)
+        sizes = [circ.size(c)]
+        if odd:
+            produced = contract_enforced_edge(produced, (0, n))
+            c = circ.interpolate_homc(c, [edge_var(0, n)], 1, 1)
+            sizes.append(circ.size(c))
+            mapping = {edge_var(i, n): edge_var(0, i) for i in range(1, n)}
+            mapping[edge_var(0, n)] = 1
+            c = circ.substitute_vars(c, mapping)
+            c = circ.scale_circuit(c, Fraction(1, 2))
+        csize = _cross_check(c, F, produced, sizes, details)
+        return ReductionReport("cycles-even", params, produced, expected,
+                               produced == expected, csize, details=details)
+
+    return _lemma_frame("cycles-even", h, CYCLE, params, expected, body)
 
 
 # -- cliques ------------------------------------------------------------------------
@@ -446,53 +448,48 @@ def reduce_trees(h: Graph, target: Graph) -> ReductionReport:
     if not target.n:
         # the empty matching would count as 1, but the gadget has no tree
         raise ValueError("matching target needs a vertex")
-    cls = classify(h, TREE)
-    if cls.kind != "VNPComplete":
-        return _vac0_report("tree-matching", params, cls.witness)
-    if not h.edges:
-        return _vac0_report("tree-matching", params, "tree pipeline needs an edge in H")
-
-    tn = target.n
-    tedges = sorted(target.edges)
-    gedges, nvert = tree_gadget_edges(target)
-    s = nvert - 1
-    details: dict = {"gadget_vertices": nvert, "gadget_edges": len(gedges)}
-
-    csize = None
-    if tn % 2:
-        sliced = Polynomial.zero()
-        details["circuit"] = "skipped: odd target has no perfect matching"
-    else:
-        P, details["dfs_nodes"] = gadget_tree_poly(target)
-        details["tree_terms"] = len(P)
-        # the root slice only bites on a two-vertex target, whose path u-e-v
-        # spans both originals without the root
-        filters = [([vertex_var(tn + k) for k in range(len(tedges))], tn // 2),
-                   ([vertex_var(v) for v in range(tn)], tn),
-                   ([vertex_var(s)], 1)]
-        sliced, csize = _slice(P, filters, True, details)
-
-    # every tree is bipartite, hence homomorphic to any H with an edge; the
-    # class polynomial's homomorphism filter is checked on the survivors
-    survivors = [m for m, _ in sliced.terms()]
-    details["survivors"] = len(survivors)
-    for m in survivors:
-        es = [(v[1], v[2]) for v, _ in m if v[0] == 'e']
-        if not is_homomorphic(Graph.make(nvert, es), h):
-            raise PipelineIntegrityError("survivor not homomorphic to H")
-
-    # project onto the root edges and rename them to the target's edge variables
-    mapping = {}
-    for var in sliced.variables():
-        if var[0] == 'e' and var[2] == s:
-            mapping[var] = edge_var(*tedges[var[1] - tn])
-        else:
-            mapping[var] = 1
-    produced = sliced.substitute(mapping)
     expected = oracle_matching(target)
 
-    return ReductionReport("tree-matching", params, produced, expected,
-                           produced == expected, csize, details=details)
+    def body(details: dict) -> ReductionReport:
+        tn = target.n
+        tedges = sorted(target.edges)
+        gedges, nvert = tree_gadget_edges(target)
+        s = nvert - 1
+        details.update(gadget_vertices=nvert, gadget_edges=len(gedges))
+        if tn % 2:
+            sliced, csize = Polynomial.zero(), None
+            details["circuit"] = "skipped: odd target has no perfect matching"
+        else:
+            P, details["dfs_nodes"] = gadget_tree_poly(target)
+            details["tree_terms"] = len(P)
+            # the root slice only bites on a two-vertex target, whose path
+            # u-e-v spans both originals without the root
+            filters = [([vertex_var(tn + k) for k in range(len(tedges))], tn // 2),
+                       ([vertex_var(v) for v in range(tn)], tn),
+                       ([vertex_var(s)], 1)]
+            sliced, csize = _slice(P, filters, True, details)
+
+        # every tree is bipartite, hence homomorphic to any H with an edge;
+        # the class polynomial's homomorphism filter is checked on the survivors
+        survivors = [m for m, _ in sliced.terms()]
+        details["survivors"] = len(survivors)
+        for m in survivors:
+            es = [(v[1], v[2]) for v, _ in m if v[0] == 'e']
+            if not is_homomorphic(Graph.make(nvert, es), h):
+                raise PipelineIntegrityError("survivor not homomorphic to H")
+
+        # project onto the root edges, renamed to the target's edge variables
+        mapping = {}
+        for var in sliced.variables():
+            if var[0] == 'e' and var[2] == s:
+                mapping[var] = edge_var(*tedges[var[1] - tn])
+            else:
+                mapping[var] = 1
+        produced = sliced.substitute(mapping)
+        return ReductionReport("tree-matching", params, produced, expected,
+                               produced == expected, csize, details=details)
+
+    return _lemma_frame("tree-matching", h, TREE, params, expected, body)
 
 
 # -- outerplanar ---------------------------------------------------------------------
@@ -552,7 +549,7 @@ def reduce_outerplanar(h: Graph, n: int) -> ReductionReport:
         return ReductionReport("outerplanar-star", params, glued, expected, equal,
                                csize, details=details)
 
-    return _gadget_lemma("outerplanar-star", h, OUTERPLANAR, params, expected, body)
+    return _lemma_frame("outerplanar-star", h, OUTERPLANAR, params, expected, body)
 
 
 def _glue_endpoints(p: Polynomial, drop_to_one, a: int, b: int,
@@ -630,7 +627,7 @@ def reduce_planar(h: Graph, m: int) -> ReductionReport:
         return ReductionReport("planar-permutation", params, glued, expected,
                                equal and glued == expected, csize, details=details)
 
-    return _gadget_lemma("planar-permutation", h, PLANAR, params, expected, body)
+    return _lemma_frame("planar-permutation", h, PLANAR, params, expected, body)
 
 
 def _ham_path_sets(vertices) -> set:
@@ -808,4 +805,4 @@ def reduce_genus(h: Graph, k: int, m: int) -> ReductionReport:
         return ReductionReport("genus-chain", params, glued, expected, equal, csize,
                                details=details, caveat=caveat)
 
-    return _gadget_lemma("genus-chain", h, genus_class(k), params, expected, body)
+    return _lemma_frame("genus-chain", h, genus_class(k), params, expected, body)

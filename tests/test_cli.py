@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hompoly import CYCLE, OUTERPLANAR, TREE, Graph, VariableModel, hom_poly
-from hompoly import cli, topo
+from hompoly import circuit, cli, reductions, topo
 from hompoly.cli import LEMMAS, _dump_poly, build_parser, main
 from hompoly.errors import PipelineIntegrityError
 from hompoly.gadgets import genus_block
@@ -213,6 +213,39 @@ def test_pipeline_integrity_failure_exits_1(monkeypatch, capsys):
     assert out == ""
     assert err == ("pipeline integrity failure: genus-block: circuit and direct "
                    "slices differ\n")
+
+
+def test_circuit_disagreement_fails_rows_not_the_run(monkeypatch, tmp_path, capsys):
+    # every lemma that builds a circuit reports the disagreement as a failed
+    # row; the report file is still written with all six lemmas
+    real = circuit.eval_symbolic
+    monkeypatch.setattr(circuit, "eval_symbolic",
+                        lambda c, oracle=None: real(c, oracle) + Polynomial.constant(1))
+    out = tmp_path / "r.json"
+    assert main(["verify", "--out", str(out)]) == 1
+    capsys.readouterr()
+    data = json.loads(out.read_text())
+    assert data["all_equal"] is False and len(data["reports"]) == 6
+    failed = {r["lemma"] for r in data["reports"] if not r["equal"]}
+    assert failed == {"cycles-even", "tree-matching", "outerplanar-star",
+                      "genus-chain"}
+    for r in data["reports"]:
+        if r["lemma"] in failed:
+            assert "circuit route" in r["details"]["calibration_failure"]
+
+
+def test_verify_prints_and_writes_a_caveat(monkeypatch, tmp_path, capsys):
+    # a block certificate that calls the block planar fails the chain's
+    # structural check, which the report carries as a caveat
+    record = reductions._block_certificate()
+    monkeypatch.setattr(reductions, "_block_certificate", lambda: (True,) + record[1:])
+    out = tmp_path / "r.json"
+    assert main(["verify", "--lemma", "genus-chain", "--out", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert "caveat [genus-chain]: embedding or certificate search failed\n" in printed
+    (row,) = json.loads(out.read_text())["reports"]
+    assert row["caveat"] == "embedding or certificate search failed"
+    assert row["equal"] is False
 
 
 @pytest.mark.parametrize("argv", [

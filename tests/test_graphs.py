@@ -59,6 +59,12 @@ def test_loops_of_g_need_looped_images():
         assert not brute_is_homomorphic(g, K2)
 
 
+def test_only_the_empty_graph_maps_into_the_empty_graph():
+    empty = Graph.make(0)
+    for g in (empty, Graph.make(1), K2, Graph.looped_vertex()):
+        assert is_homomorphic(g, empty) == (g.n == 0) == brute_is_homomorphic(g, empty)
+
+
 def test_hom_matches_brute_force_on_samples():
     rng = random.Random(7)
     hs = [K2, Graph.complete(3), Graph.looped_vertex(), Graph.path(3),
@@ -172,6 +178,16 @@ def test_recognize_examples():
     assert recognize(Graph.complete(5), genus_class(1))
     assert not recognize(Graph.complete(5), PLANAR)
     assert not recognize(Graph.make(3, [(0, 1)], loops=[2]), TREE)
+
+
+def test_recognize_puts_a_genus_two_graph_in_genus_class_two_only():
+    # two K3,3 joined by an edge: genus 2 by additivity over blocks, so
+    # being non-planar is not enough for genus class 1
+    k33 = Graph.complete_bipartite(3, 3)
+    g = Graph.make(12, list(k33.edges) + [(u + 6, w + 6) for u, w in k33.edges]
+                   + [(0, 6)])
+    assert not recognize(g, genus_class(1))
+    assert recognize(g, genus_class(2))
 
 
 def test_recognize_rejects_extra_components():

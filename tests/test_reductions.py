@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import types
 
 import networkx as nx
 import pytest
@@ -333,7 +334,10 @@ def test_gadget_pipelines_make_no_general_planarity_test(planarity_calls):
 
 
 def test_circuit_disagreement_is_caught(monkeypatch):
-    runs = [(reduce_outerplanar, (K3, 6), "triangle", "budget_valid"),
+    runs = [(reduce_cycles, (K2, 4), "even", "branch"),
+            (reduce_cycles, (K2, 5), "odd-contraction", "branch"),
+            (reduce_trees, (K2, K4), None, "gadget_vertices"),
+            (reduce_outerplanar, (K3, 6), "triangle", "budget_valid"),
             (reduce_outerplanar, (K2, 5), "buddy", "support_bipartite"),
             (reduce_planar, (K2, 6), None, "expected_paths"),
             (reduce_genus, (K3, 1, 4), None, "middle_valid")]
@@ -345,8 +349,6 @@ def test_circuit_disagreement_is_caught(monkeypatch):
         return real(c, oracle) + Polynomial.constant(1)
 
     monkeypatch.setattr(reductions.circ, "eval_symbolic", off_by_one)
-    with pytest.raises(PipelineIntegrityError, match="circuit route"):
-        reduce_trees(K2, K4)
     # each report keeps a detail recorded before the circuit check, and
     # names the polynomial the passing run compared with
     for (lemma, args, branch, kept), ok in zip(runs, passing):
@@ -355,6 +357,33 @@ def test_circuit_disagreement_is_caught(monkeypatch):
         assert "circuit route" in r.details["calibration_failure"]
         assert r.details.get("branch") == branch and kept in r.details
         assert r.expected == ok.expected
+
+
+def _star_centred_on_vertex_3(n):
+    """star_gadget with its center role moved onto outer vertex 3, which
+    keeps one star edge in every survivor."""
+    star = gadgets.star_gadget(n)
+    labels = {"center": 3, "glue-a": 1, "glue-b": 2}
+    return dataclasses.replace(star, graph=Graph.make(n, star.graph.edges, labels=labels))
+
+
+@pytest.mark.parametrize("name,patch,lemma,args,kept,message", [
+    ("is_homomorphic", lambda g, h: False, reduce_trees, (K2, K4), "survivors",
+     "survivor not homomorphic to H"),
+    ("star_gadget", _star_centred_on_vertex_3, reduce_outerplanar, (K3, 6),
+     "endpoint_valid", "survivor lost a star edge"),
+    ("topo", types.SimpleNamespace(is_outerplanar=lambda g: False),
+     reduce_outerplanar, (K3, 6), "endpoint_valid", "survivor is not outerplanar"),
+], ids=["not-homomorphic", "lost-star-edge", "not-outerplanar"])
+def test_survivor_certificate_failure_is_a_failed_report(monkeypatch, name, patch,
+                                                         lemma, args, kept, message):
+    # the survivor checks run after the circuit check; a failing one keeps
+    # the details recorded before it and the passing run's oracle
+    ok = lemma(*args)
+    monkeypatch.setattr(reductions, name, patch)
+    r = lemma(*args)
+    assert not r.equal and r.details["calibration_failure"] == message
+    assert r.details[kept] == ok.details[kept] and r.expected == ok.expected
 
 
 def test_failed_planar_report_past_m6_names_the_glued_cycles(monkeypatch):

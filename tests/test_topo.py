@@ -493,7 +493,8 @@ def test_peel_agrees_with_networkx_and_the_reference(g):
     assert is_outerplanar(g) == want
 
 
-@given(small_graphs(max_n=7), st.integers(0, 10 ** 6))
+@given(st.one_of(small_graphs(max_n=7), two_tree_subgraphs(max_n=7)),
+       st.integers(0, 10 ** 6))
 @settings(max_examples=150, deadline=None)
 def test_rotation_search_space_closed_form(g, cap):
     exact = _enumerated_space(g)
