@@ -15,16 +15,15 @@ exact coefficients (int or Fraction; anything else is a TypeError).
 Equality is structural equality of these canonical forms, so two polynomials
 are == exactly when they are the same polynomial over Q.
 
-A polynomial also remembers whether its terms are already stored in
-graded-lexicographic order, the order sorted_terms returns; any other
-polynomial sorts once, on its first sorted_terms call.  The generating
-function assembler builds its terms in that order as integer masks, one bit
-per variable with every exponent 1, and Polynomial.from_masks keeps them so:
-the monomial tuples are built from per-byte tables on first use and then
-kept, while len, bool and mask_terms read the masks.  Polynomials are
-immutable by convention, so the flag and the masks are memos of the stored
-terms, not modes: equality and arithmetic ignore them, and every result of
-arithmetic starts without them.
+The generating function assembler builds its terms in graded-lexicographic
+order, the order sorted_terms returns, as integer masks, one bit per
+variable with every exponent 1, and Polynomial.from_masks keeps them so: the
+monomial tuples are built from per-byte tables on first use and then kept,
+while len, bool and mask_terms read the masks, and sorted_terms returns the
+stored order.  Any other polynomial is sorted on each sorted_terms call.
+Polynomials are immutable by convention, so the masks are a memo of the
+stored terms, not a mode: equality and arithmetic ignore them, and every
+result of arithmetic starts without them.
 """
 
 from __future__ import annotations
@@ -120,7 +119,7 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
 class Polynomial:
     """Immutable-by-convention sparse polynomial over exact rationals."""
 
-    __slots__ = ("_tuples", "_glex", "_masks", "_bitvars")
+    __slots__ = ("_tuples", "_masks", "_bitvars")
 
     def __init__(self, terms: dict[Monomial, Coeff] | None = None):
         cleaned: dict[Monomial, Coeff] = {}
@@ -130,7 +129,6 @@ class Polynomial:
                 if c:
                     cleaned[m] = c
         self._tuples = cleaned
-        self._glex = False  # whether _terms is stored in graded-lex order
         self._masks = None
 
     # -- constructors ---------------------------------------------------
@@ -159,7 +157,6 @@ class Polynomial:
         nothing is copied or checked."""
         p = cls.__new__(cls)
         p._tuples = None
-        p._glex = True
         p._masks = masks
         p._bitvars = bitvars
         return p
@@ -328,15 +325,12 @@ class Polynomial:
         """Terms in graded-lexicographic order over the canonical VarId order:
         by total degree, then by the monomial tuples.
 
-        Terms already stored in that order (from_masks takes them so) are
-        returned as stored.  Otherwise the first call sorts them once and
-        stores them in order, which changes no term.
+        A polynomial built from masks holds its terms in that order and
+        returns them as stored; any other returns a sorted copy.
         """
-        if not self._glex:
-            self._tuples = dict(sorted(self._terms.items(),
-                                       key=lambda it: (sum(e for _, e in it[0]), it[0])))
-            self._glex = True
-        return list(self._terms.items())
+        if self._masks is not None:
+            return list(self._terms.items())
+        return sorted(self._terms.items(), key=lambda it: (sum(e for _, e in it[0]), it[0]))
 
     def mask_terms(self):
         """(pairs, (mask, coeff) pairs) in sorted_terms order, where bit i of

@@ -11,8 +11,10 @@ Every polynomial lemma (cycles, trees, outerplanar, planar and genus) runs
 in one frame, _lemma_frame: the classifier's skip, then the lemma's body,
 where a PipelineIntegrityError (a mis-calibrated budget, a survivor failing
 its certificate, or the circuit route disagreeing) becomes one failed
-report keeping the details recorded so far.  Each lemma's circuit route is
-checked by one helper, _cross_check.
+report keeping the details recorded so far.  One helper, _cross_check,
+checks each circuit route (_slice runs it on every sliced polynomial, an
+empty one too), and one builder, edge_projection, makes each vertex map's
+projection.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .errors import BudgetExceededError, PipelineIntegrityError
 from .gadgets import (amalgam_chain, buddy_transform, chain_layout,
                       end_edges, genus_block, planar_gadget, star_gadget,
                       subdivide_and_buddy_planar, fold_block_to_edge_certificate)
-from .genfun import (clique_poly, hamiltonian_orders, hom_poly,
-                     oracle_matching, oracle_uhc, subsets_to_poly)
+from .genfun import (VariableModel, _assemble, clique_poly, hamiltonian_orders,
+                     hom_poly, oracle_matching, oracle_uhc, subsets_to_poly)
 from .graphs import (CYCLE, OUTERPLANAR, PLANAR, TREE, Graph,
                      GraphClass, all_edges, canonical_edge, genus_class,
                      hom_to_single_edge, is_homomorphic, recognize)
@@ -94,26 +96,30 @@ def divide_uniform(p: Polynomial, context: str = "") -> tuple[Polynomial, int]:
     return divide_integral(p, c, context), int(c)
 
 
-def contract_enforced_edge(p: Polynomial, e) -> Polynomial:
-    """Enforce e=(u,v), set x_e to one, relabel v's edge variables onto u,
-    and divide the uniform factor two out of the result."""
-    u, v = canonical_edge(*e)
-    kept = enforce_edges(p, [e]).substitute({edge_var(u, v): 1})
-    return divide_integral(relabel_edges_poly(kept, {v: u}), 2,
-                           f"contracting edge {e}")
-
-
-def relabel_edges_poly(p: Polynomial, vmap: dict) -> Polynomial:
-    """Apply a vertex relabeling to every edge variable of p; an edge whose
-    ends it merges means the terms were not the ones the gluing expects."""
+def edge_projection(vars, vmap: dict, to_one=()) -> dict:
+    """{var: 1 | renamed edge var} over the edge variables among vars: the
+    edges to_one go to one, every other is renamed by the vertex map vmap.
+    vmap merging an edge's ends is a PipelineIntegrityError."""
+    ones = {edge_var(*e) for e in to_one}
     mapping = {}
-    for var in p.variables():
-        if var[0] == 'e':
+    for var in vars:
+        if var in ones:
+            mapping[var] = 1
+        elif var[0] == 'e':
             i, j = vmap.get(var[1], var[1]), vmap.get(var[2], var[2])
             if i == j:
                 raise PipelineIntegrityError(f"relabeling merges the ends of {var}")
             mapping[var] = edge_var(i, j)
-    return p.substitute(mapping)
+    return mapping
+
+
+def contract_enforced_edge(p: Polynomial, e) -> Polynomial:
+    """Enforce e=(u,v), set x_e to one, relabel v's edge variables onto u,
+    and divide the uniform factor two out of the result."""
+    u, v = canonical_edge(*e)
+    kept = enforce_edges(p, [e])
+    projected = kept.substitute(edge_projection(kept.variables(), {v: u}, [e]))
+    return divide_integral(projected, 2, f"contracting edge {e}")
 
 
 # -- reports and classification ----------------------------------------------------
@@ -244,29 +250,25 @@ def _gadget_survivors(gadget, class_check, hom_target: Graph | None) -> list:
                             hom_target)
 
 
-def _edge_vars_at(v: int, others) -> list:
-    return [edge_var(v, w) for w in others if w != v]
+def _free_at(gadget, vs) -> set:
+    """The variables of the gadget's free edges with an end in vs."""
+    return {edge_var(*e) for e in gadget.free_edges() if e[0] in vs or e[1] in vs}
 
 
-def _slice(p: Polynomial, filters, check: bool,
-           details: dict) -> tuple[Polynomial, int | None]:
+def _slice(p: Polynomial, filters, details: dict) -> tuple[Polynomial, int]:
     """Apply the (vars, k) homogeneous-component filters to p in order; the
-    sliced polynomial and the circuit size (None when check is false).
+    sliced polynomial and the circuit size.
 
     The same filter list is re-run through interpolation circuits: p is the
     circuit's one oracle, over p's own variables (none for a constant p),
     and one interpolation is nested per filter, each of degree max(k,
     degree of p in vars).  _cross_check holds it to the direct slices and
-    records the sizes per nesting level.  check is only the
-    empty-polynomial guard: the gadget pipelines pass bool(p), so a
-    mis-calibrated budget with no survivors adds no circuit keys, while the
-    tree pipeline always passes True and checks an empty p too.
+    records the sizes per nesting level.  An empty p is checked too, so a
+    budget that leaves no survivor still reports its circuit keys.
     """
     sliced = p
     for vars, k in filters:
         sliced = sliced.homogeneous_component(vars, k)
-    if not check:
-        return sliced, None
     c = circ.oracle_call_circuit(sorted(p.variables()))
     sizes = [circ.size(c)]
     for vars, k in filters:
@@ -309,9 +311,7 @@ def reduce_cycles(h: Graph, n: int) -> ReductionReport:
             produced = contract_enforced_edge(produced, (0, n))
             c = circ.interpolate_homc(c, [edge_var(0, n)], 1, 1)
             sizes.append(circ.size(c))
-            mapping = {edge_var(i, n): edge_var(0, i) for i in range(1, n)}
-            mapping[edge_var(0, n)] = 1
-            c = circ.substitute_vars(c, mapping)
+            c = circ.substitute_vars(c, edge_projection(evars, {n: 0}, [(0, n)]))
             c = circ.scale_circuit(c, Fraction(1, 2))
         csize = _cross_check(c, F, produced, sizes, details)
         return ReductionReport("cycles-even", params, produced, expected,
@@ -380,8 +380,7 @@ def gadget_tree_poly(target: Graph) -> tuple[Polynomial, int]:
     root = nvert - 1
     parent = list(range(nvert))
     deg = [0] * nvert
-    chosen: list = []
-    terms: dict = {}
+    masks: list = []  # one per kept tree; bit i selects gedges[i]
     nodes, budget = 0, TREE_NODE_BUDGET
 
     def find(x: int) -> int:
@@ -389,18 +388,15 @@ def gadget_tree_poly(target: Graph) -> tuple[Polynomial, int]:
             x = parent[x]
         return x
 
-    def visit(i: int, evs: int, covered: int) -> None:
+    def visit(i: int, k: int, mask: int, evs: int, covered: int) -> None:
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(
                 f"tree search exceeds the node budget {budget}")
-        k = len(chosen)
         if k == top or i == len(gedges):
             if k >= top - 1 and covered == k + 1:
-                mono = [(edge_var(*e), 1) for e in chosen]
-                mono += [(vertex_var(v), 1) for v in range(nvert) if deg[v]]
-                terms[tuple(mono)] = 1
+                masks.append(mask)
             return
         if k + len(gedges) - i < top - 1:
             return
@@ -410,19 +406,18 @@ def gadget_tree_poly(target: Graph) -> tuple[Polynomial, int]:
         ra, rb = find(a), find(b)
         if ra != rb and grown <= half:
             parent[ra] = rb
-            chosen.append((a, b))
             cov = covered + (deg[a] == 0) + (deg[b] == 0)
             deg[a] += 1
             deg[b] += 1
-            visit(i + 1, grown, cov)
+            visit(i + 1, k + 1, mask | 1 << i, grown, cov)
             deg[a] -= 1
             deg[b] -= 1
-            chosen.pop()
             parent[ra] = ra
-        visit(i + 1, evs, covered)
+        visit(i + 1, k, mask, evs, covered)
 
-    visit(0, 0, 0)
-    return Polynomial(terms), nodes
+    visit(0, 0, 0, 0, 0)
+    return _assemble(masks, [edge_var(*e) for e in gedges],
+                     VariableModel.EDGE_AND_VERTEX), nodes
 
 
 def reduce_trees(h: Graph, target: Graph) -> ReductionReport:
@@ -467,7 +462,7 @@ def reduce_trees(h: Graph, target: Graph) -> ReductionReport:
             filters = [([vertex_var(tn + k) for k in range(len(tedges))], tn // 2),
                        ([vertex_var(v) for v in range(tn)], tn),
                        ([vertex_var(s)], 1)]
-            sliced, csize = _slice(P, filters, True, details)
+            sliced, csize = _slice(P, filters, details)
 
         # every tree is bipartite, hence homomorphic to any H with an edge;
         # the class polynomial's homomorphism filter is checked on the survivors
@@ -479,13 +474,9 @@ def reduce_trees(h: Graph, target: Graph) -> ReductionReport:
                 raise PipelineIntegrityError("survivor not homomorphic to H")
 
         # project onto the root edges, renamed to the target's edge variables
-        mapping = {}
-        for var in sliced.variables():
-            if var[0] == 'e' and var[2] == s:
-                mapping[var] = edge_var(*tedges[var[1] - tn])
-            else:
-                mapping[var] = 1
-        produced = sliced.substitute(mapping)
+        produced = sliced.substitute(
+            {var: edge_var(*tedges[var[1] - tn]) if var[0] == 'e' and var[2] == s else 1
+             for var in sliced.variables()})
         return ReductionReport("tree-matching", params, produced, expected,
                                produced == expected, csize, details=details)
 
@@ -507,28 +498,24 @@ def reduce_outerplanar(h: Graph, n: int) -> ReductionReport:
         outer = list(range(1, n))
         k = len(outer)
         # without a triangle in H, the buddy transform of the star gadget is
-        # bipartite and its buddy pairs contract back onto the star's edges
+        # bipartite and its buddy pairs contract back onto the star's edges;
+        # there an end is the vertex together with its buddy
         if is_homomorphic(K3, h):
             details["branch"] = "triangle"
             gadget = star
-            ends = [_edge_vars_at(v, outer) for v in (a, b)]
+            ends = [{v} for v in (a, b)]
         else:
             details["branch"] = "buddy"
             if n > 6:
                 raise ValueError("the buddy branch supports n <= 6")
             gadget = buddy_transform(star)
-
-            def pair_conn_vars(v):
-                out = [edge_var(*canonical_edge(v, w + k)) for w in outer if w != v]
-                out += [edge_var(*canonical_edge(w, v + k)) for w in outer if w != v]
-                return out
-            ends = [pair_conn_vars(v) for v in (a, b)]
+            ends = [{v, v + k} for v in (a, b)]
             details["support_bipartite"] = hom_to_single_edge(gadget.graph)
         survivors = _gadget_survivors(gadget, lambda g: recognize(g, OUTERPLANAR), h)
         p_budget = subsets_to_poly(survivors)
         details.update(budget_valid=len(p_budget), budget=gadget.budget)
-        p_pts, csize = _slice(p_budget, [(vs, 1) for vs in ends],
-                              bool(p_budget), details)
+        p_pts, csize = _slice(p_budget, [(_free_at(gadget, vs), 1) for vs in ends],
+                              details)
         details["endpoint_valid"] = len(p_pts)
         if gadget is star:
             _verify_star_survivors(p_pts, n, center, a, b, outer)
@@ -537,12 +524,11 @@ def reduce_outerplanar(h: Graph, n: int) -> ReductionReport:
             # onto their originals; the lift multiplicity (one per
             # order-respecting attachment pattern, n-1 in total) is uniform
             # and divided out
-            p_pts = p_pts.substitute({edge_var(v, v + k): 1 for v in outer})
-            p_pts = relabel_edges_poly(p_pts, {v + k: v for v in outer})
+            p_pts = p_pts.substitute(edge_projection(
+                p_pts.variables(), {v + k: v for v in outer}, [(v, v + k) for v in outer]))
             p_pts, details["lift_multiplicity"] = divide_uniform(
                 p_pts, "contracting buddy pairs")
-        glued = _glue_endpoints(p_pts, sorted(star.enforced), a, b,
-                                [v for v in outer if v != b])
+        glued = _glue_endpoints(p_pts, star.enforced, a, b)
         equal = glued == expected
         if not equal:
             details["calibration_failure"] = True
@@ -552,13 +538,16 @@ def reduce_outerplanar(h: Graph, n: int) -> ReductionReport:
     return _lemma_frame("outerplanar-star", h, OUTERPLANAR, params, expected, body)
 
 
-def _glue_endpoints(p: Polynomial, drop_to_one, a: int, b: int,
-                    final_vertices) -> Polynomial:
-    """Set the given edges to one, relabel b onto a, canonicalize labels."""
-    p = p.substitute({edge_var(*e): 1 for e in drop_to_one})
-    vmap = {v: i for i, v in enumerate(sorted(final_vertices))}
+def _glue_endpoints(p: Polynomial, drop_to_one, a: int, b: int) -> Polynomial:
+    """Set the given edges to one, relabel b onto a, and number in order the
+    vertices left on p's other edges: a stray vertex shows as a label past
+    the cycle's length, a missing one as a short cycle."""
+    drop = {edge_var(*e) for e in drop_to_one}
+    kept = {x for var in p.variables() - drop for x in var[1:]}
+    vmap = {v: i for i, v in enumerate(sorted(kept - {b}))}
     vmap[b] = vmap.get(a, a)
-    return divide_integral(relabel_edges_poly(p, vmap), 2, "gluing endpoints")
+    p = p.substitute(edge_projection(p.variables(), vmap, drop_to_one))
+    return divide_integral(p, 2, "gluing endpoints")
 
 
 def _verify_star_survivors(p_pts: Polynomial, n, center, a, b, outer) -> None:
@@ -620,10 +609,10 @@ def reduce_planar(h: Graph, m: int) -> ReductionReport:
         # on the multilinear survivor polynomial a degree-one slice in x_e
         # enforces e
         filters = [([edge_var(*e_left)], 1), ([edge_var(*e_right)], 1),
-                   (_edge_vars_at(lo, mids), 1), (_edge_vars_at(ro, mids), 1)]
+                   (_free_at(gadget, {lo}), 1), (_free_at(gadget, {ro}), 1)]
         glued, csize = _glue_into_uhc(
-            survivors, filters, sorted(gadget.enforced) + [e_left, e_right], ga, gb,
-            [v for v in mids if v not in (lo, ro, gb)], expected, details)
+            survivors, filters, gadget.enforced | {e_left, e_right}, ga, gb,
+            expected, details)
         return ReductionReport("planar-permutation", params, glued, expected,
                                equal and glued == expected, csize, details=details)
 
@@ -646,14 +635,13 @@ def _path_lemma(survivors, mids, details: dict) -> tuple[set, set]:
 
 
 def _glue_into_uhc(survivors, filters, drop_to_one, a: int, b: int,
-                   final_vertices, uhc: Polynomial, details: dict) -> tuple:
+                   uhc: Polynomial, details: dict) -> tuple:
     """Slice the survivors' polynomial by the filters, glue b onto a, and
-    compare with uhc, the Hamiltonian cycles on the final vertices; returns
+    compare with uhc, the Hamiltonian cycles on the glued vertices; returns
     the glued polynomial and the circuit size."""
-    p = subsets_to_poly(survivors)
-    p_glue, csize = _slice(p, filters, bool(p), details)
+    p_glue, csize = _slice(subsets_to_poly(survivors), filters, details)
     details["glue_survivors"] = len(p_glue)
-    glued = _glue_endpoints(p_glue, drop_to_one, a, b, final_vertices)
+    glued = _glue_endpoints(p_glue, drop_to_one, a, b)
     details["glued_equal_uhc"] = glued == uhc
     return glued, csize
 
@@ -788,9 +776,8 @@ def reduce_genus(h: Graph, k: int, m: int) -> ReductionReport:
         pa = g.label("planar-end-left-outer")
         pb = g.label("planar-end-right-outer")
         glued, csize = _glue_into_uhc(
-            survivors, [(_edge_vars_at(pa, mids), 1), (_edge_vars_at(pb, mids), 1)],
-            sorted(gadget.enforced), pa, pb, [v for v in mids if v != pb], expected,
-            details)
+            survivors, [(_free_at(gadget, {pa}), 1), (_free_at(gadget, {pb}), 1)],
+            gadget.enforced, pa, pb, expected, details)
 
         if not triangle_branch:
             folded = amalgam_chain(k, subdivide=True)

@@ -452,3 +452,12 @@ def test_eval_symbolic_agrees_with_generic_eval_on_multilinear_oracles(oracle, d
     if mapping:
         c = substitute_vars(c, mapping)
     assert_same_as_generic(c, p)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lagrange_weights(3, 2),
+    lambda: interpolate_homc(oracle_call_circuit([aux_var("a")]), [aux_var("a")], 2, 1),
+], ids=["lagrange_weights", "interpolate_homc"])
+def test_slice_degree_outside_zero_to_delta_is_refused(build):
+    with pytest.raises(ValueError, match=r"need 0 <= k <= delta"):
+        build()

@@ -7,8 +7,8 @@ import pytest
 
 from conftest import rotation_from_json_obj
 from hompoly import Graph, hom_to_single_edge
-from hompoly.gadgets import (Gadget, amalgam_chain, buddy_transform, end_edges,
-                             fold_block_to_edge_certificate, genus_block,
+from hompoly.gadgets import (Gadget, amalgam_chain, buddy_transform, chain_layout,
+                             end_edges, fold_block_to_edge_certificate, genus_block,
                              planar_gadget, star_gadget,
                              subdivide_and_buddy_planar)
 
@@ -130,3 +130,15 @@ def test_golden_block_rotation_has_genus_one():
     data = json.loads((GOLDEN / "block-rotation.json").read_text())
     rot = rotation_from_json_obj(data)
     assert genus_of_rotation(genus_block().graph, rot) == 1
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: buddy_transform(Gadget(
+        Graph.make(3, [(0, 1)], labels={"center": 1, "glue-a": 0, "glue-b": 2}),
+        frozenset())), "center at vertex 0"),
+    (lambda: planar_gadget(2), "m >= 3"),
+    (lambda: chain_layout(0), "at least one block"),
+], ids=["buddy_transform", "planar_gadget", "chain_layout"])
+def test_gadget_constructors_refuse_bad_input(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()

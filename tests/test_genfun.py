@@ -303,3 +303,13 @@ def test_enumeration_order_deterministic():
     a = generating_function(Graph.complete(5), CYCLE)
     b = generating_function(Graph.complete(5), CYCLE)
     assert a.to_json_obj() == b.to_json_obj()
+
+
+@pytest.mark.parametrize("build,error,match", [
+    (lambda: oracle_clique(8), BudgetExceededError, "clique oracle budget"),
+    (lambda: oracle_matching(Graph.make(2, [(0, 1)], loops=[0])), ValueError,
+     "loopless"),
+], ids=["oracle_clique", "oracle_matching"])
+def test_oracles_refuse_bad_input(build, error, match):
+    with pytest.raises(error, match=match):
+        build()

@@ -13,7 +13,7 @@ from conftest import (brute_class_subsets, brute_is_homomorphic, class_edge_subs
                       reference_tree_sets)
 from hompoly import Graph, hom_to_single_edge, is_homomorphic, recognize, topo
 from hompoly.errors import BudgetExceededError
-from hompoly.graphs import (CLIQUE, CYCLE, OUTERPLANAR, PLANAR, TREE,
+from hompoly.graphs import (CLIQUE, CYCLE, OUTERPLANAR, PLANAR, TREE, GraphClass,
                             _two_colourable, all_edges, bits, class_edge_masks,
                             genus_class, reach, subset_in_class)
 
@@ -436,3 +436,15 @@ def test_tuple_labels_sorted_like_dict_labels():
     g = Graph.make(2, labels=(("b", 0), ("a", 1)))
     assert g == Graph.make(2, labels={"b": 0, "a": 1})
     assert g.labels == (("a", 1), ("b", 0))
+
+
+@pytest.mark.parametrize("build,error,match", [
+    (lambda: Graph.make(2, [(0, 2)]), ValueError, "out of range"),
+    (lambda: Graph.cycle(2), ValueError, "at least 3 vertices"),
+    (lambda: Graph.make(2).label("center"), KeyError, "center"),
+    (lambda: recognize(K2, GraphClass("bogus")), ValueError, "unknown class kind"),
+    (lambda: hom_to_single_edge(Graph.looped_vertex()), ValueError, "loopless"),
+], ids=["make", "cycle", "label", "recognize", "hom_to_single_edge"])
+def test_graph_helpers_refuse_bad_input(build, error, match):
+    with pytest.raises(error, match=match):
+        build()

@@ -187,3 +187,14 @@ def test_substitute_equals_term_by_term_expansion(p, mapping):
     for m, c in q.terms():
         assert c and list(m) == sorted(m)
         assert len({v for v, _ in m}) == len(m) and all(e > 0 for _, e in m)
+
+
+@pytest.mark.parametrize("build,error,match", [
+    (lambda: edge_var(1, 1), ValueError, "endpoints must differ"),
+    (lambda: Polynomial.variable(X).substitute({X: "x"}), TypeError, "cannot substitute"),
+    (lambda: Polynomial.variable(X).homogeneous_component([X], -1), ValueError,
+     "nonnegative"),
+], ids=["edge_var", "substitute", "homogeneous_component"])
+def test_poly_refuses_bad_input(build, error, match):
+    with pytest.raises(error, match=match):
+        build()

@@ -100,6 +100,8 @@ def test_divide_helpers():
     assert lift == 3 and q == epoly([(0, 1)], [(1, 2)])
     with pytest.raises(PipelineIntegrityError):
         divide_uniform(epoly([(0, 1)]) + epoly([(1, 2)]).scale(2))
+    # the zero polynomial has no coefficient to divide out
+    assert divide_uniform(Polynomial.zero()) == (Polynomial.zero(), 1)
 
 
 # -- pipelines ---------------------------------------------------------------------
@@ -269,9 +271,11 @@ def test_outerplanar_budget_calibration(monkeypatch):
         r = reduce_outerplanar(K3, 6)
         assert not r.equal
         assert r.details.get("calibration_failure")
-    # budget 10 leaves no survivor, so no circuit check runs or is reported
+    # budget 10 leaves no survivor; the circuit check still runs on the
+    # empty polynomial and is reported
     assert r.details["budget_valid"] == 0
-    assert not any(k.startswith("circuit") for k in r.details)
+    assert r.details["circuit_sizes"] == [1, 4, 7] and r.details["circuit_agrees"]
+    assert r.circuit_size == 7
 
 
 def test_outerplanar_buddy_branch():
@@ -614,3 +618,42 @@ def test_budget_survivors_match_the_candidate_loop(split, cls, h):
                                       _mask_checked(in_class, seen), h)
     assert len(seen) == math.comb(len(free), pick)
     assert got == reference_budget_survivors(n, enforced, free, pick, in_class, h)
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: reduce_cliques_vac0(K2_LOOP, 4), "loopless H"),
+    (lambda: reduce_trees(K2, K2_LOOP), "loopless"),
+], ids=["reduce_cliques_vac0", "reduce_trees"])
+def test_reductions_refuse_looped_input(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def _star_endpoint_poly(n: int):
+    """The star gadget's endpoint polynomial on K3, as reduce_outerplanar
+    slices it, with the gadget and its glue pair."""
+    star = gadgets.star_gadget(n)
+    a, b = star.role("glue-a"), star.role("glue-b")
+    survivors = reductions._gadget_survivors(
+        star, lambda g: recognize(g, OUTERPLANAR), K3)
+    p, _ = reductions._slice(reductions.subsets_to_poly(survivors),
+                             [(reductions._free_at(star, {v}), 1) for v in (a, b)], {})
+    return p, star, a, b
+
+
+def test_glue_labels_come_from_the_polynomial():
+    p, star, a, b = _star_endpoint_poly(6)
+    assert reductions._glue_endpoints(p, star.enforced, a, b) == oracle_uhc(4)
+    # one more term, on a vertex outside the gadget: its label falls past
+    # the four cycle vertices, so the glue no longer gives the oracle
+    (m, _), *_ = p.terms()
+    stray = Polynomial({m + ((edge_var(5, 6), 1),): 2})
+    assert reductions._glue_endpoints(p + stray, star.enforced, a, b) != oracle_uhc(4)
+
+
+def test_edge_projection_refuses_to_merge_an_edge():
+    assert reductions.edge_projection([edge_var(0, 2), edge_var(1, 2)], {2: 0},
+                                      [(0, 2)]) == {edge_var(0, 2): 1,
+                                                    edge_var(1, 2): edge_var(0, 1)}
+    with pytest.raises(PipelineIntegrityError, match="merges the ends"):
+        reductions.edge_projection([edge_var(0, 1)], {1: 0})

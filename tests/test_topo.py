@@ -802,3 +802,22 @@ def test_graphs_and_topo_import_in_any_order(first):
                        env={**os.environ, "PYTHONPATH": path},
                        capture_output=True, text=True, timeout=60)
     assert r.returncode == 0, r.stderr
+
+
+def test_validate_rotation_refuses_the_wrong_vertex_set():
+    g = Graph.make(4, [(0, 1), (1, 2), (0, 2)])
+    rot = planar_rotation(g)
+    with pytest.raises(ValueError, match="non-isolated vertices"):
+        validate_rotation(g, {**rot, 3: ()})
+    with pytest.raises(ValueError, match="non-isolated vertices"):
+        validate_rotation(g, {v: ring for v, ring in rot.items() if v != 2})
+
+
+def test_find_minor_fails_loudly_past_its_budget(monkeypatch):
+    # a 6-cycle holds no triangle, so the search must contract: the second
+    # search state is past a budget of one
+    c6, k3 = Graph.cycle(6), Graph.complete(3)
+    assert find_minor(c6, k3) is not None
+    monkeypatch.setattr(topo, "MINOR_BUDGET", 1)
+    with pytest.raises(BudgetExceededError, match="minor search budget exceeded"):
+        find_minor(c6, k3)
