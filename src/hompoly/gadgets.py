@@ -32,9 +32,6 @@ class Gadget:
     def free_edges(self) -> list:
         return sorted(self.graph.edges - self.enforced)
 
-    def role(self, name: str) -> int:
-        return self.graph.label(name)
-
     def to_json_obj(self) -> dict:
         return {
             "graph": self.graph.to_json_obj(),
@@ -68,7 +65,7 @@ def buddy_transform(gadget: Gadget) -> Gadget:
     and a foreign buddy.  Every subgraph of the support is then bipartite,
     and contracting the pair edges recovers subgraphs of the input gadget.
     """
-    center = gadget.role("center")
+    center = gadget.graph.label("center")
     if center != 0:
         raise ValueError("expected the center at vertex 0")
     n = gadget.graph.n
@@ -87,7 +84,8 @@ def buddy_transform(gadget: Gadget) -> Gadget:
                for v in outer for w in outer if v < w]
     denied += [(v, w) for v in outer for w in outer if v < w]
     labels = {"center": 0,
-              "glue-a": gadget.role("glue-a"), "glue-b": gadget.role("glue-b")}
+              "glue-a": gadget.graph.label("glue-a"),
+              "glue-b": gadget.graph.label("glue-b")}
     for v in outer:
         labels[f"buddy-of-{v}"] = buddy(v)
     g = Graph.make(2 * k + 1, support, labels=labels)

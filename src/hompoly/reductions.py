@@ -11,10 +11,9 @@ Every polynomial lemma (cycles, trees, outerplanar, planar and genus) runs
 in one frame, _lemma_frame: the classifier's skip, then the lemma's body,
 where a PipelineIntegrityError (a mis-calibrated budget, a survivor failing
 its certificate, or the circuit route disagreeing) becomes one failed
-report keeping the details recorded so far.  One helper, _cross_check,
-checks each circuit route (_slice runs it on every sliced polynomial, an
-empty one too), and one builder, edge_projection, makes each vertex map's
-projection.
+report keeping the details recorded so far.  One function, _slice, builds,
+projects and checks every circuit, and one builder, edge_projection, makes
+each vertex map's projection.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .graphs import (CYCLE, OUTERPLANAR, PLANAR, TREE, Graph,
                      hom_to_single_edge, is_homomorphic, recognize)
 from .poly import Polynomial, edge_var, vertex_var
 
-K2 = Graph.single_edge()
 K3 = Graph.complete(3)
 
 # lemma id -> size keyword -> (verify default, (least, greatest) supported)
@@ -255,38 +253,37 @@ def _free_at(gadget, vs) -> set:
     return {edge_var(*e) for e in gadget.free_edges() if e[0] in vs or e[1] in vs}
 
 
-def _slice(p: Polynomial, filters, details: dict) -> tuple[Polynomial, int]:
-    """Apply the (vars, k) homogeneous-component filters to p in order; the
-    sliced polynomial and the circuit size.
+def _slice(p: Polynomial, filters, details: dict, project=None) -> tuple[Polynomial, int]:
+    """Apply the (vars, k) homogeneous-component filters to p in order, then
+    project = (mapping, d), if given: substitute mapping, divide by d.  The
+    result and the circuit size.
 
-    The same filter list is re-run through interpolation circuits: p is the
-    circuit's one oracle, over p's own variables (none for a constant p),
-    and one interpolation is nested per filter, each of degree max(k,
-    degree of p in vars).  _cross_check holds it to the direct slices and
-    records the sizes per nesting level.  An empty p is checked too, so a
-    budget that leaves no survivor still reports its circuit keys.
+    The one function that builds, projects and checks a circuit: p is its
+    one oracle, over p's own variables (none for a constant p), one
+    interpolation is nested per filter, each of degree max(k, degree of p in
+    vars), and the projection substitutes mapping into the circuit and
+    scales it by 1/d.  The evaluated circuit must equal the direct result,
+    else PipelineIntegrityError; details records the sizes from the oracle
+    call on, one per nesting.  An empty p is checked too, so a budget that
+    leaves no survivor still reports its circuit keys.
     """
-    sliced = p
+    direct = p
     for vars, k in filters:
-        sliced = sliced.homogeneous_component(vars, k)
+        direct = direct.homogeneous_component(vars, k)
     c = circ.oracle_call_circuit(sorted(p.variables()))
     sizes = [circ.size(c)]
     for vars, k in filters:
         c = circ.interpolate_homc(c, vars, k, max(k, p.degree_in(vars)))
         sizes.append(circ.size(c))
-    return sliced, _cross_check(c, p, sliced, sizes, details)
-
-
-def _cross_check(c, oracle: Polynomial, direct: Polynomial, sizes: list,
-                 details: dict) -> int:
-    """The circuit route against the direct one: c evaluated on its one
-    oracle must equal direct, else PipelineIntegrityError.  Records sizes,
-    the circuit's size after each step, and returns c's size."""
-    if circ.eval_symbolic(c, oracle) != direct:
+    if project is not None:
+        mapping, d = project
+        direct = divide_integral(direct.substitute(mapping), d, "projecting the slice")
+        c = circ.scale_circuit(circ.substitute_vars(c, mapping), Fraction(1, d))
+    if circ.eval_symbolic(c, p) != direct:
         raise PipelineIntegrityError("circuit route disagrees with direct route")
     details["circuit_sizes"] = sizes
     details["circuit_agrees"] = True
-    return circ.size(c)
+    return direct, circ.size(c)
 
 
 # -- cycles -------------------------------------------------------------------------
@@ -304,16 +301,11 @@ def reduce_cycles(h: Graph, n: int) -> ReductionReport:
         host = n + 1 if odd else n
         F = hom_poly(h, host, CYCLE)
         evars = [edge_var(i, j) for i, j in all_edges(host)]
-        produced = F.homogeneous_component(evars, host)
-        c = circ.extract_homc(evars, evars, host, host)
-        sizes = [circ.size(c)]
+        filters, project = [(evars, host)], None
         if odd:
-            produced = contract_enforced_edge(produced, (0, n))
-            c = circ.interpolate_homc(c, [edge_var(0, n)], 1, 1)
-            sizes.append(circ.size(c))
-            c = circ.substitute_vars(c, edge_projection(evars, {n: 0}, [(0, n)]))
-            c = circ.scale_circuit(c, Fraction(1, 2))
-        csize = _cross_check(c, F, produced, sizes, details)
+            filters.append(([edge_var(0, n)], 1))
+            project = edge_projection(evars, {n: 0}, [(0, n)]), 2
+        produced, csize = _slice(F, filters, details, project)
         return ReductionReport("cycles-even", params, produced, expected,
                                produced == expected, csize, details=details)
 
@@ -494,7 +486,7 @@ def reduce_outerplanar(h: Graph, n: int) -> ReductionReport:
 
     def body(details: dict) -> ReductionReport:
         star = star_gadget(n)
-        center, a, b = star.role("center"), star.role("glue-a"), star.role("glue-b")
+        center, a, b = map(star.graph.label, ("center", "glue-a", "glue-b"))
         outer = list(range(1, n))
         k = len(outer)
         # without a triangle in H, the buddy transform of the star gadget is
@@ -605,7 +597,7 @@ def reduce_planar(h: Graph, m: int) -> ReductionReport:
         e_left, e_right = end_edges(gadget)
         lo = gadget.graph.label("end-left-outer")
         ro = gadget.graph.label("end-right-outer")
-        ga, gb = gadget.role("glue-a"), gadget.role("glue-b")
+        ga, gb = map(gadget.graph.label, ("glue-a", "glue-b"))
         # on the multilinear survivor polynomial a degree-one slice in x_e
         # enforces e
         filters = [([edge_var(*e_left)], 1), ([edge_var(*e_right)], 1),

@@ -18,7 +18,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 def test_star_gadget_shape():
     g = star_gadget(6)
     assert g.graph.n == 6
-    center = g.role("center")
+    center = g.graph.label("center")
     assert g.graph.degree(center) == 5
     assert g.enforced == frozenset((0, i) for i in range(1, 6))
     assert g.budget == 9
@@ -32,13 +32,13 @@ def test_buddy_transform_shape():
     assert hom_to_single_edge(g.graph)
     # enforced pair edges survive with buddy labels attached
     for v in range(1, 6):
-        b = g.role(f"buddy-of-{v}")
+        b = g.graph.label(f"buddy-of-{v}")
         assert (min(v, b), max(v, b)) in g.enforced
     assert not (g.enforced & g.denied)
     # denied: buddy-center, buddy-buddy, original-original
-    center = g.role("center")
-    assert all((min(center, g.role(f"buddy-of-{v}")),
-                max(center, g.role(f"buddy-of-{v}"))) in g.denied
+    center = g.graph.label("center")
+    assert all((min(center, g.graph.label(f"buddy-of-{v}")),
+                max(center, g.graph.label(f"buddy-of-{v}"))) in g.denied
                for v in range(1, 6))
 
 

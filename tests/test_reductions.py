@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import types
 
@@ -18,7 +19,7 @@ from hompoly import (CLIQUE, CYCLE, OUTERPLANAR, PLANAR, TREE, Graph,
                      hom_poly, oracle_matching, oracle_uhc,
                      reduce_cliques_vac0, reduce_cycles, reduce_genus,
                      reduce_outerplanar, reduce_planar, reduce_trees)
-from hompoly import gadgets, recognize, reductions, topo
+from hompoly import circuit, cli, gadgets, recognize, reductions, topo
 from hompoly.errors import BudgetExceededError, PipelineIntegrityError
 from hompoly.gadgets import genus_block
 from hompoly.graphs import genus_class
@@ -118,9 +119,42 @@ def test_cycles_pipeline_all_branches():
 
 def test_cycles_circuit_growth_bounded():
     r = reduce_cycles(K2, 5)
-    sizes = r.details["circuit_sizes"]
-    for before, after in zip(sizes, sizes[1:]):
+    oracle, *nested = r.details["circuit_sizes"]
+    host = 6  # the odd branch contracts an edge of the one-larger host
+    assert oracle == 1
+    # the first nesting is extract_homc's closed form (delta+1)(|vars|+2)+1
+    assert nested[0] == (host + 1) * (math.comb(host, 2) + 2) + 1 == 120
+    for before, after in zip(nested, nested[1:]):
         assert after <= 6 * before  # one nesting multiplies size by <= n
+
+
+def test_every_circuit_starts_at_the_oracle_call(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert cli.main(["verify", "--out", str(out)]) == 0
+    capsys.readouterr()
+    sizes = {r["lemma"]: r["details"]["circuit_sizes"]
+             for r in json.loads(out.read_text())["reports"]
+             if "circuit_sizes" in r["details"]}
+    assert set(sizes) == {"cycles-even", "tree-matching", "outerplanar-star",
+                          "genus-chain"}
+    assert all(s[0] == 1 for s in sizes.values()), sizes
+
+
+def _swap_one_relabelling(mapping: dict) -> dict:
+    (u, x), (v, y) = [(var, t) for var, t in mapping.items() if t != 1][:2]
+    return {**mapping, u: y, v: x}
+
+
+@pytest.mark.parametrize("step, tamper", [
+    ("substitute_vars", lambda c, mapping: (c, _swap_one_relabelling(mapping))),
+    ("scale_circuit", lambda c, w: (c, 1)),
+], ids=["relabelling", "scale"])
+def test_projection_is_checked_on_the_circuit_side(monkeypatch, step, tamper):
+    original = getattr(circuit, step)
+    monkeypatch.setattr(circuit, step, lambda *args: original(*tamper(*args)))
+    r = reduce_cycles(K2, 5)
+    assert not r.equal
+    assert r.details["calibration_failure"] == "circuit route disagrees with direct route"
 
 
 def test_cliques_explicit_enumeration():
@@ -633,7 +667,7 @@ def _star_endpoint_poly(n: int):
     """The star gadget's endpoint polynomial on K3, as reduce_outerplanar
     slices it, with the gadget and its glue pair."""
     star = gadgets.star_gadget(n)
-    a, b = star.role("glue-a"), star.role("glue-b")
+    a, b = star.graph.label("glue-a"), star.graph.label("glue-b")
     survivors = reductions._gadget_survivors(
         star, lambda g: recognize(g, OUTERPLANAR), K3)
     p, _ = reductions._slice(reductions.subsets_to_poly(survivors),
