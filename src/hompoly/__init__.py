@@ -16,7 +16,6 @@ from .genfun import (VariableModel, generating_function, hom_poly,
 from .circuit import (Circuit, CircuitBuilder, eval_symbolic, extract_homc,
                       interpolate_homc, lagrange_weights, size)
 from .reductions import (Classification, ReductionReport, classify,
-                         enforce_edges, contract_enforced_edge,
                          reduce_cycles, reduce_cliques_vac0, reduce_trees,
                          reduce_outerplanar, reduce_planar, reduce_genus)
 

@@ -27,6 +27,7 @@ from .errors import BudgetExceededError, count_bound, count_text
 HOM_BUDGET = 2_000_000  # search nodes of one is_homomorphic call
 SUBSET_FILTER_MAX_EDGES = 21  # K7; class_edge_masks filters 2^edges subsets
 SHAPE_MAX_MASKS = 1_000_000  # K8's 441,204 trees fit; K9's 7,874,235 do not
+GRAPH_FILE_MAX_VERTICES = 10_000  # n of a graph read by Graph.from_json_obj
 
 Edge = tuple
 
@@ -162,7 +163,8 @@ class Graph:
 
     @classmethod
     def from_json_obj(cls, obj) -> "Graph":
-        """The graph of a to_json_obj object; malformed input raises ValueError."""
+        """The graph of a to_json_obj object; malformed input raises ValueError,
+        and n past GRAPH_FILE_MAX_VERTICES BudgetExceededError."""
         if not isinstance(obj, dict):
             raise ValueError(f"graph JSON must be an object, not {type(obj).__name__}")
         n, edges = obj.get("n"), obj.get("edges", [])
@@ -173,6 +175,10 @@ class Graph:
                 and all(isinstance(r, str) for r in labels)):
             raise ValueError("graph JSON needs an integer n, integer pairs as edges, "
                              "integer loops and labels mapping roles to integers")
+        if n > GRAPH_FILE_MAX_VERTICES:
+            raise BudgetExceededError(
+                f"{count_text(n, GRAPH_FILE_MAX_VERTICES)} vertices exceed the graph "
+                f"file limit {GRAPH_FILE_MAX_VERTICES}")
         return cls.make(n, [tuple(e) for e in edges], loops, labels)
 
 
@@ -300,18 +306,19 @@ def _two_colourable(nbrs) -> bool:
     return True
 
 
-def _two_degenerate(nbrs) -> bool:
-    """Whether a peel of vertices of degree <= 2 empties the masks nbrs."""
+def core(nbrs, d: int) -> list:
+    """A copy of the masks nbrs after deleting, one at a time, every vertex
+    with 0 < degree <= d: each vertex left has no edge or more than d."""
     nbrs = list(nbrs)
-    stack = [v for v, ns in enumerate(nbrs) if ns.bit_count() <= 2]
+    stack = [v for v, ns in enumerate(nbrs) if 0 < ns.bit_count() <= d]
     while stack:
         v = stack.pop()
         for u in bits(nbrs[v]):
             nbrs[u] ^= 1 << v
-            if nbrs[u].bit_count() == 2:
+            if nbrs[u].bit_count() == d:
                 stack.append(u)
         nbrs[v] = 0
-    return not any(nbrs)
+    return nbrs
 
 
 def is_homomorphic(g: Graph, h: Graph) -> bool:
@@ -344,7 +351,7 @@ def is_homomorphic(g: Graph, h: Graph) -> bool:
         return True
     if _two_colourable(hnbrs):
         return False
-    if any(hnbrs[a] & hnbrs[b] for a, b in h.edges) and _two_degenerate(gnbrs):
+    if any(hnbrs[a] & hnbrs[b] for a, b in h.edges) and not any(core(gnbrs, 2)):
         return True
 
     active = sorted((v for v in range(g.n) if gnbrs[v]),
@@ -528,6 +535,6 @@ def class_edge_masks(g: Graph, cls: GraphClass) -> list[int]:
                                cls)]
 
 
-# topo imports Graph, bits and reach from this module, so it is imported once
-# they are defined; recognize reads it as a module attribute.
+# topo imports Graph, bits, core and reach from this module, so it is
+# imported once they are defined; recognize reads it as a module attribute.
 from . import topo  # noqa: E402

@@ -1,11 +1,13 @@
 """Executable reduction pipelines and the dichotomy classifier.
 
-Each pipeline builds a class generating function over a gadget, applies the
-filtering operations (enforce, homogeneous-component slices, edge
-contraction, exact division) and compares the result against an independent
-brute-force oracle.  Pipelines always run their extraction steps twice:
-once as direct polynomial operations and once through interpolation
-circuits with oracle gates, and both routes must agree.
+Each pipeline builds a class generating function over a gadget, applies
+homogeneous-component slices, a projection and exact division, and compares
+the result against an independent brute-force oracle.  Enforcing edges is a
+slice at full degree in their variables; contracting an enforced edge uv is
+the slice ([x_uv], 1), then the projection
+(edge_projection(vars, {v: u}, [uv]), 2).  Pipelines always run their
+extraction steps twice: once as direct polynomial operations and once
+through interpolation circuits with oracle gates, and both routes must agree.
 
 Every polynomial lemma (cycles, trees, outerplanar, planar and genus) runs
 in one frame, _lemma_frame: the classifier's skip, then the lemma's body,
@@ -59,19 +61,6 @@ def _params(lemma_id: str, h: Graph, **sizes) -> dict:
 
 # -- core filtering operations ---------------------------------------------------
 
-def enforce_edges(p: Polynomial, es) -> Polynomial:
-    """Keep exactly the terms containing every given edge variable.
-
-    Requires p multilinear in the enforced variables, where this filter
-    coincides with scaling each enforced variable by a fresh y and taking
-    the top homogeneous slice in y.
-    """
-    vs = frozenset(edge_var(*e) for e in es)
-    if not p.is_multilinear(vs):
-        raise ValueError("enforce_edges needs multilinearity in the enforced variables")
-    return p.homogeneous_component(vs, len(vs))
-
-
 def divide_integral(p: Polynomial, d, context: str = "") -> Polynomial:
     """divide_exact plus the assertion that the result has integer coefficients."""
     q = p.divide_exact(d)
@@ -109,15 +98,6 @@ def edge_projection(vars, vmap: dict, to_one=()) -> dict:
                 raise PipelineIntegrityError(f"relabeling merges the ends of {var}")
             mapping[var] = edge_var(i, j)
     return mapping
-
-
-def contract_enforced_edge(p: Polynomial, e) -> Polynomial:
-    """Enforce e=(u,v), set x_e to one, relabel v's edge variables onto u,
-    and divide the uniform factor two out of the result."""
-    u, v = canonical_edge(*e)
-    kept = enforce_edges(p, [e])
-    projected = kept.substitute(edge_projection(kept.variables(), {v: u}, [e]))
-    return divide_integral(projected, 2, f"contracting edge {e}")
 
 
 # -- reports and classification ----------------------------------------------------

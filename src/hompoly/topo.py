@@ -43,7 +43,7 @@ import math
 import operator
 
 from .errors import BudgetExceededError, count_bound, count_text
-from .graphs import Graph, bits, reach
+from .graphs import Graph, bits, core, reach
 
 DEFAULT_GENUS_BUDGET = 1_000_000
 MINOR_BUDGET = 2_000_000
@@ -137,15 +137,7 @@ def is_planar(g: Graph) -> bool:
         return True
     if g.n >= 3 and m > 3 * g.n - 6:
         return False
-    nbrs = list(g.nbrs)  # the peels mutate their own copy
-    stack = [v for v, ns in enumerate(nbrs) if ns.bit_count() == 1]
-    while stack:
-        v = stack.pop()
-        if nbrs[v].bit_count() == 1:
-            u = nbrs[v].bit_length() - 1
-            nbrs[u] ^= 1 << v
-            nbrs[v] = 0
-            stack.append(u)
+    nbrs = core(g.nbrs, 1)
     # what is left has minimum degree 2, so alive is every vertex with an
     # edge, and a deleted vertex's degree 0 is neither k - 1 nor k - 2
     alive = functools.reduce(operator.or_, nbrs, 0)

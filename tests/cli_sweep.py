@@ -32,6 +32,7 @@ import tempfile
 
 from hompoly import Graph, cli, reductions
 from hompoly.gadgets import genus_block
+from hompoly.graphs import GRAPH_FILE_MAX_VERTICES
 
 TARGETS_H = {
     "K2": Graph.complete(2),
@@ -59,6 +60,10 @@ GENUS_GRAPHS = {
 
 # graphs whose genus search the budget refuses from the count alone
 OVER_BUDGET_GRAPHS = {"K12": Graph.complete(12)}
+
+# a graph file that the vertex limit refuses as it is read
+OVER_LIMIT_GRAPHS = {"K3-over-limit": Graph.make(GRAPH_FILE_MAX_VERTICES + 1,
+                                                 Graph.complete(3).edges)}
 
 
 def size_argvs(lemma: str) -> tuple[list, list, list]:
@@ -159,6 +164,12 @@ def commands() -> list[tuple]:
     # unknown ids of the other choice options (exit 2)
     out += [("verify", "--lemma", "nope"),
             ("poly", "K3.json", "tree", "--n", "3", "--model", "nope")]
+    for g in OVER_LIMIT_GRAPHS:
+        out += [("classify", f"{g}.json", "cycle"),
+                ("poly", f"{g}.json", "tree", "--n", "4"),
+                ("verify", "--lemma", "cycles-even", "--h-file", f"{g}.json",
+                 "--out", "out.json"),
+                ("genus", f"{g}.json")]
     return out
 
 
@@ -182,7 +193,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         files = {name: g.to_json_obj() for name, g in
-                 {**TARGETS_H, **GENUS_GRAPHS, **OVER_BUDGET_GRAPHS}.items()}
+                 {**TARGETS_H, **GENUS_GRAPHS, **OVER_BUDGET_GRAPHS,
+                  **OVER_LIMIT_GRAPHS}.items()}
         for name, obj in {**files, **REPORTS}.items():
             with open(f"{name}.json", "w") as fh:
                 json.dump(obj, fh)

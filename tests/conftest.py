@@ -14,8 +14,8 @@ import itertools
 import networkx as nx
 import pytest
 
-from hompoly import (Graph, VariableModel, contract_enforced_edge, is_homomorphic,
-                     oracle_uhc, reductions, topo)
+from hompoly import (Graph, VariableModel, is_homomorphic, oracle_uhc, reductions,
+                     topo)
 from hompoly.graphs import bits, class_edge_masks, mask_edges, reach
 from hompoly.poly import Polynomial, edge_var, vertex_var
 from hompoly.reductions import ReductionReport
@@ -143,10 +143,20 @@ def class_edge_subsets(g: Graph, cls) -> list[frozenset]:
     return [mask_edges(mask, edges) for mask in class_edge_masks(g, cls)]
 
 
+def contract_edge(p: Polynomial, e) -> Polynomial:
+    """Contract the edge e = (u, v), u < v, as the odd branch of
+    reductions.reduce_cycles does, through reductions._slice on the direct
+    and the circuit route: the degree-one slice in x_uv enforces it, then
+    x_uv goes to one, v's edges are renamed onto u and the result halved."""
+    u, v = sorted(e)
+    projection = reductions.edge_projection(p.variables(), {v: u}, [(u, v)])
+    return reductions._slice(p, [([edge_var(u, v)], 1)], {}, (projection, 2))[0]
+
+
 def contraction_transfer_check(n: int) -> ReductionReport:
-    """contract_enforced_edge on the (n+1)-vertex Hamiltonian polynomial must
+    """contract_edge on the (n+1)-vertex Hamiltonian polynomial must
     reproduce the n-vertex one, with the factor-two integrality assertion."""
-    produced = contract_enforced_edge(oracle_uhc(n + 1), (0, n))
+    produced = contract_edge(oracle_uhc(n + 1), (0, n))
     expected = oracle_uhc(n)
     return ReductionReport("cycles-even", {"n": n, "phase": "transfer"},
                            produced, expected, produced == expected)

@@ -20,7 +20,7 @@ from hompoly.cli import LEMMAS, _dump_poly, build_parser, main
 from hompoly.errors import PipelineIntegrityError
 from hompoly.gadgets import genus_block
 from hompoly.reductions import LEMMA_SIZES
-from hompoly.graphs import SHAPE_KINDS
+from hompoly.graphs import GRAPH_FILE_MAX_VERTICES, SHAPE_KINDS
 from hompoly.poly import Polynomial, edge_var, loop_var, monomial, vertex_var
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -333,6 +333,39 @@ def test_poly_limits_are_decided_from_n(graph_files, monkeypatch, capsys,
     assert out.out == "" and out.err == f"error: {message}\n"
 
 
+def _triangle_file(tmp_path, n: int) -> str:
+    path = tmp_path / f"triangle-{n}.json"
+    path.write_text(json.dumps({"n": n, "edges": [[0, 1], [1, 2], [0, 2]]}))
+    return str(path)
+
+
+def test_graph_file_at_the_vertex_limit_loads(tmp_path, capsys):
+    k5 = tmp_path / "k5.json"
+    k5.write_text(json.dumps(dict(Graph.complete(5).to_json_obj(),
+                                  n=GRAPH_FILE_MAX_VERTICES)))
+    assert main(["genus", str(k5)]) == 0
+    assert json.loads(capsys.readouterr().out)["genus"] == 1
+    assert main(["classify", _triangle_file(tmp_path, GRAPH_FILE_MAX_VERTICES),
+                 "cycle"]) == 0
+    assert json.loads(capsys.readouterr().out)["class"] == "VNPComplete"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "H", "cycle"],
+    ["poly", "H", "tree", "--n", "4"],
+    ["verify", "--lemma", "cycles-even", "--h-file", "H"],
+    ["genus", "H"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("n", [GRAPH_FILE_MAX_VERTICES + 1, 4_000_000_000])
+def test_graph_file_past_the_vertex_limit_exits_2(tmp_path, capsys, argv, n):
+    # refused as the file is read, before a mask or a vertex list is built
+    path = _triangle_file(tmp_path, n)
+    assert main([path if a == "H" else a for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == (
+        f"error: {n} vertices exceed the graph file limit {GRAPH_FILE_MAX_VERTICES}\n")
+
+
 def test_cli_sweep_covers_every_lemma_and_class_kind():
     import cli_sweep
     argvs = cli_sweep.commands()
@@ -344,8 +377,10 @@ def test_cli_sweep_covers_every_lemma_and_class_kind():
     verify = [a for a in argvs if a[0] == "verify" and "--lemma" in a]
     # every lemma id, and one unknown id for the invalid-choice message
     assert {a[a.index("--lemma") + 1] for a in verify} == set(LEMMAS) | {"nope"}
+    # every target H, besides the files that the vertex limit refuses
+    refused = {f"{g}.json" for g in cli_sweep.OVER_LIMIT_GRAPHS}
     for lemma in LEMMAS:
-        assert {a[a.index("--h-file") + 1] for a in verify if lemma in a} == \
+        assert {a[a.index("--h-file") + 1] for a in verify if lemma in a} - refused == \
             {f"{h}.json" for h in cli_sweep.TARGETS_H}
     kinds = {a[2] for a in argvs if a[0] in ("poly", "classify")}
     assert kinds == set(SHAPE_KINDS) | {"outerplanar", "planar", "genus"}

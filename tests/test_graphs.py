@@ -4,18 +4,19 @@ import itertools
 import math
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (brute_class_subsets, brute_is_homomorphic, class_edge_subsets,
                       nx_in_class, reference_clique_sets, reference_cycle_sets,
-                      reference_tree_sets)
+                      reference_tree_sets, to_nx)
 from hompoly import Graph, hom_to_single_edge, is_homomorphic, recognize, topo
 from hompoly.errors import BudgetExceededError
 from hompoly.graphs import (CLIQUE, CYCLE, OUTERPLANAR, PLANAR, TREE, GraphClass,
                             _two_colourable, all_edges, bits, class_edge_masks,
-                            genus_class, reach, subset_in_class)
+                            core, genus_class, reach, subset_in_class)
 
 K2 = Graph.single_edge()
 
@@ -101,6 +102,32 @@ def test_hom_search_runs_only_when_no_certificate_decides(monkeypatch):
     # K4 has minimum degree 3, so the triangle certificate does not take it
     with pytest.raises(BudgetExceededError):
         is_homomorphic(Graph.complete(4), Graph.complete(3))
+
+
+@pytest.mark.parametrize("g, nodes, found", [(Graph.cycle(7), 38, True),
+                                             (Graph.complete(4), 80, False)])
+def test_hom_budget_trips_one_below_the_search_nodes(monkeypatch, g, nodes, found):
+    # no certificate decides g into C5, so the search runs, trying exactly
+    # nodes images: a budget of nodes passes, one less raises
+    c5 = Graph.cycle(5)
+    monkeypatch.setattr("hompoly.graphs.HOM_BUDGET", nodes)
+    assert is_homomorphic(g, c5) is found
+    monkeypatch.setattr("hompoly.graphs.HOM_BUDGET", nodes - 1)
+    with pytest.raises(BudgetExceededError, match="homomorphism search budget exceeded"):
+        is_homomorphic(g, c5)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_core_leaves_the_networkx_core(d):
+    # the vertices core(nbrs, d) keeps with an edge are networkx's
+    # (d+1)-core; the deleted and the isolated ones have empty masks
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randrange(1, 9)
+        g = Graph.make(n, [e for e in all_edges(n) if rng.random() < 0.4])
+        kept = nx.k_core(to_nx(n, g.edges), d + 1)
+        assert core(g.nbrs, d) == [sum(1 << w for w in kept[v]) if v in kept else 0
+                                   for v in range(n)]
 
 
 @st.composite

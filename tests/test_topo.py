@@ -87,6 +87,13 @@ def test_genus_block_certificate():
 def test_min_genus_budget():
     with pytest.raises(BudgetExceededError):
         min_genus_rotation(Graph.complete(8), budget=10)
+    # K5's quotiented rotation space is 3888: that budget passes, one less
+    # refuses it
+    k5 = Graph.complete(5)
+    assert min_genus_rotation(k5, budget=3888)[0] == 1
+    with pytest.raises(BudgetExceededError,
+                       match=r"^rotation space 3888 exceeds budget 3887$"):
+        min_genus_rotation(k5, budget=3887)
 
 
 def test_rotation_budget_is_checked_before_any_choice_is_built(monkeypatch):
@@ -814,10 +821,11 @@ def test_validate_rotation_refuses_the_wrong_vertex_set():
 
 
 def test_find_minor_fails_loudly_past_its_budget(monkeypatch):
-    # a 6-cycle holds no triangle, so the search must contract: the second
-    # search state is past a budget of one
+    # a 6-cycle holds no triangle, so the search must contract: K3 shows on
+    # the fourth search state, so a budget of four finds it and three does not
     c6, k3 = Graph.cycle(6), Graph.complete(3)
+    monkeypatch.setattr(topo, "MINOR_BUDGET", 4)
     assert find_minor(c6, k3) is not None
-    monkeypatch.setattr(topo, "MINOR_BUDGET", 1)
+    monkeypatch.setattr(topo, "MINOR_BUDGET", 3)
     with pytest.raises(BudgetExceededError, match="minor search budget exceeded"):
         find_minor(c6, k3)
