@@ -140,13 +140,16 @@ class Graph:
 
     @functools.cached_property
     def components(self) -> tuple:
-        """The vertex sets of the connected components, by least vertex."""
-        comps, left = [], (1 << self.n) - 1
+        """The vertex sets of the connected components, by least vertex: one
+        reach per component with an edge, and each isolated vertex alone."""
+        nbrs = self.nbrs
+        comps, left = [], functools.reduce(operator.or_, nbrs, 0)
         while left:
-            comp = reach(self.nbrs, (left & -left).bit_length() - 1)
+            comp = reach(nbrs, (left & -left).bit_length() - 1)
             comps.append(frozenset(bits(comp)))
             left &= ~comp
-        return tuple(comps)
+        comps += (frozenset((v,)) for v, ns in enumerate(nbrs) if not ns)
+        return tuple(sorted(comps, key=min))
 
     def is_connected(self) -> bool:
         return len(self.components) <= 1

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import circuit as circ
 from . import topo
-from .errors import BudgetExceededError, PipelineIntegrityError
+from .errors import BudgetExceededError, PipelineIntegrityError, count_text
 from .gadgets import (amalgam_chain, buddy_transform, chain_layout,
                       end_edges, genus_block, planar_gadget, star_gadget,
                       subdivide_and_buddy_planar, fold_block_to_edge_certificate)
@@ -328,68 +329,48 @@ def tree_gadget_edges(target: Graph) -> tuple[list, int]:
     return sorted(canonical_edge(*e) for e in out), tn + len(tedges) + 1
 
 
-TREE_NODE_BUDGET = 2_000_000
+TREE_CANDIDATE_BUDGET = 2_000_000
 
 
 def gadget_tree_poly(target: Graph) -> tuple[Polynomial, int]:
     """Size-restricted tree polynomial of the matching gadget of an even
-    target, in the edge-and-vertex model, and the number of search nodes.
+    target, in the edge-and-vertex model, and the number of candidates.
 
-    A depth-first search decides the gadget edges in canonical order.  A
-    branch is dropped when an edge would close a cycle, when more than tn/2
-    edge vertices are covered, when the forest passes 3tn/2 edges, or when too
-    few edges remain to reach 3tn/2 - 1.  A leaf forest is kept when it is one
-    tree (covered vertices = edges + 1) with 3tn/2 - 1 or 3tn/2 edges.  The
-    trees that reduce_trees keeps, on tn/2 edge vertices, tn originals and the
-    root, have exactly 3tn/2 edges.  The 3tn/2 - 1 edge trees each miss one of
-    those vertices and never survive the slices.  They are kept on purpose:
-    the slices, and the circuit filters that re-run them, have these terms to
-    remove.  Raises BudgetExceededError past TREE_NODE_BUDGET nodes.
+    Every gadget edge has exactly one edge-vertex end, and each edge vertex
+    has degree three, so a forest on at most tn/2 edge vertices has at most
+    3tn/2 edges.  A kept tree has 3tn/2 - 1 or 3tn/2 edges, so it covers
+    exactly tn/2 edge vertices, each with its full star or with one star
+    edge missing.  The candidates are, for each tn/2-subset of the target's
+    edges, the union of their stars, whole and then with each of its 3tn/2
+    edges dropped in turn: C(|E|, tn/2) (3tn/2 + 1) of them, each built once.
+    A candidate is kept when it is a tree.  The trees that reduce_trees
+    keeps, on tn/2 edge vertices, tn originals and the root, have exactly
+    3tn/2 edges.  The 3tn/2 - 1 edge trees each miss one of those vertices
+    and never survive the slices.  They are kept on purpose: the slices, and
+    the circuit filters that re-run them, have these terms to remove.
+    Raises BudgetExceededError, before any candidate is built, when the
+    count passes TREE_CANDIDATE_BUDGET.
     """
     gedges, nvert = tree_gadget_edges(target)
     half = target.n // 2
-    top = 3 * half
-    root = nvert - 1
-    parent = list(range(nvert))
-    deg = [0] * nvert
-    masks: list = []  # one per kept tree; bit i selects gedges[i]
-    nodes, budget = 0, TREE_NODE_BUDGET
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def visit(i: int, k: int, mask: int, evs: int, covered: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(
-                f"tree search exceeds the node budget {budget}")
-        if k == top or i == len(gedges):
-            if k >= top - 1 and covered == k + 1:
-                masks.append(mask)
-            return
-        if k + len(gedges) - i < top - 1:
-            return
-        a, b = gedges[i]
-        ev = a if b == root else b  # every gadget edge has one edge vertex
-        grown = evs + (deg[ev] == 0)
-        ra, rb = find(a), find(b)
-        if ra != rb and grown <= half:
-            parent[ra] = rb
-            cov = covered + (deg[a] == 0) + (deg[b] == 0)
-            deg[a] += 1
-            deg[b] += 1
-            visit(i + 1, k + 1, mask | 1 << i, grown, cov)
-            deg[a] -= 1
-            deg[b] -= 1
-            parent[ra] = ra
-        visit(i + 1, k, mask, evs, covered)
-
-    visit(0, 0, 0, 0, 0)
+    count = math.comb(len(target.edges), half) * (3 * half + 1)
+    if count > TREE_CANDIDATE_BUDGET:
+        raise BudgetExceededError(
+            f"{count_text(count, TREE_CANDIDATE_BUDGET)} tree candidates exceed "
+            f"the candidate budget {TREE_CANDIDATE_BUDGET}")
+    bit = {e: 1 << i for i, e in enumerate(gedges)}
+    stars = [[] for _ in target.edges]  # the three gadget edges at each edge vertex
+    for a, b in gedges:
+        stars[(a if b == nvert - 1 else b) - target.n].append((a, b))
+    masks = []
+    for chosen in itertools.combinations(stars, half):
+        whole = frozenset(itertools.chain.from_iterable(chosen))
+        full = sum(map(bit.__getitem__, whole))
+        for drop in [None, *whole]:
+            if recognize(Graph(nvert, whole - {drop}), TREE):
+                masks.append(full - bit.get(drop, 0))
     return _assemble(masks, [edge_var(*e) for e in gedges],
-                     VariableModel.EDGE_AND_VERTEX), nodes
+                     VariableModel.EDGE_AND_VERTEX), count
 
 
 def reduce_trees(h: Graph, target: Graph) -> ReductionReport:
@@ -427,7 +408,7 @@ def reduce_trees(h: Graph, target: Graph) -> ReductionReport:
             sliced, csize = Polynomial.zero(), None
             details["circuit"] = "skipped: odd target has no perfect matching"
         else:
-            P, details["dfs_nodes"] = gadget_tree_poly(target)
+            P, details["tree_candidates"] = gadget_tree_poly(target)
             details["tree_terms"] = len(P)
             # the root slice only bites on a two-vertex target, whose path
             # u-e-v spans both originals without the root

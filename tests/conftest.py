@@ -285,6 +285,55 @@ def reference_budget_survivors(nvert: int, enforced, free, pick: int, class_chec
     return out
 
 
+def reference_gadget_tree_masks(target: Graph) -> list[int]:
+    """The trees of 3tn/2 - 1 or 3tn/2 edges in the matching gadget of
+    target, as masks over its edges (bit i selects tree_gadget_edges'
+    i-th edge), found by a depth-first search over every edge subset.
+
+    The search decides the gadget edges in canonical order.  A branch is
+    dropped when an edge would close a cycle, when more than tn/2 edge
+    vertices are covered, when the forest passes 3tn/2 edges, or when too
+    few edges remain to reach 3tn/2 - 1.  A leaf forest is kept when it is
+    one tree (covered vertices = edges + 1) with 3tn/2 - 1 or 3tn/2 edges."""
+    gedges, nvert = reductions.tree_gadget_edges(target)
+    half = target.n // 2
+    top = 3 * half
+    root = nvert - 1
+    parent = list(range(nvert))
+    deg = [0] * nvert
+    masks: list = []
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def visit(i: int, k: int, mask: int, evs: int, covered: int) -> None:
+        if k == top or i == len(gedges):
+            if k >= top - 1 and covered == k + 1:
+                masks.append(mask)
+            return
+        if k + len(gedges) - i < top - 1:
+            return
+        a, b = gedges[i]
+        ev = a if b == root else b  # every gadget edge has one edge vertex
+        grown = evs + (deg[ev] == 0)
+        ra, rb = find(a), find(b)
+        if ra != rb and grown <= half:
+            parent[ra] = rb
+            cov = covered + (deg[a] == 0) + (deg[b] == 0)
+            deg[a] += 1
+            deg[b] += 1
+            visit(i + 1, k + 1, mask | 1 << i, grown, cov)
+            deg[a] -= 1
+            deg[b] -= 1
+            parent[ra] = ra
+        visit(i + 1, k, mask, evs, covered)
+
+    visit(0, 0, 0, 0, 0)
+    return masks
+
+
 def brute_perfect_matchings(g: Graph):
     """Perfect matchings by filtering all edge subsets of size n/2."""
     if g.n % 2:

@@ -1,10 +1,13 @@
 """Command-line interface: formats, exit codes, report determinism."""
 
 import argparse
+import ast
 import hashlib
+import importlib
 import json
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -705,3 +708,23 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
             cells = [c.strip() for c in rows[lemma].split("|")]
             assert f"`--{key}`" in cells[2] and str(default) in cells[3], lemma
             assert f"{lo}–{hi}" in cells[4], lemma
+
+
+def test_readme_work_limits_name_every_limit_constant():
+    """The README's Work limits table names exactly the module constants of
+    hompoly that end in _BUDGET or _MAX_<WORD>, each as module.NAME, and
+    every name it gives resolves to an int."""
+    section = README.read_text().split("\n## Work limits\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \|", section, re.M)
+    src = pathlib.Path(cli.__file__).parent
+    defined = {(path.stem, target.id)
+               for path in src.glob("*.py")
+               for node in ast.parse(path.read_text()).body if isinstance(node, ast.Assign)
+               for target in node.targets
+               if isinstance(target, ast.Name)
+               and re.search(r"_BUDGET$|_MAX_[A-Z]+$", target.id)}
+    assert len(defined) >= 9
+    assert sorted(rows) == sorted(defined)
+    for module, name in rows:
+        value = getattr(importlib.import_module(f"hompoly.{module}"), name)
+        assert type(value) is int and value > 0, name

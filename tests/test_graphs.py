@@ -305,6 +305,15 @@ def test_adjacency_and_components_are_computed_once():
         assert fresh == g and hash(fresh) == hash(g) and {g: n}[fresh] == n
 
 
+def test_components_keep_least_vertex_order_around_isolated_vertices():
+    # isolated 0, 5 and 9 fall before, between and after the edged components
+    g = Graph.make(11, [(1, 8), (8, 3), (2, 10), (4, 6), (6, 7)])
+    assert g.components == tuple(map(frozenset, (
+        {0}, {1, 3, 8}, {2, 10}, {4, 6, 7}, {5}, {9})))
+    assert g.components == _brute_components(g)
+    assert Graph.empty(3).components == ({0}, {1}, {2})
+
+
 def test_reach_is_the_component_of_its_seed():
     rng = random.Random(16)
     for _ in range(200):

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from conftest import (brute_is_homomorphic, contract_edge, contraction_transfer_check,
                       nx_in_class, poly_term_edge_sets, reference_budget_survivors,
-                      reference_contract_enforced_edge, to_nx)
+                      reference_contract_enforced_edge, reference_gadget_tree_masks,
+                      to_nx)
 from hompoly import (CLIQUE, CYCLE, OUTERPLANAR, PLANAR, TREE, Graph,
                      classify, hom_poly, oracle_matching, oracle_uhc,
                      reduce_cliques_vac0, reduce_cycles, reduce_genus,
@@ -243,11 +244,35 @@ def test_gadget_tree_poly_terms_are_trees():
         assert reduce_trees(K2, target).details["survivors"] == full
 
 
+def gadget_tree_masks(target):
+    """gadget_tree_poly's trees as masks over the gadget's edges; each tree
+    appears once."""
+    gedges, _ = reductions.tree_gadget_edges(target)
+    bit = {edge_var(*e): 1 << i for i, e in enumerate(gedges)}
+    P, _ = reductions.gadget_tree_poly(target)
+    assert all(c == 1 for _, c in P.terms())
+    return {sum(bit.get(v, 0) for v, _ in mono) for mono, _ in P.terms()}
+
+
+@pytest.mark.parametrize("target", [*cli.TARGETS.values(), K2, Graph.empty(4)],
+                         ids=[*cli.TARGETS, "k2", "edgeless4"])
+def test_tree_candidates_match_the_edge_subset_search(target):
+    assert gadget_tree_masks(target) == set(reference_gadget_tree_masks(target))
+
+
 @st.composite
-def matching_targets(draw):
-    n = draw(st.sampled_from((2, 4, 6)))
+def matching_targets(draw, sizes=(2, 4, 6), max_edges=None):
+    n = draw(st.sampled_from(sizes))
     pairs = list(itertools.combinations(range(n), 2))
-    return Graph.make(n, draw(st.lists(st.sampled_from(pairs), unique=True)))
+    return Graph.make(n, draw(st.lists(st.sampled_from(pairs), unique=True,
+                                       max_size=max_edges)))
+
+
+# at most 9 edges keeps the reference search under about 0.1 s on 8 vertices
+@given(matching_targets((2, 4, 6, 8), max_edges=9))
+@settings(max_examples=40, deadline=None)
+def test_tree_candidates_match_the_search_on_even_targets(target):
+    assert gadget_tree_masks(target) == set(reference_gadget_tree_masks(target))
 
 
 @given(matching_targets())
@@ -260,13 +285,15 @@ def test_tree_pipeline_recovers_matchings(target):
 
 
 def test_tree_search_budget_fails_loudly(monkeypatch):
-    # the search over C6's gadget visits 9,208 nodes, the count the report
-    # gives: that budget passes, and one less raises out of the lemma
+    # C6's gadget has C(6, 3) (9 + 1) = 200 candidates, the count the report
+    # gives: that budget passes, and one less raises before any is built
     c6 = Graph.cycle(6)
-    monkeypatch.setattr(reductions, "TREE_NODE_BUDGET", 9208)
-    assert reduce_trees(K2, c6).details["dfs_nodes"] == 9208
-    monkeypatch.setattr(reductions, "TREE_NODE_BUDGET", 9207)
-    with pytest.raises(BudgetExceededError, match="node budget 9207$"):
+    monkeypatch.setattr(reductions, "TREE_CANDIDATE_BUDGET", 200)
+    assert reduce_trees(K2, c6).details["tree_candidates"] == 200
+    monkeypatch.setattr(reductions, "TREE_CANDIDATE_BUDGET", 199)
+    monkeypatch.setattr(reductions, "recognize", None)
+    with pytest.raises(BudgetExceededError,
+                       match="^200 tree candidates exceed the candidate budget 199$"):
         reduce_trees(K2, c6)
 
 
