@@ -5,7 +5,9 @@ output.  As in a c-reduction (Valiant 1979; Buergisser 2000) a circuit has
 at most one oracle: every oracle gate stands for the same polynomial over
 the circuit's oracle_vars, applied to the gate inputs.  The gates stay
 opaque until eval_symbolic binds that polynomial and expands the calls.
-size() counts add, mul and oracle gates only (variable and constant leaves
+A frozen circuit holds only the gates reachable from its output, in
+topological order, so every walk over it is one pass over its gates.
+size() counts its add, mul and oracle gates (variable and constant leaves
 are free), which makes the recorded interpolation-circuit size bounds well
 defined.
 
@@ -40,10 +42,13 @@ from .poly import Coeff, Polynomial, VarId, _norm_coeff
 #   ('add', (ids...))
 #   ('mul', (ids...))
 #   ('oracle', (ids...))
+_OPS = ('add', 'mul', 'oracle')  # the gate kinds with inputs, counted by size()
 
 
 @dataclass(frozen=True)
 class Circuit:
+    """Only the gates reachable from the output, in topological order (each
+    after its inputs, the output last); size() counts add, mul and oracle."""
     gates: tuple
     output: int
     oracle_vars: tuple | None = None  # the oracle's VarIds; None without one
@@ -97,27 +102,27 @@ class CircuitBuilder:
         return self._intern(('oracle', tuple(inputs)))
 
     def freeze(self, output: int) -> Circuit:
-        return Circuit(tuple(self._gates), output, self._oracle_vars)
-
-
-def _reachable(c: Circuit) -> set:
-    seen = set()
-    stack = [c.output]
-    while stack:
-        gid = stack.pop()
-        if gid in seen:
-            continue
-        seen.add(gid)
-        g = c.gates[gid]
-        if g[0] in ('add', 'mul', 'oracle'):
-            stack.extend(g[1])
-    return seen
+        """The gates reachable from output, renumbered in build order; the
+        builder is unchanged, so it may be frozen again at another output."""
+        gates = self._gates
+        live = [False] * output + [True]
+        for gid in range(output, -1, -1):  # inputs have smaller ids
+            if live[gid] and gates[gid][0] in _OPS:
+                for i in gates[gid][1]:
+                    live[i] = True
+        if all(live):
+            return Circuit(tuple(gates[:output + 1]), output, self._oracle_vars)
+        new_id, kept = {}, []
+        for gid, (kind, arg) in enumerate(gates[:output + 1]):
+            if live[gid]:
+                new_id[gid] = len(kept)
+                kept.append((kind, tuple(new_id[i] for i in arg) if kind in _OPS else arg))
+        return Circuit(tuple(kept), len(kept) - 1, self._oracle_vars)
 
 
 def size(c: Circuit) -> int:
     """Gate count, excluding var/const leaves."""
-    return sum(1 for gid in _reachable(c)
-               if c.gates[gid][0] in ('add', 'mul', 'oracle'))
+    return sum(1 for kind, _ in c.gates if kind in _OPS)
 
 
 def eval_symbolic(c: Circuit, oracle: Polynomial | None = None) -> Polynomial:
@@ -129,9 +134,8 @@ def eval_symbolic(c: Circuit, oracle: Polynomial | None = None) -> Polynomial:
     pairwise Polynomial sums, products and substitute give."""
     mons = _Monomials()
     bound = None
-    values: dict[int, tuple] = {}
-    for gid in _topo_order(c):
-        kind, arg = c.gates[gid]
+    values: list[tuple] = []
+    for kind, arg in c.gates:
         if kind == 'const':
             value = ({_ONE: arg.numerator}, arg.denominator) if arg else _ZERO
         elif kind == 'var':
@@ -148,7 +152,7 @@ def eval_symbolic(c: Circuit, oracle: Polynomial | None = None) -> Polynomial:
                     raise KeyError("no oracle polynomial is bound")
                 bound = _BoundOracle(oracle, c.oracle_vars, mons)
             value = bound.call([values[i] for i in arg])
-        values[gid] = value
+        values.append(value)
     return _to_poly(mons, values[c.output])
 
 
@@ -292,12 +296,6 @@ class _BoundOracle:
         return coefs
 
 
-def _topo_order(c: Circuit) -> list[int]:
-    reach = _reachable(c)
-    # gates reference only earlier ids by construction
-    return sorted(reach)
-
-
 # -- homogeneous-component extraction by interpolation ---------------------------
 
 def lagrange_weights(k: int, delta: int) -> list[Fraction]:
@@ -305,21 +303,20 @@ def lagrange_weights(k: int, delta: int) -> list[Fraction]:
     over the integer nodes t_j = 0..delta."""
     if not 0 <= k <= delta:
         raise ValueError("need 0 <= k <= delta")
-    nodes = list(range(delta + 1))
     weights = []
-    for j, tj in enumerate(nodes):
-        denom = Fraction(1)
-        coeffs = [Fraction(1)]  # coefficients of prod_{i != j} (t - t_i)
-        for i, ti in enumerate(nodes):
+    for j in range(delta + 1):
+        denom = 1
+        coeffs = [1]  # integer coefficients of prod_{i != j} (t - i)
+        for i in range(delta + 1):
             if i == j:
                 continue
-            denom *= tj - ti
-            nxt = [Fraction(0)] * (len(coeffs) + 1)
+            denom *= j - i
+            nxt = [0] * (len(coeffs) + 1)
             for d, cd in enumerate(coeffs):
                 nxt[d + 1] += cd
-                nxt[d] -= cd * ti
+                nxt[d] -= cd * i
             coeffs = nxt
-        weights.append(coeffs[k] / denom)
+        weights.append(Fraction(coeffs[k], denom))
     return weights
 
 
@@ -337,25 +334,20 @@ def extract_homc(oracle_vars, vars, k: int, delta: int) -> Circuit:
 
 
 def _rebuild(b: CircuitBuilder, c: Circuit, var_gate) -> int:
-    """Copy c's reachable gates into b in topological order, with each
-    Var(v) gate replaced by the gate id var_gate(v) returns; the id of the
-    copied output."""
+    """Copy c's gates into b, with each Var(v) gate replaced by the gate id
+    var_gate(v) returns; the id of the copied output.  Copies are interned
+    as they are: no add or mul gate has one input, and consts are Fractions."""
     if c.oracle_vars is not None:
         b.declare_oracle(c.oracle_vars)
-    new_id: dict[int, int] = {}
-    for gid in _topo_order(c):
-        g = c.gates[gid]
-        kind = g[0]
-        if kind == 'const':
-            new_id[gid] = b.const(g[1])
-        elif kind == 'var':
-            new_id[gid] = var_gate(g[1])
-        elif kind == 'add':
-            new_id[gid] = b.add(*(new_id[i] for i in g[1]))
-        elif kind == 'mul':
-            new_id[gid] = b.mul(*(new_id[i] for i in g[1]))
+    new_id: list[int] = []
+    for g in c.gates:
+        kind, arg = g
+        if kind == 'var':
+            new_id.append(var_gate(arg))
+        elif kind == 'const':
+            new_id.append(b._intern(g))
         else:
-            new_id[gid] = b.oracle([new_id[i] for i in g[1]])
+            new_id.append(b._intern((kind, tuple(new_id[i] for i in arg))))
     return new_id[c.output]
 
 
@@ -381,11 +373,9 @@ def interpolate_homc(c: Circuit, vars, k: int, delta: int) -> Circuit:
     and sums them with Lagrange weights; used when a pipeline composes
     several extractions.  Size grows by roughly a factor of delta+1.
     """
-    if not 0 <= k <= delta:
-        raise ValueError("need 0 <= k <= delta")
+    weights = lagrange_weights(k, delta)  # ValueError unless 0 <= k <= delta
     scaled = frozenset(vars)
     b = CircuitBuilder()
-    weights = lagrange_weights(k, delta)
     parts = []
     for j in range(delta + 1):
         tj = b.const(j)

@@ -366,9 +366,15 @@ def gadget_tree_poly(target: Graph) -> tuple[Polynomial, int]:
     for chosen in itertools.combinations(stars, half):
         whole = frozenset(itertools.chain.from_iterable(chosen))
         full = sum(map(bit.__getitem__, whole))
-        for drop in [None, *whole]:
-            if recognize(Graph(nvert, whole - {drop}), TREE):
-                masks.append(full - bit.get(drop, 0))
+        g = Graph(nvert, whole)
+        if recognize(g, TREE):
+            masks.append(full)
+        for a, b in whole:  # each edge dropped in turn: the masks of g less two bits
+            cut = list(g.nbrs)
+            cut[a] ^= 1 << b
+            cut[b] ^= 1 << a
+            if recognize(Graph.with_nbrs(nvert, whole - {(a, b)}, tuple(cut)), TREE):
+                masks.append(full - bit[a, b])
     return _assemble(masks, [edge_var(*e) for e in gedges],
                      VariableModel.EDGE_AND_VERTEX), count
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hompoly.circuit import (CircuitBuilder, eval_symbolic, extract_homc,
+from hompoly.circuit import (Circuit, CircuitBuilder, eval_symbolic, extract_homc,
                              interpolate_homc, lagrange_weights, oracle_call_circuit,
                              scale_circuit, size, substitute_vars)
 from hompoly.poly import Polynomial, aux_var, edge_var, monomial
@@ -56,13 +56,37 @@ def test_unbound_oracle_errors():
         eval_symbolic(c)
 
 
+def reference_lagrange_weights(k, delta):
+    """The weights computed in Fractions throughout, as lagrange_weights
+    once did."""
+    nodes = list(range(delta + 1))
+    weights = []
+    for j, tj in enumerate(nodes):
+        denom = Fraction(1)
+        coeffs = [Fraction(1)]  # coefficients of prod_{i != j} (t - t_i)
+        for i, ti in enumerate(nodes):
+            if i == j:
+                continue
+            denom *= tj - ti
+            nxt = [Fraction(0)] * (len(coeffs) + 1)
+            for d, cd in enumerate(coeffs):
+                nxt[d + 1] += cd
+                nxt[d] -= cd * ti
+            coeffs = nxt
+        weights.append(coeffs[k] / denom)
+    return weights
+
+
 def test_lagrange_weights_pick_one_coefficient():
-    delta = 5
-    for k in range(delta + 1):
-        w = lagrange_weights(k, delta)
-        for d in range(delta + 1):
-            s = sum(wj * Fraction(tj) ** d for tj, wj in enumerate(w))
-            assert s == (1 if d == k else 0)
+    for delta in range(9):
+        for k in range(delta + 1):
+            w = lagrange_weights(k, delta)
+            for d in range(delta + 1):
+                s = sum(wj * Fraction(tj) ** d for tj, wj in enumerate(w))
+                assert s == (1 if d == k else 0)
+            assert all(type(wj) is Fraction for wj in w)
+            assert [(wj.numerator, wj.denominator) for wj in w] == \
+                [(wj.numerator, wj.denominator) for wj in reference_lagrange_weights(k, delta)]
 
 
 def random_multilinear(rng, nvars, max_terms, tag="z"):
@@ -114,7 +138,7 @@ def test_nested_interpolation_grows_linearly():
     base = extract_homc(vs, vs, 2, 4)
     nested = interpolate_homc(base, vs[:2], 1, 2)
     assert size(nested) <= 4 * size(base)  # delta+1 copies plus combination
-    # every gate's inputs precede it, which circuit._topo_order relies on
+    # every gate's inputs precede it, which eval_symbolic's one pass relies on
     for gid, gate in enumerate(nested.gates):
         inputs = gate[-1] if gate[0] in ('add', 'mul', 'oracle') else ()
         assert all(i < gid for i in inputs)
@@ -192,9 +216,10 @@ ORACLE = Polynomial.from_monomial(monomial({ORACLE_ARG: 2})) \
 
 
 @st.composite
-def small_circuits(draw, max_degree=4):
-    """Random circuits over CVARS with add, mul and oracle gates (oracle g
-    bound to ORACLE), with total degree at most max_degree."""
+def small_builds(draw, max_degree=4):
+    """A builder of random gates over CVARS with add, mul and oracle gates
+    (oracle g bound to ORACLE), and its last gate, whose total degree is at
+    most max_degree.  Earlier gates need not feed it."""
     b = CircuitBuilder()
     b.declare_oracle((ORACLE_ARG,))
     gates = [(b.var(v), 1) for v in CVARS]
@@ -209,7 +234,11 @@ def small_circuits(draw, max_degree=4):
             gates.append((b.mul(i, j), di + dj))
         else:
             gates.append((b.add(i, j), max(di, dj)))
-    return b.freeze(gates[-1][0])
+    return b, gates[-1][0]
+
+
+def small_circuits():
+    return small_builds().map(lambda built: built[0].freeze(built[1]))
 
 
 def evaluate(c):
@@ -239,9 +268,10 @@ def generic_eval(c, oracle):
 
 
 @st.composite
-def product_circuits(draw):
-    """Products of three or four factors drawn from constants (zero
-    included), variables, oracle calls and small sums."""
+def product_builds(draw):
+    """A builder of products of three or four factors drawn from constants
+    (zero included), variables, oracle calls and small sums, and the
+    product's gate; not every factor drawn from need feed it."""
     b = CircuitBuilder()
     b.declare_oracle((ORACLE_ARG,))
     leaves = [b.var(v) for v in CVARS]
@@ -250,15 +280,56 @@ def product_circuits(draw):
     leaves.append(b.oracle([draw(st.sampled_from(leaves))]))
     leaves.append(b.add(*draw(st.lists(st.sampled_from(leaves), min_size=2, max_size=2))))
     factors = draw(st.lists(st.sampled_from(leaves), min_size=3, max_size=4))
-    return b.freeze(b.mul(*factors))
+    return b, b.mul(*factors)
 
 
-@given(st.one_of(small_circuits(), product_circuits()))
+OPS = ('add', 'mul', 'oracle')
+
+
+def reachable(c):
+    """The ids of the gates reachable from c's output, by a walk over its
+    inputs; the reference for what freeze keeps."""
+    seen = set()
+    stack = [c.output]
+    while stack:
+        gid = stack.pop()
+        if gid in seen:
+            continue
+        seen.add(gid)
+        g = c.gates[gid]
+        if g[0] in OPS:
+            stack.extend(g[1])
+    return seen
+
+
+def assert_pruned(c, unpruned=None):
+    """c holds only the gates reachable from its output, each after its
+    inputs, and size(c) counts the non-leaf gates that a walk of unpruned
+    (the same circuit with every gate its builder made; c itself when not
+    given) reaches."""
+    unpruned = unpruned or c
+    fed = set()
+    for gid, (kind, arg) in enumerate(c.gates):
+        inputs = arg if kind in OPS else ()
+        assert all(i < gid for i in inputs)
+        fed.update(inputs)
+    assert c.output == len(c.gates) - 1
+    assert fed == set(range(c.output))  # every gate but the output feeds one
+    assert size(c) == sum(1 for gid in reachable(unpruned)
+                          if unpruned.gates[gid][0] in OPS)
+
+
+@given(st.one_of(small_builds(), product_builds()))
 @settings(max_examples=100, deadline=None)
-def test_mul_gates_agree_with_generic_products(c):
+def test_mul_gates_agree_with_generic_products(built):
+    b, output = built
+    c = b.freeze(output)
+    unpruned = Circuit(tuple(b._gates), output, b._oracle_vars)
+    assert_pruned(c, unpruned)
     got, want = evaluate(c), generic_eval(c, ORACLE)
     assert got == want
     assert list(got.terms()) == list(want.terms())
+    assert generic_eval(unpruned, ORACLE) == want
 
 
 VAR_TARGETS = st.one_of(st.none(), st.integers(-2, 2),
@@ -269,13 +340,17 @@ VAR_TARGETS = st.one_of(st.none(), st.integers(-2, 2),
 @settings(max_examples=60, deadline=None)
 def test_substitute_vars_agrees_with_polynomial_substitute(c, draws):
     mapping = {v: t for v, t in draws.items() if t is not None}
-    assert evaluate(substitute_vars(c, mapping)) == evaluate(c).substitute(mapping)
+    got = substitute_vars(c, mapping)
+    assert_pruned(got)
+    assert evaluate(got) == evaluate(c).substitute(mapping)
 
 
 @given(small_circuits(), st.fractions(-3, 3, max_denominator=4))
 @settings(max_examples=60, deadline=None)
 def test_scale_circuit_agrees_with_scale(c, w):
-    assert evaluate(scale_circuit(c, w)) == evaluate(c).scale(w)
+    got = scale_circuit(c, w)
+    assert_pruned(got)
+    assert evaluate(got) == evaluate(c).scale(w)
 
 
 @given(small_circuits(), st.sets(st.sampled_from(CVARS), min_size=1),
@@ -285,7 +360,9 @@ def test_interpolate_homc_agrees_with_homogeneous_component(c, vs, k, slack):
     p = evaluate(c)
     delta = max(p.degree_in(vs), k) + slack
     direct = p.homogeneous_component(vs, k)
-    assert evaluate(interpolate_homc(c, vs, k, delta)) == direct
+    got = interpolate_homc(c, vs, k, delta)
+    assert_pruned(got)
+    assert evaluate(got) == direct
 
 
 # -- exact arithmetic and the oracle-input cases of eval_symbolic ------------------
